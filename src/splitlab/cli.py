@@ -22,8 +22,8 @@ import json
 import sys
 
 from . import fields, lfsr, linalg, polys, splitting
-from .errors import BadArgs, IoError, SplitLabError
-from .verify import VerificationJob, emit, statement_ids
+from .errors import BadArgs, SplitLabError
+from .verify import VerificationJob, emit, statement_ids, write_report
 from .verify import verify as run_verification
 
 
@@ -45,11 +45,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise BadArgs(f"cannot parse {what} literal {text!r}") from None
 
 
-def _parse_poly(ctx, text: str) -> polys.Poly:
-    codes = _parse_ints(text, "polynomial")
+def _check_codes(ctx, codes: tuple[int, ...], what: str) -> None:
     for c in codes:
         if not 0 <= c < ctx.size:
-            raise BadArgs(f"coefficient {c} is not a code in [0, {ctx.size})")
+            raise BadArgs(f"{what} {c} is not a code in [0, {ctx.size})")
+
+
+def _parse_poly(ctx, text: str) -> polys.Poly:
+    codes = _parse_ints(text, "polynomial")
+    _check_codes(ctx, codes, "coefficient")
     return polys.Poly(ctx, codes)
 
 
@@ -58,16 +62,16 @@ def _parse_matrix(ctx, text: str, m: int) -> linalg.Matrix:
     if len(rows) != m or any(len(r) != m for r in rows):
         raise BadArgs(f"matrix literal {text!r} is not {m}x{m}")
     for row in rows:
-        for c in row:
-            if not 0 <= c < ctx.size:
-                raise BadArgs(f"entry {c} is not a code in [0, {ctx.size})")
+        _check_codes(ctx, row, "entry")
     return linalg.Matrix(ctx, rows, m)
 
 
-def _parse_state(text: str, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+def _parse_state(ctx, text: str, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     words = tuple(_parse_ints(part, "state word") for part in text.split(";"))
     if len(words) != n or any(len(w) != m for w in words):
         raise BadArgs(f"state literal {text!r} is not {n} words of length {m}")
+    for word in words:
+        _check_codes(ctx, word, "state entry")
     return words
 
 
@@ -76,17 +80,6 @@ def _parse_grid(text: str) -> tuple[tuple[int, ...], ...]:
     if not text:
         return ()
     return tuple(_parse_ints(part, "grid point") for part in text.split(";"))
-
-
-def _write(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write to {out}: {err}") from err
 
 
 def _mismatch_exit(status: str) -> int:
@@ -114,10 +107,10 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         doc["pointed_formula"] = expected
         doc["pointed_verdict"] = "match" if pointed == expected else "mismatch"
     if args.format == "json":
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        write_report(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"{key}={value}" for key, value in doc.items()]
-        _write("\n".join(lines) + "\n", args.out)
+        write_report("\n".join(lines) + "\n", args.out)
     verdicts = [rep.verdict] + [doc.get("pointed_verdict", "match")]
     if "mismatch" in verdicts:
         return _mismatch_exit(rep.status)
@@ -183,7 +176,7 @@ def _parse_recurrence(args: argparse.Namespace) -> lfsr.BlockRecurrence:
 
 def _cmd_lfsr_simulate(args: argparse.Namespace) -> int:
     rec = _parse_recurrence(args)
-    init = _parse_state(args.init, args.m, args.n)
+    init = _parse_state(rec.ctx, args.init, args.m, args.n)
     for word in lfsr.simulate(rec, init, args.steps):
         print(",".join(str(c) for c in word))
     return 0
@@ -191,7 +184,7 @@ def _cmd_lfsr_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_lfsr_period(args: argparse.Namespace) -> int:
     rec = _parse_recurrence(args)
-    init = _parse_state(args.init, args.m, args.n)
+    init = _parse_state(rec.ctx, args.init, args.m, args.n)
     report = lfsr.period_preperiod(rec, init)
     print(
         f"preperiod={report.preperiod} period={report.period} "

@@ -213,26 +213,11 @@ class FieldCtx:
 
     # -- encodings -------------------------------------------------------
 
-    def digits(self, code: int) -> tuple[int, ...]:
-        """Little-endian base-p digits of a code, padded to length e."""
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            code, r = divmod(code, p)
-            out.append(r)
-        return tuple(out)
-
-    def from_digits(self, digs: Sequence[int]) -> int:
-        code = 0
-        for d in reversed(digs):
-            code = code * self.p + d
-        return code
-
     def _code_poly(self, code: int) -> polys.Poly:
-        return polys.Poly(self._prime, self.digits(code))
+        return polys.Poly(self._prime, integers.to_digits(code, self.p, self.e))
 
     def _poly_code(self, f: polys.Poly) -> int:
-        return self.from_digits(f.coeffs + (0,) * (self.e - len(f.coeffs)))
+        return integers.from_digits(f.coeffs, self.p)
 
     # -- elements --------------------------------------------------------
 
@@ -412,21 +397,12 @@ class TowerCtx:
         return FieldElement(self, self.embed_base(code))
 
     def rank(self, raw) -> int:
-        q = self.base.size
-        code = 0
-        for c in reversed(raw):
-            code = code * q + c
-        return code
+        return integers.from_digits(raw, self.base.size)
 
     def from_rank(self, k: int) -> FieldElement:
         if not 0 <= k < self.size:
             raise BadArgs(f"rank {k} outside [0, {self.size})")
-        q = self.base.size
-        out = []
-        for _ in range(self.d):
-            k, r = divmod(k, q)
-            out.append(r)
-        return FieldElement(self, tuple(out))
+        return FieldElement(self, integers.to_digits(k, self.base.size, self.d))
 
     def elements(self) -> Iterator[FieldElement]:
         for coords in itertools.product(range(self.base.size), repeat=self.d):

@@ -103,6 +103,24 @@ def prime_power_split(q: int) -> tuple[int, int]:
     raise BadArgs(f"{q} is not a prime power")
 
 
+def to_digits(code: int, base: int, length: int) -> tuple[int, ...]:
+    """The `length` lowest little-endian base-`base` digits of a
+    nonnegative code."""
+    out = []
+    for _ in range(length):
+        code, r = divmod(code, base)
+        out.append(r)
+    return tuple(out)
+
+
+def from_digits(digits, base: int) -> int:
+    """Inverse of to_digits: the code whose little-endian digits these are."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
 def order_from_factored(group_order: int, factors: dict[int, int], power) -> int:
     """Order of an element via exponent dropping.
 

@@ -1,9 +1,9 @@
 """Dense linear algebra over finite field contexts.
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
-mapped to v * M.  Rank and independence helpers take bare sequences of
+mapped to v * M.  The independence test takes bare sequences of
 coordinate tuples so that hot scanning loops can avoid Matrix objects;
-over F_2 they switch to a bit-packed elimination.
+over F_2 it switches to a bit-packed elimination.  rref gives the rank.
 
 Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
@@ -315,39 +315,6 @@ def rows_are_independent(ctx, rows: Iterable[Sequence]) -> bool:
         pinv = ctx.inv(v[lead])
         echelon.append((lead, [ctx.mul(pinv, x) for x in v]))
     return True
-
-
-def rank_rows(ctx, rows: Iterable[Sequence]) -> int:
-    """Rank of the span of the given row vectors."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    if _is_bit_ctx(ctx, rows):
-        basis: dict[int, int] = {}
-        for r in rows:
-            v = _pack_bits(r)
-            while v:
-                h = v.bit_length() - 1
-                b = basis.get(h)
-                if b is None:
-                    basis[h] = v
-                    break
-                v ^= b
-        return len(basis)
-    zero = ctx.zero
-    echelon: list[tuple[int, list]] = []
-    for r in rows:
-        v = list(r)
-        for col, prow in echelon:
-            c = v[col]
-            if c != zero:
-                v = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(v, prow)]
-        lead = next((j for j, x in enumerate(v) if x != zero), None)
-        if lead is None:
-            continue
-        pinv = ctx.inv(v[lead])
-        echelon.append((lead, [ctx.mul(pinv, x) for x in v]))
-    return len(echelon)
 
 
 class SubspaceBasis:

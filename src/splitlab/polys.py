@@ -360,19 +360,11 @@ def evaluate_in(f: Poly, point: FieldElement) -> FieldElement:
     return ctx.element_from_raw(acc)
 
 
-def _scalar_digits(code: int, q: int, length: int) -> tuple[int, ...]:
-    digs = []
-    for _ in range(length):
-        code, r = divmod(code, q)
-        digs.append(r)
-    return tuple(digs)
-
-
 def polys_of_degree_below(ctx, bound: int) -> Iterator[Poly]:
     """All q**bound polynomials of degree < bound, by ascending code."""
     q = ctx.size
     for code in range(q**bound):
-        yield Poly(ctx, _scalar_digits(code, q, bound))
+        yield Poly(ctx, integers.to_digits(code, q, bound))
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +373,7 @@ def _irreducibles(ctx, k: int, bound: int | None) -> tuple[Poly, ...]:
     q = ctx.size
     out = []
     for code in range(q**k):
-        coeffs = _scalar_digits(code, q, k) + (ctx.one,)
+        coeffs = integers.to_digits(code, q, k) + (ctx.one,)
         f = Poly(ctx, coeffs)
         if is_irreducible(f):
             out.append(f)
@@ -517,7 +509,7 @@ def coprime_pair_count(
         config.check_scan(q ** (n1 + n2), scan_bound, "coprime pair census")
         count = 0
         monic_parts = [
-            [Poly(ctx, _scalar_digits(code, q, t) + (ctx.one,)) for code in range(q**t)]
+            [Poly(ctx, integers.to_digits(code, q, t) + (ctx.one,)) for code in range(q**t)]
             for t in range(n2)
         ]
         for f1 in polys_of_degree_below(ctx, n1):

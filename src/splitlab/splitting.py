@@ -4,10 +4,21 @@ Fix a tower F_{q^{mn}} = F_q(alpha) and view it as the coordinate space
 F_q^{mn}.  An m-dimensional subspace W splits the tower with respect to
 alpha when the mn vectors alpha^j w_i (0 <= j < n, with w_1, ..., w_m a
 basis of W) are linearly independent, i.e. when W, alpha W, ...,
-alpha^{n-1} W together span everything with no overlap.  This module
-provides the membership test, exhaustive counts over all subspaces, the
-ordered-basis variant, the pointed refinement, the endomorphism variant,
-and the closed forms for each.
+alpha^{n-1} W together span everything with no overlap.  This is
+T-splitting for T the matrix of multiplication by alpha, so a
+SplitInstance holds the powers T^0, ..., T^(n-1) of that matrix and
+every membership test and scan runs on them.  This module provides the membership test,
+exhaustive counts over all subspaces, the ordered-basis variant, the
+pointed refinement, the endomorphism variant, and the closed forms for
+each.
+
+The scan route is one kernel: _splits stacks the translates of a basis
+and tests them for independence, and _splitting_scan runs it over every
+m-dimensional subspace.  is_alpha_splitting, is_T_splitting,
+count_pointed and the direct ordered-basis scan call _splits;
+count_splitting, pointed_consistency, count_T_splitting,
+weak_ssc_check and sweep_generators count through _splitting_scan.
+The closed forms never call either.
 
 Scan results are exact.  Closed forms carry a status flag saying whether
 the equality with the scan is proved at those parameters or currently
@@ -25,7 +36,6 @@ from .errors import (
     BadArgs,
     ContextMismatch,
     DimensionMismatch,
-    ScanBoundExceeded,
     SingularMoebius,
     SplitLabError,
     ZeroBasePoint,
@@ -117,9 +127,55 @@ def transform_subspace(
     return linalg.subspace_from_rows(tower.base, tower.d, rows)
 
 
+def _powers(T: linalg.Matrix, m: int, n: int) -> tuple[linalg.Matrix, ...]:
+    """T^0, ..., T^(n-1), after checking that T is an endomorphism of
+    the mn-dimensional coordinate space."""
+    if not T.is_square:
+        raise DimensionMismatch("T must be square")
+    if m < 1 or n < 1:
+        raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if T.nrows != m * n:
+        raise DimensionMismatch(f"T is {T.nrows}x{T.ncols}, expected {m * n}")
+    out = [linalg.Matrix.identity(T.ctx, T.nrows), T]
+    while len(out) < n:
+        out.append(out[-1] * T)
+    return tuple(out[:n])
+
+
+def _check_subspace(ctx, W: linalg.SubspaceBasis, m: int, n: int) -> None:
+    if W.ctx != ctx:
+        raise ContextMismatch("subspace lives over a different field than T")
+    if W.ambient != m * n or W.dim != m:
+        raise DimensionMismatch(
+            f"subspace is {W.dim}-dimensional in ambient {W.ambient}, "
+            f"expected {m} in {m * n}"
+        )
+
+
+def _splits(ctx, steps, rows) -> bool:
+    """Whether the rows and their images rows * P, for P over steps =
+    (T^1, ..., T^(n-1)), are linearly independent.  The one place the
+    scan route stacks translates."""
+    stacked = list(rows)
+    for P in steps:
+        stacked.extend(linalg.vec_mat(w, P) for w in rows)
+    return linalg.rows_are_independent(ctx, stacked)
+
+
+def _splitting_scan(ctx, powers, m: int, scan_bound: int | None):
+    """Yield the m-dimensional subspaces that split with respect to T,
+    given powers = (T^0, ..., T^(n-1))."""
+    steps = powers[1:]
+    for W in linalg.enumerate_subspaces(ctx, m * len(powers), m, scan_bound=scan_bound):
+        if _splits(ctx, steps, W.rows):
+            yield W
+
+
 class SplitInstance:
     """A concrete splitting problem: the tower, the shape (m, n), and
     the generator whose powers translate the candidate subspaces.
+    mats holds T^0, ..., T^(n-1) for T the matrix of multiplication by
+    the generator.
 
     The generator requirement is enforced at construction; an element
     lying in a proper subfield would make every stacked family dependent
@@ -137,27 +193,16 @@ class SplitInstance:
     ):
         if not isinstance(tower, fields.TowerCtx):
             raise BadArgs("SplitInstance needs a tower extension context")
-        if m < 1 or n < 1:
-            raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-        if tower.d != m * n:
-            raise DimensionMismatch(
-                f"tower has degree {tower.d}, expected m*n = {m * n}"
-            )
         if alpha_elt is None:
             alpha_elt = tower.alpha
-        elif alpha_elt.ctx != tower:
-            raise ContextMismatch("generator does not belong to the given tower")
+        mats = _powers(multiplication_matrix(tower, alpha_elt), m, n)
         if not fields.generates(tower, alpha_elt):
             raise BadArgs("the chosen element does not generate the tower")
-        mats = [linalg.Matrix.identity(tower.base, tower.d)]
-        step = multiplication_matrix(tower, alpha_elt)
-        for _ in range(1, n):
-            mats.append(mats[-1] * step)
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha_elt", alpha_elt)
-        object.__setattr__(self, "mats", tuple(mats))
+        object.__setattr__(self, "mats", mats)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitInstance is immutable")
@@ -211,39 +256,15 @@ def split_instance(
     return SplitInstance(tower, m, n, elem)
 
 
-def _stacked(inst: SplitInstance, rows) -> list:
-    """The n*len(rows) translated vectors w, w*A, ..., w*A^(n-1)."""
-    out = list(rows)
-    for j in range(1, inst.n):
-        mat = inst.mats[j]
-        out.extend(linalg.vec_mat(w, mat) for w in rows)
-    return out
-
-
 def is_alpha_splitting(inst: SplitInstance, W: linalg.SubspaceBasis) -> bool:
     """Whether the m-dimensional subspace W splits the instance's tower
     with respect to its generator."""
-    if W.ctx != inst.base:
-        raise ContextMismatch("subspace is over a different base field")
-    if W.ambient != inst.m * inst.n:
-        raise DimensionMismatch(
-            f"subspace lives in ambient {W.ambient}, expected {inst.m * inst.n}"
-        )
-    if W.dim != inst.m:
-        raise DimensionMismatch(f"subspace has dimension {W.dim}, expected {inst.m}")
-    return linalg.rows_are_independent(inst.base, _stacked(inst, W.rows))
-
-
-def _splitting_scan(inst: SplitInstance, scan_bound: int | None):
-    """Yield the splitting subspaces of the instance."""
-    base = inst.base
-    for W in linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m, scan_bound=scan_bound):
-        if linalg.rows_are_independent(base, _stacked(inst, W.rows)):
-            yield W
+    _check_subspace(inst.base, W, inst.m, inst.n)
+    return _splits(inst.base, inst.mats[1:], W.rows)
 
 
 def _count_scan(inst: SplitInstance, scan_bound: int | None = None) -> int:
-    return sum(1 for _ in _splitting_scan(inst, scan_bound))
+    return sum(1 for _ in _splitting_scan(inst.base, inst.mats, inst.m, scan_bound))
 
 
 @dataclass(frozen=True)
@@ -326,14 +347,13 @@ def count_pointed(
     if x.is_zero:
         raise ZeroBasePoint("the base point must be nonzero")
     coords = x.coords
-    count = 0
     base = inst.base
-    for W in linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m, scan_bound=scan_bound):
-        if W.contains(coords) and linalg.rows_are_independent(
-            base, _stacked(inst, W.rows)
-        ):
-            count += 1
-    return count
+    steps = inst.mats[1:]
+    return sum(
+        1
+        for W in linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m, scan_bound=scan_bound)
+        if W.contains(coords) and _splits(base, steps, W.rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -367,7 +387,7 @@ def pointed_consistency(
     zero_vec = (inst.base.zero,) * mn
     hist: dict[tuple, int] = {}
     total = 0
-    for W in _splitting_scan(inst, scan_bound):
+    for W in _splitting_scan(inst.base, inst.mats, m, scan_bound):
         total += 1
         for v in W.vectors():
             if v != zero_vec:
@@ -401,37 +421,24 @@ def count_splitting_bases(
 
     The direct route scans all q**(m*n*m) tuples; the product route
     multiplies the scanned subspace count by |GL_m| (each splitting
-    subspace contributes one tuple per ordered basis).  Method "both"
-    runs the two and insists they agree; "auto" picks direct when it
-    fits the scan bound.
+    subspace contributes one tuple per ordered basis).  "auto" picks
+    direct when it fits the scan bound.
     """
-    if method not in {"direct", "product", "both", "auto"}:
+    if method not in {"direct", "product", "auto"}:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
     tuples = (q ** (m * n)) ** m
     if method == "auto":
-        try:
-            config.check_scan(tuples, scan_bound, what="ordered basis scan")
-            method = "direct"
-        except ScanBoundExceeded:
-            method = "product"
-    direct = product = None
-    if method in {"direct", "both"}:
-        config.check_scan(tuples, scan_bound, what="ordered basis scan")
-        base = inst.base
-        vecs = [e.raw for e in inst.tower.elements()]
-        direct = sum(
-            1
-            for combo in itertools.product(vecs, repeat=m)
-            if linalg.rows_are_independent(base, _stacked(inst, combo))
-        )
-    if method in {"product", "both"}:
-        product = _count_scan(inst, scan_bound) * linalg.gl_order(m, q)
-    if direct is not None and product is not None and direct != product:
-        raise SplitLabError(
-            f"ordered-basis routes disagree: direct={direct} product={product}"
-        )
-    return direct if direct is not None else product
+        method = "direct" if tuples <= config.scan_bound(scan_bound) else "product"
+    if method == "product":
+        return _count_scan(inst, scan_bound) * linalg.gl_order(m, q)
+    config.check_scan(tuples, scan_bound, what="ordered basis scan")
+    base = inst.base
+    steps = inst.mats[1:]
+    vecs = [e.raw for e in inst.tower.elements()]
+    return sum(
+        1 for combo in itertools.product(vecs, repeat=m) if _splits(base, steps, combo)
+    )
 
 
 def is_T_splitting(
@@ -440,47 +447,16 @@ def is_T_splitting(
     """Whether W splits the space with respect to the endomorphism T,
     i.e. the vectors w*T^j (0 <= j < n, w over a basis of W) are
     independent."""
-    if not T.is_square:
-        raise DimensionMismatch("T must be square")
-    if m < 1 or n < 1:
-        raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if T.nrows != m * n:
-        raise DimensionMismatch(f"T is {T.nrows}x{T.ncols}, expected {m * n}")
-    if W.ctx != T.ctx:
-        raise ContextMismatch("subspace and matrix live over different fields")
-    if W.ambient != m * n or W.dim != m:
-        raise DimensionMismatch(
-            f"subspace is {W.dim}-dimensional in ambient {W.ambient}, "
-            f"expected {m} in {m * n}"
-        )
-    return linalg.rows_are_independent(T.ctx, _t_stacked(T, n, W.rows))
-
-
-def _t_stacked(T: linalg.Matrix, n: int, rows) -> list:
-    out = list(rows)
-    current = [tuple(r) for r in rows]
-    for _ in range(1, n):
-        current = [linalg.vec_mat(w, T) for w in current]
-        out.extend(current)
-    return out
+    powers = _powers(T, m, n)
+    _check_subspace(T.ctx, W, m, n)
+    return _splits(T.ctx, powers[1:], W.rows)
 
 
 def count_T_splitting(
     T: linalg.Matrix, m: int, n: int, *, scan_bound: int | None = None
 ) -> int:
     """Number of m-dimensional subspaces splitting with respect to T."""
-    if not T.is_square:
-        raise DimensionMismatch("T must be square")
-    if m < 1 or n < 1:
-        raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if T.nrows != m * n:
-        raise DimensionMismatch(f"T is {T.nrows}x{T.ncols}, expected {m * n}")
-    ctx = T.ctx
-    count = 0
-    for W in linalg.enumerate_subspaces(ctx, m * n, m, scan_bound=scan_bound):
-        if linalg.rows_are_independent(ctx, _t_stacked(T, n, W.rows)):
-            count += 1
-    return count
+    return sum(1 for _ in _splitting_scan(T.ctx, _powers(T, m, n), m, scan_bound))
 
 
 def endo_formula(p_T: polys.Poly, *, scan_bound: int | None = None) -> int:

@@ -541,12 +541,17 @@ def emit(
         text = _render_text(verdict, timing)
     else:
         raise BadArgs(f"unknown format {fmt!r}")
+    write_report(text, dest)
+    return text
+
+
+def write_report(text: str, dest: str | None) -> None:
+    """Write a rendered report to stdout (dest None or "-") or a file."""
     if dest is None or dest == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise IoError(f"cannot write report to {dest}: {err}") from err
-    return text
+        return
+    try:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise IoError(f"cannot write report to {dest}: {err}") from err

@@ -253,13 +253,18 @@ def test_field_literal_forms(capsys):
     assert out_a == out_b == "3\n"
 
 
-def test_bad_inputs_exit_3(capsys):
+def test_bad_inputs_exit_3(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "report.json")
+    recurrence = ("--q", "2", "--m", "1", "--n", "2", "--C", "1|1")
     for argv in (
         ("count-splitting", "--q", "6", "--m", "2", "--n", "2"),
         ("count-splitting", "--q", "2", "--m", "2", "--n", "2", "--poly", "1,1"),
+        ("count-splitting", "--q", "2", "--m", "2", "--n", "2", "--out", missing),
         ("verify", "--statement", "SSC", "--grid", "2,2"),
         ("fiber-census", "--q", "2", "--m", "2", "--n", "1", "--poly", "1,1,2"),
         ("lfsr", "period", "--q", "2", "--m", "1", "--n", "2", "--C", "1", "--init", "0;1"),
+        ("lfsr", "simulate", *recurrence, "--init", "1;5", "--steps", "5"),
+        ("lfsr", "period", *recurrence, "--init", "1;7"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv

@@ -31,26 +31,15 @@ F3 = build_field(3)
 
 
 def span_size(ctx, rows):
-    """Size of the row space, computed by closure instead of elimination."""
-    vecs = {tuple(ctx.zero for _ in rows[0])} if rows else {()}
-    for row in rows:
-        new = set(vecs)
-        for v in vecs:
-            acc = v
-            for _ in range(ctx.size - 1):
-                acc = tuple(ctx.add(a, b) for a, b in zip(acc, row))
-                new.add(acc)
-        vecs = new
-    # close under addition until stable
-    changed = True
-    while changed:
-        changed = False
-        for a in list(vecs):
-            for b in list(vecs):
-                s = tuple(ctx.add(x, y) for x, y in zip(a, b))
-                if s not in vecs:
-                    vecs.add(s)
-                    changed = True
+    """Size of the row space, by listing every linear combination
+    instead of eliminating."""
+    width = len(rows[0]) if rows else 0
+    vecs = set()
+    for coeffs in itertools.product(linalg.raw_scalars(ctx), repeat=len(rows)):
+        v = (ctx.zero,) * width
+        for c, row in zip(coeffs, rows):
+            v = tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row))
+        vecs.add(v)
     return len(vecs)
 
 
@@ -146,14 +135,13 @@ def test_rref_is_idempotent_and_canonical():
 
 
 def test_rank_matches_span_oracle():
-    for m in all_matrices(F2, 3, 3):
-        rank = linalg.rank_rows(F2, m.rows)
-        assert F2.size**rank == span_size(F2, m.rows), m
-        assert linalg.rows_are_independent(F2, m.rows) == (rank == 3)
-        assert (m.det() != 0) == (rank == 3)
-    for m in all_matrices(F3, 2, 3):
-        rank = linalg.rank_rows(F3, m.rows)
-        assert F3.size**rank == span_size(F3, m.rows), m
+    for ctx, nrows, ncols in ((F2, 3, 3), (F3, 2, 3)):
+        for m in all_matrices(ctx, nrows, ncols):
+            rank = rref(m)[1]
+            assert ctx.size**rank == span_size(ctx, m.rows), m
+            assert linalg.rows_are_independent(ctx, m.rows) == (rank == nrows), m
+            if m.is_square:
+                assert (m.det() != 0) == (rank == nrows)
 
 
 def test_rank_over_tower_elements():
@@ -162,8 +150,12 @@ def test_rank_over_tower_elements():
     a = tower.alpha.raw
     one = tower.one
     zero = tower.zero
-    assert linalg.rank_rows(tower, ((one, a), (a, tower.mul(a, a)))) == 1
-    assert linalg.rank_rows(tower, ((one, zero), (a, one))) == 2
+    assert rref(Matrix(tower, ((one, a), (a, tower.mul(a, a)))))[1] == 1
+    assert rref(Matrix(tower, ((one, zero), (a, one))))[1] == 2
+    for m in enumerate_matrices(tower, 2, 2):
+        rank = rref(m)[1]
+        assert tower.size**rank == span_size(tower, m.rows), m
+        assert linalg.rows_are_independent(tower, m.rows) == (rank == 2), m
 
 
 def test_subspace_from_rows():

@@ -1,15 +1,21 @@
 """Splitting subspaces: scans against closed forms, transforms, base points."""
 
+import ast
+import inspect
 import itertools
+import random
+import textwrap
 
 import pytest
 
 from splitlab import (
     BadArgs,
     ContextMismatch,
+    DimensionMismatch,
     Poly,
     ScanBoundExceeded,
     SingularMoebius,
+    SplitInstance,
     ZeroBasePoint,
     bases_formula,
     build_extension,
@@ -23,6 +29,7 @@ from splitlab import (
     endo_formula,
     enumerate_subspaces,
     gaussian_binomial,
+    generates,
     gl_order,
     is_alpha_splitting,
     is_T_splitting,
@@ -39,7 +46,7 @@ from splitlab import (
     vec_mat,
     weak_ssc_check,
 )
-from splitlab import linalg, splitting
+from splitlab import lfsr, linalg, splitting
 
 F2 = build_field(2)
 
@@ -229,6 +236,8 @@ def test_splitting_bases_routes_agree():
     product = count_splitting_bases(inst, "product")
     assert direct == product == 120
     assert bases_formula(2, 2, 2) == 120
+    with pytest.raises(BadArgs):
+        count_splitting_bases(inst, "both")  # the comparison is SPLITANDBASES
     assert bases_formula(2, 2, 2) == ssc_formula(2, 2, 2) * gl_order(2, 2)
 
 
@@ -247,12 +256,90 @@ def test_nobases_formula():
             assert nobases_formula(q, n) == bases_formula(q, 2, n)
 
 
+def _noncanonical_generator(tower, seed):
+    candidates = [
+        beta
+        for beta in tower.elements()
+        if beta != tower.alpha and not beta.is_zero and generates(tower, beta)
+    ]
+    return random.Random(seed).choice(candidates)
+
+
 def test_T_splitting_matches_alpha_splitting():
     inst = split_instance(2, 2, 2)
     T = multiplication_matrix(inst.tower, inst.tower.alpha)
     assert count_T_splitting(T, 2, 2) == 20
     for w in enumerate_subspaces(F2, 4, 2):
         assert is_T_splitting(T, w, 2, 2) == is_alpha_splitting(inst, w)
+    # the generic elimination path, with a generator other than alpha = x
+    for q, m, n in ((3, 2, 2), (4, 2, 2), (3, 1, 3)):
+        tower = split_instance(q, m, n).tower
+        beta = _noncanonical_generator(tower, q * 100 + m * 10 + n)
+        inst = SplitInstance(tower, m, n, beta)
+        T = multiplication_matrix(tower, beta)
+        brute = count_splitting(inst).brute
+        assert count_T_splitting(T, m, n) == brute == ssc_formula(q, m, n), (q, m, n)
+        for w in enumerate_subspaces(tower.base, m * n, m):
+            assert is_T_splitting(T, w, m, n) == is_alpha_splitting(inst, w), (q, w)
+
+
+def test_T_splitting_validation():
+    T = companion_matrix(Poly(F2, (1, 1, 0, 0, 1)))
+    w = linalg.subspace_from_rows(F2, 4, ((1, 0, 0, 0), (0, 0, 1, 0)))
+    non_square = linalg.Matrix(F2, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    with pytest.raises(DimensionMismatch):
+        count_T_splitting(non_square, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        is_T_splitting(non_square, w, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        count_T_splitting(T, 3, 2)  # T is 4x4, not 6x6
+    with pytest.raises(DimensionMismatch):
+        is_T_splitting(T, w, 1, 2)
+    for wrong in (
+        linalg.subspace_from_rows(F2, 4, ((1, 0, 0, 0),)),  # dimension 1
+        linalg.subspace_from_rows(F2, 2, ((1, 0), (0, 1))),  # ambient 2
+    ):
+        with pytest.raises(DimensionMismatch):
+            is_T_splitting(T, wrong, 2, 2)
+    F3 = build_field(3)
+    with pytest.raises(ContextMismatch):
+        is_T_splitting(T, linalg.subspace_from_rows(F3, 4, ((1, 0, 0, 0), (0, 0, 1, 0))), 2, 2)
+
+
+CLOSED_FORMS = (
+    ssc_formula,
+    pointed_formula,
+    bases_formula,
+    nobases_formula,
+    splitting_lower_bound,
+    m2_subtraction,
+    endo_formula,
+    lfsr.nofiber_formula,
+    lfsr.pvrc_formula,
+)
+SCAN_ROUTE = {
+    "_splits",
+    "_splitting_scan",
+    "_count_scan",
+    "enumerate_subspaces",
+    "rows_are_independent",
+    "vec_mat",
+}
+
+
+@pytest.mark.parametrize("func", CLOSED_FORMS, ids=lambda f: f.__qualname__)
+def test_closed_forms_never_name_the_scan_route(func):
+    """The two routes of an identity never share code: no closed form
+    names the splitting kernel or the scan primitives beneath it."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names, func
+    assert not names & SCAN_ROUTE, (func.__qualname__, names & SCAN_ROUTE)
 
 
 def test_T_splitting_for_companion_of_primitive_quartic():
