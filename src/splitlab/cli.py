@@ -23,7 +23,7 @@ import sys
 
 from . import fields, lfsr, linalg, polys, splitting
 from .errors import BadArgs, SplitLabError
-from .verify import VerificationJob, emit, statement_ids, write_report
+from .verify import VerificationJob, emit, fiber_rows, statement_ids, write_report
 from .verify import verify as run_verification
 
 
@@ -78,7 +78,7 @@ def _parse_state(ctx, text: str, m: int, n: int) -> tuple[tuple[int, ...], ...]:
 def _parse_grid(text: str) -> tuple[tuple[int, ...], ...]:
     text = text.strip()
     if not text:
-        return ()
+        raise BadArgs("the grid is empty; omit --grid for the default grid")
     return tuple(_parse_ints(part, "grid point") for part in text.split(";"))
 
 
@@ -117,20 +117,22 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_verify(statement: str, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
-    job = VerificationJob(statement_id=statement, grid=grid, seed=args.seed)
+    job = VerificationJob(statement_id=args.statement, grid=grid, seed=args.seed)
     verdict = run_verification(job)
     emit(verdict, args.format, args.out, timing=args.timing)
     return verdict.exit_code()
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    return _run_verify(args.statement, args)
-
-
-def _cmd_verify_ssc(args: argparse.Namespace) -> int:
-    return _run_verify("SSC", args)
+def _run_point(statement: str, point: tuple[int, ...]):
+    """Verify one point of a statement: its PointResult and exit code.
+    A point skipped for exceeding a bound is an error here, not a pass."""
+    verdict = run_verification(VerificationJob(statement, grid=(point,)))
+    (result,) = verdict.points
+    if result.verdict == "skipped":
+        raise SplitLabError(result.note)
+    return result, verdict.exit_code()
 
 
 def _cmd_coprime_census(args: argparse.Namespace) -> int:
@@ -139,13 +141,11 @@ def _cmd_coprime_census(args: argparse.Namespace) -> int:
         value = polys.coprime_pair_count(args.n1, args.n2, ctx, args.method)
         print(value)
         return 0
-    closed = polys.coprime_pair_count(args.n1, args.n2, ctx, "closed")
-    brute = polys.coprime_pair_count(args.n1, args.n2, ctx, "brute")
-    verdict = "match" if closed == brute else "mismatch"
-    print(f"closed {closed}")
-    print(f"brute {brute}")
-    print(f"verdict {verdict}")
-    return 0 if verdict == "match" else 1
+    result, code = _run_point("GENBB", (ctx.size, args.n1, args.n2))
+    print(f"closed {result.formula}")
+    print(f"brute {result.brute}")
+    print(f"verdict {result.verdict}")
+    return code
 
 
 def _cmd_qbinom(args: argparse.Namespace) -> int:
@@ -157,13 +157,11 @@ def _cmd_nilpotent_census(args: argparse.Namespace) -> int:
     if args.method in ("closed", "brute"):
         print(linalg.count_nilpotent(args.m, args.q, args.method))
         return 0
-    closed = linalg.count_nilpotent(args.m, args.q, "closed")
-    brute = linalg.count_nilpotent(args.m, args.q, "brute")
-    verdict = "match" if closed == brute else "mismatch"
-    print(f"closed {closed}")
-    print(f"brute {brute}")
-    print(f"verdict {verdict}")
-    return 0 if verdict == "match" else 1
+    result, code = _run_point("NILPOTENT", (args.m, args.q))
+    print(f"closed {result.formula}")
+    print(f"brute {result.brute}")
+    print(f"verdict {result.verdict}")
+    return code
 
 
 def _parse_recurrence(args: argparse.Namespace) -> lfsr.BlockRecurrence:
@@ -196,18 +194,17 @@ def _cmd_lfsr_period(args: argparse.Namespace) -> int:
 def _cmd_singer_census(args: argparse.Namespace) -> int:
     base = _parse_field(args.q)
     q = base.size
-    if args.method in ("scan", "formula"):
-        print(lfsr.census_singer(args.m, args.n, q, args.method))
+    if args.method == "scan":
+        print(lfsr.census_singer(args.m, args.n, q, "scan"))
         return 0
-    scan = lfsr.census_singer(args.m, args.n, q, "scan")
-    formula = lfsr.census_singer(args.m, args.n, q, "formula")
-    verdict = "match" if scan == formula else "mismatch"
-    print(f"scan {scan}")
-    print(f"formula {formula}")
-    print(f"verdict {verdict}")
-    if verdict == "match":
+    if args.method == "formula":
+        print(lfsr.pvrc_formula(args.m, args.n, q))
         return 0
-    return _mismatch_exit(splitting.conjecture_status(args.m, args.n))
+    result, code = _run_point("BCSCC", (q, args.m, args.n))
+    print(f"scan {result.brute}")
+    print(f"formula {result.formula}")
+    print(f"verdict {result.verdict}")
+    return code
 
 
 def _cmd_fiber_census(args: argparse.Namespace) -> int:
@@ -223,12 +220,10 @@ def _cmd_fiber_census(args: argparse.Namespace) -> int:
     per_fiber = lfsr.nofiber_formula(args.m, args.n, q)
     total = 0
     any_mismatch = False
-    for f in members:
+    for f, scan, bridge in fiber_rows(members, args.m, args.n):
         literal = ",".join(str(c) for c in f.coeffs)
-        scan = lfsr.fiber_count(f, args.m, args.n, "scan")
         total += scan
-        if polys.is_irreducible(f):
-            bridge = lfsr.fiber_count(f, args.m, args.n, "bridge")
+        if bridge is not None:
             verdict = "match" if scan == per_fiber == bridge else "mismatch"
             any_mismatch |= verdict == "mismatch"
             print(
@@ -288,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vs = commands.add_parser("verify-ssc", help="verify the splitting count grid")
     vs.add_argument("--grid", help='points "q,m,n;q,m,n;..." (default grid if omitted)')
     _add_report_flags(vs, "text")
-    vs.set_defaults(func=_cmd_verify_ssc)
+    vs.set_defaults(func=_cmd_verify, statement="SSC")
 
     vf = commands.add_parser("verify", help="verify one statement over a grid")
     vf.add_argument(

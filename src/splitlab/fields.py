@@ -522,9 +522,7 @@ def generates(tower: TowerCtx, beta: FieldElement) -> bool:
     return polys.minimal_polynomial(tower, beta).degree == tower.d
 
 
-def multiplicative_order(
-    ctx, beta: FieldElement, *, factor_bound: int | None = None
-) -> int:
+def multiplicative_order(ctx, beta: FieldElement) -> int:
     """Order of a nonzero element in the multiplicative group of ctx."""
     if beta.ctx != ctx:
         raise ContextMismatch("element does not belong to the given field")
@@ -533,6 +531,6 @@ def multiplicative_order(
     n = ctx.size - 1
     if n == 1:
         return 1
-    factors = integers.factorize(n, factor_bound)
+    factors = integers.factorize(n)
     raw = beta.raw
     return integers.order_from_factored(n, factors, lambda k: ctx.power(raw, k))

@@ -225,7 +225,6 @@ def is_primitive_recurrence(
     method: str = "order",
     *,
     scan_bound: int | None = None,
-    factor_bound: int | None = None,
     iteration_bound: int | None = None,
 ) -> bool:
     """Whether every nonzero initial state is purely periodic with the
@@ -246,7 +245,7 @@ def is_primitive_recurrence(
         ident = linalg.Matrix.identity(ctx, mn)
         if T**N != ident:
             return False
-        for ell in integers.factorize(N, factor_bound):
+        for ell in integers.factorize(N):
             if T ** (N // ell) == ident:
                 return False
         return True
@@ -300,13 +299,13 @@ def nofiber_formula(m: int, n: int, q: int) -> int:
     return out
 
 
-def pvrc_formula(m: int, n: int, q: int, *, factor_bound: int | None = None) -> int:
+def pvrc_formula(m: int, n: int, q: int) -> int:
     """Closed form for the number of primitive block recurrences of
     shape (m, n) over F_q: one fiber per primitive characteristic
     polynomial."""
     _check_shape(m, n, q)
     mn = m * n
-    phi = integers.euler_phi(q**mn - 1, factor_bound)
+    phi = integers.euler_phi(q**mn - 1)
     if phi % mn:
         raise SplitLabError(
             "internal: unit group totient not divisible by the extension degree"
@@ -321,13 +320,12 @@ def census_singer(
     method: str = "scan",
     *,
     scan_bound: int | None = None,
-    factor_bound: int | None = None,
 ) -> int:
     """Number of (m, n) block companion matrices over F_q of maximal
-    multiplicative order, i.e. with primitive characteristic polynomial."""
+    multiplicative order, i.e. with primitive characteristic polynomial,
+    by scanning every coefficient tuple.  Its closed form is
+    pvrc_formula."""
     _check_shape(m, n, q)
-    if method == "formula":
-        return pvrc_formula(m, n, q, factor_bound=factor_bound)
     if method == "scan":
         ctx = fields.field_from_order(q)
         count = 0
@@ -335,7 +333,7 @@ def census_singer(
             if rec.C[0].det() == ctx.zero:
                 continue
             f = linalg.char_poly(block_companion(rec))
-            if polys.is_primitive(f, factor_bound=factor_bound):
+            if polys.is_primitive(f):
                 count += 1
         return count
     raise BadArgs(f"unknown method {method!r}")
@@ -352,10 +350,10 @@ def fiber_count(
     """Number of (m, n) block companion matrices whose characteristic
     polynomial is the monic degree-mn polynomial f.
 
-    The scan route inspects every coefficient tuple.  The formula route
-    returns the closed form shared by all irreducible f.  The bridge
-    route, for irreducible f, divides the ordered splitting-basis count
-    of the tower defined by f by the number of nonzero tower elements.
+    The scan route inspects every coefficient tuple.  The bridge route,
+    for irreducible f, divides the ordered splitting-basis count of the
+    tower defined by f by the number of nonzero tower elements.  The
+    closed form shared by all irreducible f is nofiber_formula.
     """
     if not isinstance(f, polys.Poly):
         raise BadArgs("f must be a polynomial")
@@ -365,8 +363,6 @@ def fiber_count(
     if f.degree != m * n:
         raise BadArgs(f"f has degree {f.degree}, expected m*n = {m * n}")
     q = f.ctx.size
-    if method == "formula":
-        return nofiber_formula(m, n, q)
     if method == "scan":
         ctx = f.ctx
         count = 0

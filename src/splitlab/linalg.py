@@ -460,17 +460,18 @@ def gl_order(m: int, q: int) -> int:
 def count_nilpotent(
     m: int, q: int, method: str = "closed", *, scan_bound: int | None = None
 ) -> int:
-    """Number of nilpotent m x m matrices over F_q.
+    """Number of nilpotent m x m matrices over F_q, q a prime power.
 
     The closed route is q ** (m * (m - 1)); the brute route scans all
     q ** (m * m) matrices and tests T ** m == 0.
     """
     if m < 1:
         raise BadArgs(f"matrix size must be >= 1, got {m}")
+    p, e = integers.prime_power_split(q)
     if method == "closed":
         return q ** (m * (m - 1))
     if method == "brute":
-        ctx = fields.field_from_order(q)
+        ctx = fields.build_field(p, e)
         config.check_scan(q ** (m * m), scan_bound, what="matrix scan")
         zero_mat = Matrix.zero(ctx, m, m)
         return sum(1 for mat in enumerate_matrices(ctx, m, m) if mat**m == zero_mat)
@@ -553,7 +554,7 @@ def companion_matrix(f: polys.Poly) -> Matrix:
     return Matrix(ctx, rows, m)
 
 
-def matrix_order(mat: Matrix, *, factor_bound: int | None = None, iteration_bound: int | None = None) -> int:
+def matrix_order(mat: Matrix, *, iteration_bound: int | None = None) -> int:
     """Multiplicative order of an invertible matrix.
 
     When the characteristic polynomial is irreducible the order is found
@@ -573,7 +574,7 @@ def matrix_order(mat: Matrix, *, factor_bound: int | None = None, iteration_boun
         group = ctx.size**n - 1
         if group == 1:
             return 1
-        factors = integers.factorize(group, factor_bound)
+        factors = integers.factorize(group)
         return integers.order_from_factored(group, factors, lambda k: mat**k)
     ident = Matrix.identity(ctx, n)
     cap = config.scan_bound(iteration_bound)

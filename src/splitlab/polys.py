@@ -283,7 +283,7 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def is_primitive(f: Poly, *, factor_bound: int | None = None) -> bool:
+def is_primitive(f: Poly) -> bool:
     """True iff f is irreducible and the class of x generates the unit
     group of F_q[x]/(f), i.e. has order q**deg(f) - 1."""
     if f.is_zero or f.degree < 1:
@@ -301,7 +301,7 @@ def is_primitive(f: Poly, *, factor_bound: int | None = None) -> bool:
     x = Poly.x(ctx)
     if n == 1:
         return pow_mod(x, 1, f) == one
-    for p in integers.factorize(n, factor_bound):
+    for p in integers.factorize(n):
         if pow_mod(x, n // p, f) == one:
             return False
     return True
@@ -386,7 +386,6 @@ def find_irreducibles(
     kind: str = "all",
     *,
     scan_bound: int | None = None,
-    factor_bound: int | None = None,
 ) -> list[Poly]:
     """Monic irreducible polynomials of degree k over a field context.
 
@@ -402,7 +401,7 @@ def find_irreducibles(
     irr = _irreducibles(ctx, k, scan_bound)
     if kind == "all":
         return list(irr)
-    flags = [is_primitive(f, factor_bound=factor_bound) for f in irr]
+    flags = [is_primitive(f) for f in irr]
     if kind == "primitive_only":
         return [f for f, keep in zip(irr, flags) if keep]
     return [f for f, keep in zip(irr, flags) if not keep]

@@ -29,6 +29,7 @@ from .errors import (
     FactorSearchExceeded,
     IoError,
     IterationBoundExceeded,
+    NotIrreducible,
     ScanBoundExceeded,
     UnknownStatement,
 )
@@ -44,13 +45,12 @@ _BOUND_ERRORS = (
 @dataclass(frozen=True)
 class VerificationJob:
     """What to verify: a statement id, an optional grid of parameter
-    tuples (None selects the statement's default grid), resource bound
-    overrides, and a seed echoed into reports."""
+    tuples (None selects the statement's default grid), and a seed echoed
+    into reports.  Scans run under the process-wide bounds of `config`
+    (SPLITLAB_SCAN_BOUND); a point that exceeds one is reported skipped."""
 
     statement_id: str
     grid: tuple[tuple[int, ...], ...] | None = None
-    scan_bound: int | None = None
-    factor_bound: int | None = None
     seed: int = 0
 
 
@@ -111,77 +111,77 @@ def _status_qmn(point) -> str:
     return splitting.conjecture_status(m, n)
 
 
-def _h_ssc(point, scan_bound, factor_bound):
+def _h_ssc(point):
     q, m, n = _point_qmn(point)
     inst = splitting.split_instance(q, m, n)
-    rep = splitting.count_splitting(inst, scan_bound=scan_bound)
+    rep = splitting.count_splitting(inst)
     return rep.brute, rep.formula, rep.verdict, ""
 
 
-def _h_pssc(point, scan_bound, factor_bound):
+def _h_pssc(point):
     q, m, n = _point_qmn(point)
     inst = splitting.split_instance(q, m, n)
-    rep = splitting.pointed_consistency(inst, scan_bound=scan_bound)
+    rep = splitting.pointed_consistency(inst)
     note = "" if rep.uniform else "pointed counts are not uniform"
     return rep.common, rep.formula, rep.verdict, note
 
 
-def _h_lower_bound(point, scan_bound, factor_bound):
+def _h_lower_bound(point):
     q, m, n = _point_qmn(point)
     inst = splitting.split_instance(q, m, n)
-    brute = splitting.count_splitting(inst, scan_bound=scan_bound).brute
+    brute = splitting.count_splitting(inst).brute
     bound = splitting.splitting_lower_bound(q, m, n)
     verdict = "match" if brute >= bound else "mismatch"
     return brute, bound, verdict, "verdict records brute >= formula (lower bound)"
 
 
-def _h_m2(point, scan_bound, factor_bound):
+def _h_m2(point):
     if len(point) != 1:
         raise BadArgs(f"expected a (q,) point, got {point!r}")
     (q,) = point
     inst = splitting.split_instance(q, 2, 2)
-    brute = splitting.count_splitting(inst, scan_bound=scan_bound).brute
+    brute = splitting.count_splitting(inst).brute
     sub = splitting.m2_subtraction(q)
     closed = splitting.ssc_formula(q, 2, 2)
     verdict = "match" if brute == sub == closed else "mismatch"
     return brute, sub, verdict, f"plane count minus line count; product form {closed}"
 
 
-def _h_splitandbases(point, scan_bound, factor_bound):
+def _h_splitandbases(point):
     q, m, n = _point_qmn(point)
     inst = splitting.split_instance(q, m, n)
-    direct = splitting.count_splitting_bases(inst, "direct", scan_bound=scan_bound)
-    product = splitting.count_splitting_bases(inst, "product", scan_bound=scan_bound)
+    direct = splitting.count_splitting_bases(inst, "direct")
+    product = splitting.count_splitting_bases(inst, "product")
     verdict = "match" if direct == product else "mismatch"
     return direct, product, verdict, "tuple scan vs subspace count times |GL_m|"
 
 
-def _h_nobases(point, scan_bound, factor_bound):
+def _h_nobases(point):
     if len(point) != 2:
         raise BadArgs(f"expected a (q, n) point, got {point!r}")
     q, n = point
     inst = splitting.split_instance(q, 2, n)
-    direct = splitting.count_splitting_bases(inst, "direct", scan_bound=scan_bound)
+    direct = splitting.count_splitting_bases(inst, "direct")
     closed = splitting.nobases_formula(q, n)
     verdict = "match" if direct == closed else "mismatch"
     return direct, closed, verdict, "pair scan at m = 2 vs closed form"
 
 
-def _h_genbb(point, scan_bound, factor_bound):
+def _h_genbb(point):
     if len(point) != 3:
         raise BadArgs(f"expected a (q, n1, n2) point, got {point!r}")
     q, n1, n2 = point
     ctx = fields.field_from_order(q)
-    brute = polys.coprime_pair_count(n1, n2, ctx, "brute", scan_bound=scan_bound)
+    brute = polys.coprime_pair_count(n1, n2, ctx, "brute")
     closed = polys.coprime_pair_count(n1, n2, ctx, "closed")
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, ""
 
 
-def _h_elemsplit(point, scan_bound, factor_bound):
+def _h_elemsplit(point):
     q, m, n = _point_qmn(point)
     inst = splitting.split_instance(q, m, n)
-    rep = splitting.pointed_consistency(inst, scan_bound=scan_bound)
+    rep = splitting.pointed_consistency(inst)
     if not rep.uniform:
         return None, None, "mismatch", "pointed counts are not uniform"
     left = rep.splitting_count * (q**m - 1)
@@ -190,16 +190,16 @@ def _h_elemsplit(point, scan_bound, factor_bound):
     return left, right, verdict, "total count vs pointed count, rescaled"
 
 
-def _h_weak_ssc(point, scan_bound, factor_bound):
+def _h_weak_ssc(point):
     if len(point) != 8:
         raise BadArgs(f"expected a (q, m, n, a, b, c, d, r) point, got {point!r}")
     q, m, n, a, b, c, d, r = point
     inst = splitting.split_instance(q, m, n)
-    rep = splitting.weak_ssc_check(inst, a, b, c, d, r, scan_bound=scan_bound)
+    rep = splitting.weak_ssc_check(inst, a, b, c, d, r)
     return rep.left, rep.right, rep.verdict, f"generator moved by {rep.transform}"
 
 
-def _h_endo_ssc(point, scan_bound, factor_bound):
+def _h_endo_ssc(point):
     if len(point) < 3:
         raise BadArgs(f"expected a (q, c0, ..., ck) point, got {point!r}")
     q = point[0]
@@ -210,59 +210,65 @@ def _h_endo_ssc(point, scan_bound, factor_bound):
     f = polys.Poly(ctx, coeffs)
     if f.degree != len(coeffs) - 1 or not f.is_monic:
         raise BadArgs(f"coefficients {coeffs!r} are not a monic polynomial")
-    brute = splitting.count_T_splitting(
-        linalg.companion_matrix(f), 1, f.degree, scan_bound=scan_bound
-    )
-    closed = splitting.endo_formula(f, scan_bound=scan_bound)
+    brute = splitting.count_T_splitting(linalg.companion_matrix(f), 1, f.degree)
+    closed = splitting.endo_formula(f)
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, "cyclic endomorphism via its companion matrix"
 
 
-def _h_nilpotent(point, scan_bound, factor_bound):
+def _h_nilpotent(point):
     if len(point) != 2:
         raise BadArgs(f"expected an (m, q) point, got {point!r}")
     m, q = point
-    brute = linalg.count_nilpotent(m, q, "brute", scan_bound=scan_bound)
+    brute = linalg.count_nilpotent(m, q, "brute")
     closed = linalg.count_nilpotent(m, q, "closed")
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, ""
 
 
-def _h_pvrc(point, scan_bound, factor_bound):
+def _h_pvrc(point):
     q, m, n = _point_qmn(point)
     ctx = fields.field_from_order(q)
     brute = sum(
         1
-        for rec in lfsr.enumerate_recurrences(ctx, m, n, scan_bound=scan_bound)
-        if lfsr.is_primitive_recurrence(rec, "order", factor_bound=factor_bound)
+        for rec in lfsr.enumerate_recurrences(ctx, m, n)
+        if lfsr.is_primitive_recurrence(rec, "order")
     )
-    closed = lfsr.pvrc_formula(m, n, q, factor_bound=factor_bound)
+    closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, "primitive recurrences by matrix order"
 
 
-def _h_bcscc(point, scan_bound, factor_bound):
+def _h_bcscc(point):
     q, m, n = _point_qmn(point)
-    brute = lfsr.census_singer(
-        m, n, q, "scan", scan_bound=scan_bound, factor_bound=factor_bound
-    )
-    closed = lfsr.pvrc_formula(m, n, q, factor_bound=factor_bound)
+    brute = lfsr.census_singer(m, n, q, "scan")
+    closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, "census by primitive characteristic polynomial"
 
 
-def _fiber_family(point, scan_bound, factor_bound, kind: str):
+def fiber_rows(members, m: int, n: int):
+    """Yield (f, scan, bridge) for every polynomial f of degree m*n in
+    members: its fiber counted by the recurrence scan and by the
+    ordered-basis bridge.  bridge is None when f is reducible, which the
+    bridge route itself reports."""
+    for f in members:
+        scan = lfsr.fiber_count(f, m, n, "scan")
+        try:
+            bridge = lfsr.fiber_count(f, m, n, "bridge")
+        except NotIrreducible:
+            bridge = None
+        yield f, scan, bridge
+
+
+def _fiber_family(point, kind: str):
     q, m, n = _point_qmn(point)
     ctx = fields.field_from_order(q)
-    members = polys.find_irreducibles(
-        ctx, m * n, kind, scan_bound=scan_bound, factor_bound=factor_bound
-    )
+    members = polys.find_irreducibles(ctx, m * n, kind)
     per_fiber = lfsr.nofiber_formula(m, n, q)
     all_equal = True
     total = 0
-    for f in members:
-        scan = lfsr.fiber_count(f, m, n, "scan", scan_bound=scan_bound)
-        bridge = lfsr.fiber_count(f, m, n, "bridge", scan_bound=scan_bound)
+    for _, scan, bridge in fiber_rows(members, m, n):
         total += scan
         if not scan == bridge == per_fiber:
             all_equal = False
@@ -273,41 +279,34 @@ def _fiber_family(point, scan_bound, factor_bound, kind: str):
     return total, closed, verdict, note
 
 
-def _h_pfc(point, scan_bound, factor_bound):
-    return _fiber_family(point, scan_bound, factor_bound, "primitive_only")
+def _h_pfc(point):
+    return _fiber_family(point, "primitive_only")
 
 
-def _h_ifc(point, scan_bound, factor_bound):
-    return _fiber_family(point, scan_bound, factor_bound, "all")
+def _h_ifc(point):
+    return _fiber_family(point, "all")
 
 
-def _h_chain(point, scan_bound, factor_bound):
+def _h_chain(point):
     q, m, n = _point_qmn(point)
     ctx = fields.field_from_order(q)
     mn = m * n
-    units = q**mn - 1
-    irr = polys.find_irreducibles(ctx, mn, "all", scan_bound=scan_bound)
+    irr = polys.find_irreducibles(ctx, mn, "all")
     ok = True
     prim_total = 0
     prim_count = 0
-    for f in irr:
-        fiber = lfsr.fiber_count(f, m, n, "scan", scan_bound=scan_bound)
-        tower = fields.build_extension(ctx, mn, f)
-        inst = splitting.SplitInstance(tower, m, n)
-        bases = splitting.count_splitting_bases(inst, "auto", scan_bound=scan_bound)
-        if fiber * units != bases:
+    for f, scan, bridge in fiber_rows(irr, m, n):
+        if scan != bridge:
             ok = False
-        if polys.is_primitive(f, factor_bound=factor_bound):
-            prim_total += fiber
+        if polys.is_primitive(f):
+            prim_total += scan
             prim_count += 1
-    census = lfsr.census_singer(
-        m, n, q, "scan", scan_bound=scan_bound, factor_bound=factor_bound
-    )
+    census = lfsr.census_singer(m, n, q, "scan")
     if census != prim_total:
         ok = False
-    if prim_count * mn != integers.euler_phi(units, factor_bound):
+    if prim_count * mn != integers.euler_phi(q**mn - 1):
         ok = False
-    closed = lfsr.pvrc_formula(m, n, q, factor_bound=factor_bound)
+    closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if ok and census == closed else "mismatch"
     note = "fibers vs ordered bases per polynomial, census vs primitive fibers"
     return census, closed, verdict, note
@@ -409,9 +408,7 @@ def verify(job: VerificationJob) -> Verdict:
         status = status_fn(point)
         t0 = time.perf_counter()
         try:
-            brute, formula, verdict, note = handler(
-                point, job.scan_bound, job.factor_bound
-            )
+            brute, formula, verdict, note = handler(point)
         except _BOUND_ERRORS as err:
             results.append(
                 PointResult(

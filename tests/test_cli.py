@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from splitlab import lfsr
 from splitlab.cli import main
 
 
@@ -176,6 +177,16 @@ def test_singer_census(capsys):
     assert out.splitlines() == ["scan 16", "formula 16", "verdict match"]
 
 
+def test_singer_census_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(lfsr, "pvrc_formula", lambda *a, **k: 0)
+    code, out, _ = run(
+        capsys, "singer-census", "--q", "2", "--m", "2", "--n", "2",
+        "--method", "both",
+    )
+    assert code == 1
+    assert out.splitlines() == ["scan 16", "formula 0", "verdict mismatch"]
+
+
 def test_lfsr_simulate(capsys):
     code, out, _ = run(
         capsys, "lfsr", "simulate", "--q", "2", "--m", "1", "--n", "2",
@@ -230,10 +241,21 @@ def test_fiber_census_all_irreducible(capsys):
         "--all-irreducible",
     )
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 4  # three quartics plus the summary
-    assert all("scan=8" in line for line in lines[:3])
-    assert lines[3] == "total 24 over 3 polynomials"
+    assert out.splitlines() == [
+        "poly=1,1,0,0,1 scan=8 formula=8 bridge=8 verdict=match",
+        "poly=1,0,0,1,1 scan=8 formula=8 bridge=8 verdict=match",
+        "poly=1,1,1,1,1 scan=8 formula=8 bridge=8 verdict=match",
+        "total 24 over 3 polynomials",
+    ]
+
+
+def test_fiber_census_reducible_poly_has_no_bridge(capsys):
+    code, out, _ = run(
+        capsys, "fiber-census", "--q", "2", "--m", "2", "--n", "1",
+        "--poly", "1,0,1",
+    )
+    assert code == 0
+    assert out.splitlines() == ["poly=1,0,1 scan=4", "total 4 over 1 polynomials"]
 
 
 def test_fiber_census_all_primitive(capsys):
@@ -265,7 +287,18 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
         ("lfsr", "period", "--q", "2", "--m", "1", "--n", "2", "--C", "1", "--init", "0;1"),
         ("lfsr", "simulate", *recurrence, "--init", "1;5", "--steps", "5"),
         ("lfsr", "period", *recurrence, "--init", "1;7"),
+        ("nilpotent-census", "3", "6", "--method", "closed"),
+        ("nilpotent-census", "2", "1", "--method", "closed"),
+        ("verify-ssc", "--grid", ""),
+        ("verify", "--statement", "SSC", "--grid", " "),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert err.startswith("error:"), argv
+    for argv in (
+        ("coprime-census", "--q", "2", "--n1", "30", "--n2", "30"),
+        ("singer-census", "--q", "2", "--m", "3", "--n", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error:") and "bound is" in err, argv

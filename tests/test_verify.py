@@ -55,8 +55,9 @@ def test_points_come_back_sorted():
     assert [p.params for p in verdict.points] == [(2, 1, 2), (2, 2, 1), (2, 2, 2)]
 
 
-def test_bound_errors_become_skips():
-    verdict = run(VerificationJob("SSC", grid=((2, 2, 2),), scan_bound=5))
+def test_bound_errors_become_skips(monkeypatch):
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "5")
+    verdict = run(VerificationJob("SSC", grid=((2, 2, 2),)))
     point = verdict.points[0]
     assert point.verdict == "skipped"
     assert point.brute is None
