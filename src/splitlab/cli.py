@@ -195,7 +195,7 @@ def _cmd_singer_census(args: argparse.Namespace) -> int:
     base = _parse_field(args.q)
     q = base.size
     if args.method == "scan":
-        print(lfsr.census_singer(args.m, args.n, q, "scan"))
+        print(lfsr.census_singer(args.m, args.n, q))
         return 0
     if args.method == "formula":
         print(lfsr.pvrc_formula(args.m, args.n, q))

@@ -425,20 +425,20 @@ class TowerCtx:
         return f"{self.base}[x]/({self.defining_poly})"
 
 
-def _canonical_irreducible(ctx: FieldCtx, k: int, prefer_primitive: bool) -> polys.Poly:
+def _canonical_irreducible(ctx: FieldCtx, k: int) -> polys.Poly:
     """Least monic irreducible of degree k, coefficient tuples compared
-    from the constant term upward.  With prefer_primitive, the least
-    primitive one instead."""
+    from the constant term upward."""
     q = ctx.size
     first = range(q) if k == 1 else range(1, q)  # zero constant term is reducible for k >= 2
     for c0 in first:
-        for rest in itertools.product(range(q), repeat=k - 1):
+        # Walk codes lazily: a product over range(q) materialises
+        # range(q), and q may be near 2**63.  c_1 is the most significant
+        # digit, so codes ascend in the order of (c_1, ..., c_{k-1}).
+        for code in range(q ** (k - 1)):
+            rest = integers.to_digits(code, q, k - 1)[::-1]
             f = polys.Poly(ctx, (c0, *rest, ctx.one))
-            if not polys.is_irreducible(f):
-                continue
-            if prefer_primitive and not polys.is_primitive(f):
-                continue
-            return f
+            if polys.is_irreducible(f):
+                return f
     raise AssertionError(f"no irreducible of degree {k} over {ctx}")
 
 
@@ -456,7 +456,7 @@ def build_field(p: int, e: int = 1) -> FieldCtx:
     if e == 1:
         return FieldCtx(p, 1, None)
     prime = FieldCtx(p, 1, None)
-    modulus = _canonical_irreducible(prime, e, prefer_primitive=False)
+    modulus = _canonical_irreducible(prime, e)
     return FieldCtx(p, e, modulus.coeffs)
 
 
@@ -470,14 +470,11 @@ def build_extension(
     base: FieldCtx,
     d: int,
     defining_poly: polys.Poly | None = None,
-    *,
-    prefer_primitive: bool = False,
 ) -> TowerCtx:
     """Construct F_{q^d} over the base field F_q.
 
     Without a defining polynomial, the canonical (lexicographically
-    least) monic irreducible of degree d is used; prefer_primitive
-    selects the least primitive polynomial instead.
+    least) monic irreducible of degree d is used.
     """
     if not isinstance(base, FieldCtx):
         raise BadArgs("base must be a FieldCtx")
@@ -486,8 +483,6 @@ def build_extension(
     if base.size**d >= _MAX_SIZE:
         raise SizeExceeded(f"{base.size}^{d} does not fit below 2**63")
     if defining_poly is not None:
-        if prefer_primitive:
-            raise BadArgs("prefer_primitive only applies to the default scan")
         if defining_poly.ctx != base:
             raise ContextMismatch("defining polynomial is not over the base field")
         if defining_poly.is_zero or defining_poly.degree != d:
@@ -497,7 +492,7 @@ def build_extension(
         if not polys.is_irreducible(defining_poly):
             raise NotIrreducible(f"{defining_poly} is reducible over {base}")
         return TowerCtx(base, d, defining_poly)
-    return TowerCtx(base, d, _canonical_irreducible(base, d, prefer_primitive))
+    return TowerCtx(base, d, _canonical_irreducible(base, d))
 
 
 def coords_of(tower: TowerCtx, elem: FieldElement) -> tuple[int, ...]:

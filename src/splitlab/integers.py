@@ -84,23 +84,27 @@ def euler_phi(n: int, bound: int | None = None) -> int:
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
-    """Write q as p**e with p prime, or raise BadArgs."""
-    if q < 2:
-        raise BadArgs(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1  # q itself is prime
-        if q % p:
-            continue
-        e = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
-            raise BadArgs(f"{q} is not a prime power")
-        return p, e
+    """Write q as p**e with p prime, or raise BadArgs.
+
+    Tries the integer e-th root of q for every e up to q's bit length,
+    so the work is polynomial in the number of digits of q.
+    """
+    if q >= 2:
+        for e in range(1, q.bit_length() + 1):
+            p = _iroot(q, e)
+            if p**e == q and is_prime(p):
+                return p, e
     raise BadArgs(f"{q} is not a prime power")
+
+
+def _iroot(n: int, e: int) -> int:
+    """The integer e-th root of n >= 1: the largest r with r**e <= n."""
+    r = 1 << -(-n.bit_length() // e)  # r**e > n
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def to_digits(code: int, base: int, length: int) -> tuple[int, ...]:

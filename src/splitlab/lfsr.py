@@ -140,9 +140,7 @@ class PeriodReport:
         return self.preperiod == 0
 
 
-def period_preperiod(
-    rec: BlockRecurrence, init, *, iteration_bound: int | None = None
-) -> PeriodReport:
+def period_preperiod(rec: BlockRecurrence, init) -> PeriodReport:
     """Minimal preperiod and period of the trajectory from init.
 
     Small state spaces are walked once with a position table; larger
@@ -150,7 +148,7 @@ def period_preperiod(
     may take preperiod + 2*period steps.
     """
     state = _check_state(rec, init)
-    bound = config.scan_bound(iteration_bound)
+    bound = config.scan_bound()
     size = rec.ctx.size ** (rec.m * rec.n)
     if size <= min(_HASH_STATE_LIMIT, bound):
         seen: dict[tuple, int] = {}
@@ -170,7 +168,7 @@ def period_preperiod(
         steps += 1
         if steps > bound:
             raise IterationBoundExceeded(
-                f"cycle search exceeded {bound} steps; raise the iteration bound"
+                f"cycle search exceeded {bound} steps (raise it via SPLITLAB_SCAN_BOUND)"
             )
         return step(rec, s)
 
@@ -220,13 +218,7 @@ def _states(ctx, m: int, n: int) -> Iterator[tuple[tuple, ...]]:
         yield tuple(flat[j * m : (j + 1) * m] for j in range(n))
 
 
-def is_primitive_recurrence(
-    rec: BlockRecurrence,
-    method: str = "order",
-    *,
-    scan_bound: int | None = None,
-    iteration_bound: int | None = None,
-) -> bool:
+def is_primitive_recurrence(rec: BlockRecurrence, method: str = "order") -> bool:
     """Whether every nonzero initial state is purely periodic with the
     full period q**(mn) - 1.
 
@@ -250,25 +242,23 @@ def is_primitive_recurrence(
                 return False
         return True
     if method == "definitional":
-        config.check_scan(q**mn, scan_bound, what="state scan")
+        config.check_scan(q**mn, "state scan")
         zero_state = tuple(((ctx.zero,) * rec.m) for _ in range(rec.n))
         for state in _states(ctx, rec.m, rec.n):
             if state == zero_state:
                 continue
-            report = period_preperiod(rec, state, iteration_bound=iteration_bound)
+            report = period_preperiod(rec, state)
             if not report.periodic or report.period != N:
                 return False
         return True
     raise BadArgs(f"unknown method {method!r}")
 
 
-def enumerate_recurrences(
-    ctx, m: int, n: int, *, scan_bound: int | None = None
-) -> Iterator[BlockRecurrence]:
+def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
     """All q**(m*m*n) block recurrences of shape (m, n), in lexicographic
     order of the concatenated coefficient codes C_0, C_1, ..."""
     _check_shape(m, n, ctx.size)
-    config.check_scan(ctx.size ** (m * m * n), scan_bound, what="recurrence scan")
+    config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
     return _recurrence_gen(ctx, m, n)
 
 
@@ -313,40 +303,24 @@ def pvrc_formula(m: int, n: int, q: int) -> int:
     return phi // mn * nofiber_formula(m, n, q)
 
 
-def census_singer(
-    m: int,
-    n: int,
-    q: int,
-    method: str = "scan",
-    *,
-    scan_bound: int | None = None,
-) -> int:
+def census_singer(m: int, n: int, q: int) -> int:
     """Number of (m, n) block companion matrices over F_q of maximal
     multiplicative order, i.e. with primitive characteristic polynomial,
     by scanning every coefficient tuple.  Its closed form is
     pvrc_formula."""
     _check_shape(m, n, q)
-    if method == "scan":
-        ctx = fields.field_from_order(q)
-        count = 0
-        for rec in enumerate_recurrences(ctx, m, n, scan_bound=scan_bound):
-            if rec.C[0].det() == ctx.zero:
-                continue
-            f = linalg.char_poly(block_companion(rec))
-            if polys.is_primitive(f):
-                count += 1
-        return count
-    raise BadArgs(f"unknown method {method!r}")
+    ctx = fields.field_from_order(q)
+    count = 0
+    for rec in enumerate_recurrences(ctx, m, n):
+        if rec.C[0].det() == ctx.zero:
+            continue
+        f = linalg.char_poly(block_companion(rec))
+        if polys.is_primitive(f):
+            count += 1
+    return count
 
 
-def fiber_count(
-    f: polys.Poly,
-    m: int,
-    n: int,
-    method: str = "scan",
-    *,
-    scan_bound: int | None = None,
-) -> int:
+def fiber_count(f: polys.Poly, m: int, n: int, method: str = "scan") -> int:
     """Number of (m, n) block companion matrices whose characteristic
     polynomial is the monic degree-mn polynomial f.
 
@@ -366,7 +340,7 @@ def fiber_count(
     if method == "scan":
         ctx = f.ctx
         count = 0
-        for rec in enumerate_recurrences(ctx, m, n, scan_bound=scan_bound):
+        for rec in enumerate_recurrences(ctx, m, n):
             if linalg.char_poly(block_companion(rec)) == f:
                 count += 1
         return count
@@ -375,7 +349,7 @@ def fiber_count(
             raise NotIrreducible("the bridge route needs an irreducible polynomial")
         tower = fields.build_extension(f.ctx, m * n, f)
         inst = splitting.SplitInstance(tower, m, n)
-        bases = splitting.count_splitting_bases(inst, "auto", scan_bound=scan_bound)
+        bases = splitting.count_splitting_bases(inst, "auto")
         units = q ** (m * n) - 1
         if bases % units:
             raise SplitLabError(

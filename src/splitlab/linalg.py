@@ -393,13 +393,11 @@ def subspace_from_rows(ctx, ambient: int, rows: Iterable[Sequence]) -> SubspaceB
     return SubspaceBasis(ctx, ambient, reduced, pivots)
 
 
-def enumerate_subspaces(
-    ctx, ambient: int, dim: int, *, scan_bound: int | None = None
-) -> Iterator[SubspaceBasis]:
+def enumerate_subspaces(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
     """All dim-dimensional subspaces of ctx^ambient, each exactly once,
     via reduced echelon bases grouped by pivot profile."""
     total = gaussian_binomial(ambient, dim, ctx.size)
-    config.check_scan(total, scan_bound, what="subspace scan")
+    config.check_scan(total, "subspace scan")
     return _subspace_gen(ctx, ambient, dim)
 
 
@@ -457,9 +455,7 @@ def gl_order(m: int, q: int) -> int:
     return out
 
 
-def count_nilpotent(
-    m: int, q: int, method: str = "closed", *, scan_bound: int | None = None
-) -> int:
+def count_nilpotent(m: int, q: int, method: str = "closed") -> int:
     """Number of nilpotent m x m matrices over F_q, q a prime power.
 
     The closed route is q ** (m * (m - 1)); the brute route scans all
@@ -472,7 +468,7 @@ def count_nilpotent(
         return q ** (m * (m - 1))
     if method == "brute":
         ctx = fields.build_field(p, e)
-        config.check_scan(q ** (m * m), scan_bound, what="matrix scan")
+        config.check_scan(q ** (m * m), "matrix scan")
         zero_mat = Matrix.zero(ctx, m, m)
         return sum(1 for mat in enumerate_matrices(ctx, m, m) if mat**m == zero_mat)
     raise BadArgs(f"unknown method {method!r}")
@@ -554,12 +550,13 @@ def companion_matrix(f: polys.Poly) -> Matrix:
     return Matrix(ctx, rows, m)
 
 
-def matrix_order(mat: Matrix, *, iteration_bound: int | None = None) -> int:
+def matrix_order(mat: Matrix) -> int:
     """Multiplicative order of an invertible matrix.
 
     When the characteristic polynomial is irreducible the order is found
     by exponent dropping inside the cyclic group of size q**n - 1;
-    otherwise powers are walked directly, capped by iteration_bound.
+    otherwise powers are walked directly, capped by the process scan
+    bound (IterationBoundExceeded past it).
     """
     if not mat.is_square:
         raise NotSquare("order needs a square matrix")
@@ -577,7 +574,7 @@ def matrix_order(mat: Matrix, *, iteration_bound: int | None = None) -> int:
         factors = integers.factorize(group)
         return integers.order_from_factored(group, factors, lambda k: mat**k)
     ident = Matrix.identity(ctx, n)
-    cap = config.scan_bound(iteration_bound)
+    cap = config.scan_bound()
     power = mat
     order = 1
     while power != ident:
@@ -585,6 +582,6 @@ def matrix_order(mat: Matrix, *, iteration_bound: int | None = None) -> int:
         order += 1
         if order > cap:
             raise IterationBoundExceeded(
-                f"order exceeds {cap} iterations; raise the bound to continue"
+                f"order exceeds {cap} iterations (raise it via SPLITLAB_SCAN_BOUND)"
             )
     return order

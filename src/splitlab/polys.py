@@ -367,9 +367,15 @@ def polys_of_degree_below(ctx, bound: int) -> Iterator[Poly]:
         yield Poly(ctx, integers.to_digits(code, q, bound))
 
 
+def _irreducibles(ctx, k: int) -> tuple[Poly, ...]:
+    """The monic irreducibles of degree k by ascending code.  The bound
+    is checked on every call, so a warm cache refuses like a cold one."""
+    config.check_scan(ctx.size**k, f"irreducible scan at degree {k}")
+    return _irreducible_scan(ctx, k)
+
+
 @lru_cache(maxsize=None)
-def _irreducibles(ctx, k: int, bound: int | None) -> tuple[Poly, ...]:
-    config.check_scan(ctx.size**k, bound, f"irreducible scan at degree {k}")
+def _irreducible_scan(ctx, k: int) -> tuple[Poly, ...]:
     q = ctx.size
     out = []
     for code in range(q**k):
@@ -380,13 +386,7 @@ def _irreducibles(ctx, k: int, bound: int | None) -> tuple[Poly, ...]:
     return tuple(out)
 
 
-def find_irreducibles(
-    ctx,
-    k: int,
-    kind: str = "all",
-    *,
-    scan_bound: int | None = None,
-) -> list[Poly]:
+def find_irreducibles(ctx, k: int, kind: str = "all") -> list[Poly]:
     """Monic irreducible polynomials of degree k over a field context.
 
     kind selects "all" irreducibles, "primitive_only", or
@@ -398,7 +398,7 @@ def find_irreducibles(
         raise BadArgs("degree must be >= 1")
     if kind not in ("all", "primitive_only", "irreducible_nonprimitive"):
         raise BadArgs(f"unknown filter {kind!r}")
-    irr = _irreducibles(ctx, k, scan_bound)
+    irr = _irreducibles(ctx, k)
     if kind == "all":
         return list(irr)
     flags = [is_primitive(f) for f in irr]
@@ -407,11 +407,7 @@ def find_irreducibles(
     return [f for f, keep in zip(irr, flags) if not keep]
 
 
-def factor(
-    f: Poly,
-    *,
-    scan_bound: int | None = None,
-) -> list[tuple[Poly, int]]:
+def factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor into monic irreducibles by exhaustive trial division.
 
     Returns (factor, multiplicity) pairs in scan order.  Raises
@@ -428,7 +424,7 @@ def factor(
             out.append((rem, 1))
             break
         try:
-            candidates = _irreducibles(f.ctx, t, scan_bound)
+            candidates = _irreducibles(f.ctx, t)
         except ScanBoundExceeded as exc:
             raise FactorSearchExceeded(str(exc)) from exc
         for g in candidates:
@@ -447,12 +443,7 @@ def factor(
     return out
 
 
-def q_totient(
-    f: Poly,
-    method: str = "closed",
-    *,
-    scan_bound: int | None = None,
-) -> int:
+def q_totient(f: Poly, method: str = "closed") -> int:
     """Number of polynomials of degree < deg(f) coprime to f.
 
     The closed route multiplies q**deg(f) by (1 - q**-deg(g)) over the
@@ -466,14 +457,14 @@ def q_totient(
     q = ctx.size
     k = f.degree
     if method == "closed":
-        parts = factor(f, scan_bound=scan_bound)
+        parts = factor(f)
         deg_sum = sum(g.degree for g, _ in parts)
         value = q ** (k - deg_sum)
         for g, _ in parts:
             value *= q**g.degree - 1
         return value
     if method == "brute":
-        config.check_scan(q**k, scan_bound, "totient census")
+        config.check_scan(q**k, "totient census")
         count = 0
         for g in polys_of_degree_below(ctx, k):
             if g.is_zero:
@@ -484,14 +475,7 @@ def q_totient(
     raise BadArgs(f"unknown method {method!r}")
 
 
-def coprime_pair_count(
-    n1: int,
-    n2: int,
-    ctx,
-    method: str = "closed",
-    *,
-    scan_bound: int | None = None,
-) -> int:
+def coprime_pair_count(n1: int, n2: int, ctx, method: str = "closed") -> int:
     """Number of coprime pairs (f1, f2) with f1 nonzero of degree < n1 and
     f2 monic nonzero of degree < n2, for n1 >= n2 >= 1.
 
@@ -505,7 +489,7 @@ def coprime_pair_count(
     if method == "closed":
         return q ** (n1 + n2 - 1) - 1
     if method == "brute":
-        config.check_scan(q ** (n1 + n2), scan_bound, "coprime pair census")
+        config.check_scan(q ** (n1 + n2), "coprime pair census")
         count = 0
         monic_parts = [
             [Poly(ctx, integers.to_digits(code, q, t) + (ctx.one,)) for code in range(q**t)]

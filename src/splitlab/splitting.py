@@ -162,11 +162,11 @@ def _splits(ctx, steps, rows) -> bool:
     return linalg.rows_are_independent(ctx, stacked)
 
 
-def _splitting_scan(ctx, powers, m: int, scan_bound: int | None):
+def _splitting_scan(ctx, powers, m: int):
     """Yield the m-dimensional subspaces that split with respect to T,
     given powers = (T^0, ..., T^(n-1))."""
     steps = powers[1:]
-    for W in linalg.enumerate_subspaces(ctx, m * len(powers), m, scan_bound=scan_bound):
+    for W in linalg.enumerate_subspaces(ctx, m * len(powers), m):
         if _splits(ctx, steps, W.rows):
             yield W
 
@@ -239,7 +239,6 @@ def split_instance(
     n: int,
     *,
     defining_poly=None,
-    prefer_primitive: bool = False,
     element=None,
 ) -> SplitInstance:
     """Build a SplitInstance over F_q with the canonical (or given)
@@ -249,7 +248,7 @@ def split_instance(
     poly = defining_poly
     if poly is not None and not isinstance(poly, polys.Poly):
         poly = polys.Poly(base, poly)
-    tower = fields.build_extension(base, m * n, poly, prefer_primitive=prefer_primitive)
+    tower = fields.build_extension(base, m * n, poly)
     elem = element
     if elem is not None and not isinstance(elem, fields.FieldElement):
         elem = tower.element(elem)
@@ -263,8 +262,8 @@ def is_alpha_splitting(inst: SplitInstance, W: linalg.SubspaceBasis) -> bool:
     return _splits(inst.base, inst.mats[1:], W.rows)
 
 
-def _count_scan(inst: SplitInstance, scan_bound: int | None = None) -> int:
-    return sum(1 for _ in _splitting_scan(inst.base, inst.mats, inst.m, scan_bound))
+def _count_scan(inst: SplitInstance) -> int:
+    return sum(1 for _ in _splitting_scan(inst.base, inst.mats, inst.m))
 
 
 @dataclass(frozen=True)
@@ -307,18 +306,13 @@ def _verdict(brute: int | None, formula: int | None) -> str:
     return "match" if brute == formula else "mismatch"
 
 
-def count_splitting(
-    inst: SplitInstance,
-    *,
-    formula_only: bool = False,
-    scan_bound: int | None = None,
-) -> SplitCountReport:
+def count_splitting(inst: SplitInstance, *, formula_only: bool = False) -> SplitCountReport:
     """Count the m-dimensional splitting subspaces of the instance by
     exhaustive scan and compare with the closed form."""
     start = time.perf_counter()
     q, m, n = inst.q, inst.m, inst.n
     formula = ssc_formula(q, m, n)
-    brute = None if formula_only else _count_scan(inst, scan_bound)
+    brute = None if formula_only else _count_scan(inst)
     notes: tuple[str, ...] = ()
     if m == 2 and n == 2:
         notes = ("ambient dimension is 4; parameters are reported as (m, n) = (2, 2)",)
@@ -338,9 +332,7 @@ def count_splitting(
     )
 
 
-def count_pointed(
-    inst: SplitInstance, x: fields.FieldElement, *, scan_bound: int | None = None
-) -> int:
+def count_pointed(inst: SplitInstance, x: fields.FieldElement) -> int:
     """Number of splitting subspaces containing the nonzero point x."""
     if x.ctx != inst.tower:
         raise ContextMismatch("base point does not belong to the instance's tower")
@@ -351,7 +343,7 @@ def count_pointed(
     steps = inst.mats[1:]
     return sum(
         1
-        for W in linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m, scan_bound=scan_bound)
+        for W in linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m)
         if W.contains(coords) and _splits(base, steps, W.rows)
     )
 
@@ -376,9 +368,7 @@ class PointedReport:
     seconds: float
 
 
-def pointed_consistency(
-    inst: SplitInstance, *, scan_bound: int | None = None
-) -> PointedReport:
+def pointed_consistency(inst: SplitInstance) -> PointedReport:
     """Scan once, tally how many splitting subspaces pass through each
     nonzero point, and check uniformity against the closed form."""
     start = time.perf_counter()
@@ -387,7 +377,7 @@ def pointed_consistency(
     zero_vec = (inst.base.zero,) * mn
     hist: dict[tuple, int] = {}
     total = 0
-    for W in _splitting_scan(inst.base, inst.mats, m, scan_bound):
+    for W in _splitting_scan(inst.base, inst.mats, m):
         total += 1
         for v in W.vectors():
             if v != zero_vec:
@@ -413,26 +403,24 @@ def pointed_consistency(
     )
 
 
-def count_splitting_bases(
-    inst: SplitInstance, method: str = "auto", *, scan_bound: int | None = None
-) -> int:
+def count_splitting_bases(inst: SplitInstance, method: str = "auto") -> int:
     """Number of ordered m-tuples (v_1, ..., v_m) of tower elements whose
     stacked power-translates form a basis of the coordinate space.
 
     The direct route scans all q**(m*n*m) tuples; the product route
     multiplies the scanned subspace count by |GL_m| (each splitting
     subspace contributes one tuple per ordered basis).  "auto" picks
-    direct when it fits the scan bound.
+    direct when it fits the process scan bound.
     """
     if method not in {"direct", "product", "auto"}:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
     tuples = (q ** (m * n)) ** m
     if method == "auto":
-        method = "direct" if tuples <= config.scan_bound(scan_bound) else "product"
+        method = "direct" if tuples <= config.scan_bound() else "product"
     if method == "product":
-        return _count_scan(inst, scan_bound) * linalg.gl_order(m, q)
-    config.check_scan(tuples, scan_bound, what="ordered basis scan")
+        return _count_scan(inst) * linalg.gl_order(m, q)
+    config.check_scan(tuples, "ordered basis scan")
     base = inst.base
     steps = inst.mats[1:]
     vecs = [e.raw for e in inst.tower.elements()]
@@ -452,19 +440,17 @@ def is_T_splitting(
     return _splits(T.ctx, powers[1:], W.rows)
 
 
-def count_T_splitting(
-    T: linalg.Matrix, m: int, n: int, *, scan_bound: int | None = None
-) -> int:
+def count_T_splitting(T: linalg.Matrix, m: int, n: int) -> int:
     """Number of m-dimensional subspaces splitting with respect to T."""
-    return sum(1 for _ in _splitting_scan(T.ctx, _powers(T, m, n), m, scan_bound))
+    return sum(1 for _ in _splitting_scan(T.ctx, _powers(T, m, n), m))
 
 
-def endo_formula(p_T: polys.Poly, *, scan_bound: int | None = None) -> int:
+def endo_formula(p_T: polys.Poly) -> int:
     """Closed form for the number of 1-dimensional T-splitting subspaces
     of a cyclic endomorphism with minimal polynomial p_T: the polynomial
     totient of p_T divided by q - 1."""
     q = p_T.ctx.size
-    phi = polys.q_totient(p_T, "closed", scan_bound=scan_bound)
+    phi = polys.q_totient(p_T, "closed")
     if phi % (q - 1):
         raise SplitLabError("internal: polynomial totient not divisible by q - 1")
     return phi // (q - 1)
@@ -495,8 +481,6 @@ def weak_ssc_check(
     c: int,
     d: int,
     r: int,
-    *,
-    scan_bound: int | None = None,
 ) -> MoebiusReport:
     """Move the generator to beta = (a*alpha^(q^r) + b) / (c*alpha^(q^r) + d)
     for an invertible coefficient matrix and compare the two counts."""
@@ -523,8 +507,8 @@ def weak_ssc_check(
     start = time.perf_counter()
     beta = tower.element_from_raw(tower.div(num, den))
     other = SplitInstance(tower, inst.m, inst.n, beta)
-    left = _count_scan(inst, scan_bound)
-    right = _count_scan(other, scan_bound)
+    left = _count_scan(inst)
+    right = _count_scan(other)
     return MoebiusReport(
         description=f"generator transform [{inst.describe()}]",
         q=q,
@@ -540,14 +524,7 @@ def weak_ssc_check(
     )
 
 
-def sweep_generators(
-    q: int,
-    m: int,
-    n: int,
-    *,
-    defining_poly=None,
-    scan_bound: int | None = None,
-) -> dict[int, int]:
+def sweep_generators(q: int, m: int, n: int, *, defining_poly=None) -> dict[int, int]:
     """Splitting count histogram over every generator of the tower:
     maps each observed count to how many generators attain it."""
     inst = split_instance(q, m, n, defining_poly=defining_poly)
@@ -556,6 +533,6 @@ def sweep_generators(
     for beta in tower.elements():
         if beta.is_zero or not fields.generates(tower, beta):
             continue
-        count = _count_scan(SplitInstance(tower, m, n, beta), scan_bound)
+        count = _count_scan(SplitInstance(tower, m, n, beta))
         out[count] = out.get(count, 0) + 1
     return dict(sorted(out.items()))

@@ -241,7 +241,7 @@ def _h_pvrc(point):
 
 def _h_bcscc(point):
     q, m, n = _point_qmn(point)
-    brute = lfsr.census_singer(m, n, q, "scan")
+    brute = lfsr.census_singer(m, n, q)
     closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"
     return brute, closed, verdict, "census by primitive characteristic polynomial"
@@ -301,7 +301,7 @@ def _h_chain(point):
         if polys.is_primitive(f):
             prim_total += scan
             prim_count += 1
-    census = lfsr.census_singer(m, n, q, "scan")
+    census = lfsr.census_singer(m, n, q)
     if census != prim_total:
         ok = False
     if prim_count * mn != integers.euler_phi(q**mn - 1):
@@ -389,9 +389,9 @@ def default_grid(statement_id: str) -> tuple[tuple[int, ...], ...]:
 def verify(job: VerificationJob) -> Verdict:
     """Run every grid point of the job and collect the verdicts.
 
-    Points are processed in sorted parameter order, so the report layout
-    is deterministic for a given job.  Resource bound errors mark the
-    point skipped instead of aborting the run.
+    Distinct points are processed once each, in sorted parameter order,
+    so the report layout is deterministic for a given job.  Resource
+    bound errors mark the point skipped instead of aborting the run.
     """
     if job.statement_id not in _REGISTRY:
         raise UnknownStatement(
@@ -401,7 +401,7 @@ def verify(job: VerificationJob) -> Verdict:
     status_fn, handler, grid = _REGISTRY[job.statement_id]
     if job.grid is not None:
         grid = job.grid
-    points = sorted(tuple(int(x) for x in p) for p in grid)
+    points = sorted({tuple(int(x) for x in p) for p in grid})
     started = time.perf_counter()
     results = []
     for point in points:

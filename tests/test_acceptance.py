@@ -137,7 +137,7 @@ def test_criterion_08_nilpotent_census():
 
 
 def test_criterion_09_primitive_recurrence_census():
-    scan = census_singer(2, 2, 2, "scan")
+    scan = census_singer(2, 2, 2)
     formula = pvrc_formula(2, 2, 2)
     ok = scan == formula == 16
     report(9, f"primitive recurrences at (2,2,2): scan={scan} equals formula={formula}", ok)

@@ -63,7 +63,12 @@ def test_prime_power_split():
     assert prime_power_split(7) == (7, 1)
     assert prime_power_split(81) == (3, 4)
     assert prime_power_split(1024) == (2, 10)
-    for bad in (1, 6, 12, 100):
+    # large sizes split by integer roots, not trial division up to sqrt(q)
+    assert prime_power_split((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power_split(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power_split(3**39) == (3, 39)
+    assert prime_power_split(2**62) == (2, 62)
+    for bad in (1, 6, 12, 100, (2**31 - 1) * (2**61 - 1)):
         with pytest.raises(BadArgs):
             prime_power_split(bad)
 

@@ -88,18 +88,21 @@ def test_period_report_validation():
         PeriodReport(0, 0)
 
 
-def test_cycle_detection_paths_agree():
+def test_cycle_detection_paths_agree(monkeypatch):
     """Brent's fallback must return the same answer as the table walk."""
     rec = scalar_rec(F3, 0, 1)  # s_{i+2} = s_{i+1}, collapses to a constant
     for init in all_states(F3, 1, 2):
         table = period_preperiod(rec, init)
-        brent = period_preperiod(rec, init, iteration_bound=8)
+        with monkeypatch.context() as mp:
+            mp.setenv("SPLITLAB_SCAN_BOUND", "8")  # below 9 states: Brent
+            brent = period_preperiod(rec, init)
         assert (table.preperiod, table.period) == (brent.preperiod, brent.period), init
 
 
-def test_iteration_bound_is_enforced():
+def test_iteration_bound_is_enforced(monkeypatch):
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "2")
     with pytest.raises(IterationBoundExceeded):
-        period_preperiod(FIB, ((0,), (1,)), iteration_bound=2)
+        period_preperiod(FIB, ((0,), (1,)))
 
 
 def test_recurrence_validation():
@@ -169,11 +172,11 @@ def test_primitive_recurrence_has_maximal_periods():
 
 
 def test_singer_census_fixtures():
-    assert census_singer(1, 2, 2, "scan") == 1
-    assert census_singer(2, 1, 2, "scan") == 2
-    assert census_singer(2, 2, 2, "scan") == 16
+    assert census_singer(1, 2, 2) == 1
+    assert census_singer(2, 1, 2) == 2
+    assert census_singer(2, 2, 2) == 16
     for m, n, q in ((1, 2, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3)):
-        assert census_singer(m, n, q, "scan") == pvrc_formula(m, n, q)
+        assert census_singer(m, n, q) == pvrc_formula(m, n, q)
 
 
 def test_pvrc_formula_fixtures():
@@ -193,13 +196,14 @@ def test_nofiber_formula_fixtures():
     assert nofiber_formula(2, 1, 3) == 6
 
 
-def test_enumerate_recurrences_counts_and_bound():
+def test_enumerate_recurrences_counts_and_bound(monkeypatch):
     recs = list(enumerate_recurrences(F2, 1, 2))
     assert len(recs) == 4  # q ** (m*m*n)
     assert all(rec.m == 1 and rec.n == 2 for rec in recs)
     assert len(list(enumerate_recurrences(F2, 2, 2))) == 256
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "100")
     with pytest.raises(ScanBoundExceeded):
-        enumerate_recurrences(F2, 2, 4, scan_bound=100)
+        enumerate_recurrences(F2, 2, 4)
 
 
 def test_fiber_count_fixtures():

@@ -178,10 +178,11 @@ def test_enumerate_subspaces_counts():
                 assert len(seen) == gaussian_binomial(ambient, dim, q), (q, ambient, dim)
 
 
-def test_enumerate_subspaces_respects_bound():
+def test_enumerate_subspaces_respects_bound(monkeypatch):
     # the bound check fires at the call, before any subspace is produced
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**6))
     with pytest.raises(ScanBoundExceeded):
-        enumerate_subspaces(F2, 30, 15, scan_bound=10**6)
+        enumerate_subspaces(F2, 30, 15)
 
 
 def test_gaussian_binomial_fixtures():
@@ -217,14 +218,15 @@ def test_gl_order_matches_brute_count():
         assert gl_order(m, ctx.size) == brute
 
 
-def test_count_nilpotent():
+def test_count_nilpotent(monkeypatch):
     assert count_nilpotent(2, 2) == 4
     assert count_nilpotent(2, 3) == 9
     assert count_nilpotent(3, 2) == 64
     for m, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         assert count_nilpotent(m, q, "brute") == count_nilpotent(m, q, "closed"), (m, q)
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "100")
     with pytest.raises(ScanBoundExceeded):
-        count_nilpotent(3, 2, "brute", scan_bound=100)
+        count_nilpotent(3, 2, "brute")
 
 
 def test_char_poly_fixtures():

@@ -97,9 +97,11 @@ def test_count_is_independent_of_modulus_and_generator():
     explicit = count_splitting(
         split_instance(2, 2, 2, defining_poly=Poly(F2, (1, 1, 0, 0, 1)))
     ).brute
-    primitive = count_splitting(split_instance(2, 2, 2, prefer_primitive=True)).brute
+    nonprimitive = count_splitting(
+        split_instance(2, 2, 2, defining_poly=Poly(F2, (1, 1, 1, 1, 1)))
+    ).brute
     shifted = count_splitting(split_instance(2, 2, 2, element=(1, 1, 0, 0))).brute
-    assert default == explicit == primitive == shifted == 20
+    assert default == explicit == nonprimitive == shifted == 20
 
 
 def test_sweep_generators():
@@ -124,9 +126,10 @@ def test_formula_only_skips_the_scan():
     assert rep.status == "conjectural"
 
 
-def test_count_splitting_respects_scan_bound():
+def test_count_splitting_respects_scan_bound(monkeypatch):
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "10")
     with pytest.raises(ScanBoundExceeded):
-        count_splitting(split_instance(2, 2, 2), scan_bound=10)
+        count_splitting(split_instance(2, 2, 2))
 
 
 def test_split_instance_validation():

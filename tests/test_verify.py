@@ -51,7 +51,7 @@ def test_unknown_statement():
 
 
 def test_points_come_back_sorted():
-    verdict = run(VerificationJob("SSC", grid=((2, 2, 2), (2, 1, 2), (2, 2, 1))))
+    verdict = run(VerificationJob("SSC", grid=((2, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))))
     assert [p.params for p in verdict.points] == [(2, 1, 2), (2, 2, 1), (2, 2, 2)]
 
 
