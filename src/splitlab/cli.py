@@ -354,7 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed usage and its error; its exit 2 would read
+        # as a conjectural mismatch here.  --help exits 0.
+        return 3 if exc.code else 0
     try:
         return args.func(args)
     except SplitLabError as err:

@@ -1,11 +1,11 @@
-"""Resource limits for exhaustive scans and integer factoring.
+"""The resource limit for exhaustive scans, walks and trial division.
 
 The scan bound caps the number of candidates any single exhaustive
 enumeration (subspaces, matrix tuples, polynomial censuses) is willing to
-visit, and the number of steps of any walk to a cycle or an order.  It is
-one per process: the SPLITLAB_SCAN_BOUND environment variable, else
-DEFAULT_SCAN_BOUND.  The factor bound caps the largest trial divisor used
-when factoring integers.
+visit, the number of steps of any walk to a cycle or an order, and the
+largest trial divisor used when factoring integers.  There is no separate
+factor bound.  It is one per process: the SPLITLAB_SCAN_BOUND environment
+variable, else DEFAULT_SCAN_BOUND.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 from .errors import BadArgs, ScanBoundExceeded
 
 DEFAULT_SCAN_BOUND = 1 << 24
-DEFAULT_FACTOR_BOUND = 1 << 32
 
 _ENV_SCAN_BOUND = "SPLITLAB_SCAN_BOUND"
 
@@ -32,15 +31,6 @@ def scan_bound() -> int:
     if value < 1:
         raise BadArgs(f"{_ENV_SCAN_BOUND} must be positive, got {value}")
     return value
-
-
-def factor_bound(override: int | None = None) -> int:
-    """Resolve the trial-division bound."""
-    if override is not None:
-        if override < 2:
-            raise BadArgs("factor bound must be at least 2")
-        return override
-    return DEFAULT_FACTOR_BOUND
 
 
 def check_scan(candidates: int, what: str) -> None:

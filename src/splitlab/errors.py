@@ -99,7 +99,8 @@ class ScanBoundExceeded(SplitLabError):
 
 
 class FactorBoundExceeded(SplitLabError):
-    """Trial division hit the configured bound before finishing."""
+    """Trial division reached the scan bound with a cofactor it cannot
+    prove prime."""
 
 
 class FactorSearchExceeded(SplitLabError):

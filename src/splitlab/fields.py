@@ -5,7 +5,10 @@ Two kinds of context, both immutable after construction:
 - FieldCtx represents F_{p^e}.  Raw scalars are integer codes in
   [0, p**e); the little-endian base-p digits of a code are the
   coefficients of the residue class representative modulo the defining
-  polynomial (no polynomial is involved when e = 1).
+  polynomial.  For e = 1 arithmetic is one expression modulo p; for
+  e > 1 it is tower arithmetic over F_p on the digit tuple, through one
+  private TowerCtx F_p[x]/(modulus), so there is a single implementation
+  of arithmetic modulo an irreducible polynomial.
 
 - TowerCtx represents F_{q^d} built on top of a FieldCtx base F_q.  Raw
   scalars are length-d tuples of base codes: the coordinates with
@@ -38,6 +41,7 @@ from .errors import (
     SizeExceeded,
     ZeroElement,
 )
+from .integers import from_digits, to_digits
 
 _MAX_SIZE = 1 << 63
 
@@ -119,10 +123,15 @@ class FieldElement:
 class FieldCtx:
     """Arithmetic context for F_{p^e} on integer codes.
 
+    For e = 1 every operation is one expression modulo p.  For e > 1 the
+    field is the tower F_p[x]/(modulus): each operation runs on the
+    code's digit tuple in one private TowerCtx over F_p, and the result
+    tuple is turned back into a code.
+
     Construct through build_field; the constructor trusts its inputs.
     """
 
-    __slots__ = ("p", "e", "size", "modulus", "zero", "one", "_prime", "_modpoly")
+    __slots__ = ("p", "e", "size", "modulus", "zero", "one", "_tower")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -132,56 +141,44 @@ class FieldCtx:
         self.zero = 0
         self.one = 1
         if e == 1:
-            self._prime = None
-            self._modpoly = None
+            self._tower = None
         else:
-            self._prime = FieldCtx(p, 1, None)
-            self._modpoly = polys.Poly(self._prime, modulus)
+            prime = FieldCtx(p, 1, None)
+            self._tower = TowerCtx(prime, e, polys.Poly(prime, modulus))
 
     # -- raw scalar arithmetic ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
+        p, e = self.p, self.e
+        if e == 1:
             return (a + b) % p
-        out = 0
-        shift = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += (da + db) % p * shift
-            shift *= p
-        return out
+        return from_digits(self._tower.add(to_digits(a, p, e), to_digits(b, p, e)), p)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        p, e = self.p, self.e
+        if e == 1:
+            return (a - b) % p
+        return from_digits(self._tower.sub(to_digits(a, p, e), to_digits(b, p, e)), p)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.e == 1:
+        p, e = self.p, self.e
+        if e == 1:
             return -a % p
-        out = 0
-        shift = 1
-        while a:
-            a, da = divmod(a, p)
-            out += -da % p * shift
-            shift *= p
-        return out
+        return from_digits(self._tower.neg(to_digits(a, p, e)), p)
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        prod = self._code_poly(a) * self._code_poly(b)
-        return self._poly_code(prod % self._modpoly)
+        p, e = self.p, self.e
+        if e == 1:
+            return a * b % p
+        return from_digits(self._tower.mul(to_digits(a, p, e), to_digits(b, p, e)), p)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        g, s, _ = polys.xgcd(self._code_poly(a), self._modpoly)
-        assert g.degree == 0
-        return self._poly_code(s)
+        p, e = self.p, self.e
+        if e == 1:
+            return pow(a, -1, p)
+        return from_digits(self._tower.inv(to_digits(a, p, e)), p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -190,34 +187,18 @@ class FieldCtx:
         if k < 0:
             a = self.inv(a)
             k = -k
-        if self.e == 1:
-            return pow(a, k, self.p)
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
+        p, e = self.p, self.e
+        if e == 1:
+            return pow(a, k, p)
+        return from_digits(self._tower.power(to_digits(a, p, e), k), p)
 
     def frobenius(self, a: int, r: int) -> int:
         if r < 0:
             raise BadArgs("frobenius exponent must be >= 0")
-        if self.e == 1:
+        p, e = self.p, self.e
+        if e == 1:
             return a  # a**p == a in F_p
-        if a == 0:
-            return 0
-        return self.power(a, pow(self.p, r, self.size - 1))
-
-    # -- encodings -------------------------------------------------------
-
-    def _code_poly(self, code: int) -> polys.Poly:
-        return polys.Poly(self._prime, integers.to_digits(code, self.p, self.e))
-
-    def _poly_code(self, f: polys.Poly) -> int:
-        return integers.from_digits(f.coeffs, self.p)
+        return from_digits(self._tower.frobenius(to_digits(a, p, e), r), p)
 
     # -- elements --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Small integer number theory: primality, factoring, Euler's totient.
 
 Factoring is plain trial division.  Inputs here are field sizes and unit
-group orders, all below 2**63, so nothing fancier is warranted; the
-configurable bound exists to fail loudly instead of grinding when someone
-asks for a genuinely hard factorization.
+group orders, so nothing fancier is warranted.  There is no factor bound
+of its own: trial divisors stop at the process scan bound
+(config.scan_bound()), and a number whose cofactor past that point is
+not provably prime is refused instead of ground through.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 from . import config
 from .errors import BadArgs, FactorBoundExceeded
 
-# Deterministic Miller-Rabin witnesses for n < 3.3e24.
+# Deterministic Miller-Rabin witnesses: is_prime is exact below
+# _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 64-bit sized integers."""
+    """Miller-Rabin primality test, exact for every n < _MR_EXACT_BELOW
+    (beyond that a composite could pass)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -40,15 +44,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int | None = None) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Factor n by trial division, returning {prime: multiplicity}.
 
-    Raises FactorBoundExceeded if a trial divisor beyond the configured
-    bound would be needed.  For n = 1 the result is the empty dict.
+    Trial divisors stop at the process scan bound.  A cofactor left
+    beyond it is the last prime factor when is_prime proves it prime;
+    otherwise FactorBoundExceeded is raised.  For n = 1 the result is
+    the empty dict.
     """
     if n < 1:
         raise BadArgs(f"cannot factor {n}")
-    limit = config.factor_bound(bound)
+    limit = config.scan_bound()
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -58,8 +64,11 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
     d = 5
     while d * d <= n:
         if d > limit:
+            if n < _MR_EXACT_BELOW and is_prime(n):
+                break
             raise FactorBoundExceeded(
-                f"trial division needs a divisor above {limit}"
+                f"trial division needs a divisor above {limit} "
+                "(raise it via SPLITLAB_SCAN_BOUND)"
             )
         for p in (d, d + 2):
             while n % p == 0:
@@ -67,18 +76,14 @@ def factorize(n: int, bound: int | None = None) -> dict[int, int]:
                 n //= p
         d += 6
     if n > 1:
-        if n > limit and factors == {} and not is_prime(n):
-            # Unreachable for n < 2**64 (cofactor after the loop is prime),
-            # kept as a guard for misuse with huge inputs.
-            raise FactorBoundExceeded(f"residual cofactor {n} not factored")
         factors[n] = factors.get(n, 0) + 1
     return factors
 
 
-def euler_phi(n: int, bound: int | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler's totient via the factorization of n."""
     result = n
-    for p in factorize(n, bound):
+    for p in factorize(n):
         result -= result // p
     return result
 

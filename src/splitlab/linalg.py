@@ -431,9 +431,8 @@ def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over
-    a field with q elements."""
-    if q < 2:
-        raise BadArgs(f"q must be at least 2, got {q}")
+    a field with q elements; q must be a prime power."""
+    integers.prime_power_split(q)
     if k < 0 or k > n:
         raise BadArgs(f"need 0 <= k <= n, got k={k}, n={n}")
     num = 1

@@ -291,6 +291,7 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
         ("nilpotent-census", "2", "1", "--method", "closed"),
         ("verify-ssc", "--grid", ""),
         ("verify", "--statement", "SSC", "--grid", " "),
+        ("qbinom", "4", "2", "6"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
@@ -302,3 +303,30 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error:") and "bound is" in err, argv
+
+
+def test_usage_errors_exit_3(capsys):
+    # argparse's own exit status 2 would read as a conjectural mismatch
+    for argv in (
+        ("verify", "--statement", "SSC", "--format", "xml"),
+        ("count-splitting", "--q", "2", "--m", "x", "--n", "2"),
+        ("count-splitting", "--q", "2", "--m", "2"),
+        ("no-such-command",),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "error:" in err, argv
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage:")
+
+
+def test_factoring_over_the_bound_exits_3(capsys, monkeypatch):
+    # q**3 - 1 for q = 2**61 - 1 leaves a 121-bit cofactor past 10**5, too
+    # large for is_prime to prove prime, so the formula refuses
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**5))
+    code, out, err = run(
+        capsys, "singer-census", "--q", "2305843009213693951", "--m", "1", "--n", "3",
+        "--method", "formula",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: trial division") and "SPLITLAB_SCAN_BOUND" in err

@@ -1,5 +1,8 @@
 """Field towers: construction, canonical moduli, and exhaustive axiom tables."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from splitlab import (
     generates,
     multiplicative_order,
 )
-from splitlab import fields, integers
+from splitlab import fields, integers, polys
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -95,6 +98,103 @@ def test_axioms_towers():
 
 def test_axioms_f256():
     check_axioms(build_field(2, 8))
+
+
+class PolyRoute:
+    """The generic route for F_{p^e} on codes: digits as a Poly over F_p,
+    sums and products reduced with % and inverses by xgcd modulo
+    ctx.modulus.  FieldCtx must agree with it everywhere."""
+
+    def __init__(self, ctx):
+        self.p, self.e = ctx.p, ctx.e
+        self.prime = build_field(ctx.p)
+        self.mod = Poly(self.prime, ctx.modulus)
+
+    def poly(self, code):
+        return Poly(self.prime, integers.to_digits(code, self.p, self.e))
+
+    def code(self, f):
+        return integers.from_digits((f % self.mod).coeffs, self.p)
+
+    def add(self, a, b):
+        return self.code(self.poly(a) + self.poly(b))
+
+    def sub(self, a, b):
+        return self.code(self.poly(a) - self.poly(b))
+
+    def neg(self, a):
+        return self.code(-self.poly(a))
+
+    def mul(self, a, b):
+        return self.code(self.poly(a) * self.poly(b))
+
+    def inv(self, a):
+        g, s, _ = polys.xgcd(self.poly(a), self.mod)
+        assert g.coeffs == (1,)
+        return self.code(s)
+
+    def power(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        result = 1
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return result
+
+
+def check_against_poly_route(ctx, pairs, singles):
+    route = PolyRoute(ctx)
+    q = ctx.size
+    exponents = (0, 1, 2, 5, q - 2, q - 1, q, 10**18 + 7)
+    for a, b in pairs:
+        assert ctx.add(a, b) == route.add(a, b), (ctx, a, b)
+        assert ctx.sub(a, b) == route.sub(a, b), (ctx, a, b)
+        assert ctx.mul(a, b) == route.mul(a, b), (ctx, a, b)
+        if b:
+            assert ctx.div(a, b) == route.mul(a, route.inv(b)), (ctx, a, b)
+    for a in singles:
+        assert ctx.neg(a) == route.neg(a), (ctx, a)
+        for k in exponents:
+            assert ctx.power(a, k) == route.power(a, k), (ctx, a, k)
+        for r in range(ctx.e + 1):
+            assert ctx.frobenius(a, r) == route.power(a, ctx.p**r), (ctx, a, r)
+        if a:
+            assert ctx.inv(a) == route.inv(a), (ctx, a)
+            for k in (-1, -2, -(q - 1), -(10**18 + 7)):
+                assert ctx.power(a, k) == route.power(a, k), (ctx, a, k)
+
+
+def test_prime_power_fields_match_the_poly_route_on_every_pair():
+    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)):
+        ctx = build_field(p, e)
+        everything = range(ctx.size)
+        check_against_poly_route(ctx, itertools.product(everything, repeat=2), everything)
+
+
+def test_prime_power_fields_match_the_poly_route_on_random_pairs():
+    rng = random.Random(5)
+    for ctx in (build_field(2, 8), build_field(3, 5), build_field(7, 3), build_field(2**31 - 1, 2)):
+        pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
+        singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
+        check_against_poly_route(ctx, pairs, singles)
+
+
+def test_random_moduli_match_the_poly_route():
+    rng = random.Random(11)
+    for p, e in ((2, 4), (3, 3), (5, 2), (2, 8)):
+        canonical = build_field(p, e).modulus
+        prime = build_field(p)
+        while True:
+            modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+            if modulus != canonical and polys.is_irreducible(Poly(prime, modulus)):
+                break
+        ctx = fields.FieldCtx(p, e, modulus)
+        pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
+        singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
+        check_against_poly_route(ctx, pairs, singles)
 
 
 def test_canonical_moduli_are_least():

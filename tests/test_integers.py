@@ -47,9 +47,25 @@ def test_factorize_one_is_empty():
     assert factorize(1) == {}
 
 
-def test_factorize_respects_bound():
+def test_factorize_respects_bound(monkeypatch):
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**6))
+    with pytest.raises(FactorBoundExceeded, match="raise it via SPLITLAB_SCAN_BOUND"):
+        factorize((2**31 - 1) * (2**61 - 1))
+
+
+def test_factorize_keeps_a_prime_cofactor_past_the_bound(monkeypatch):
+    # trial division stops at 10**4; the cofactor 2**61 - 1 is proved prime
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**4))
+    assert factorize(6 * (2**61 - 1)) == {2: 1, 3: 1, 2**61 - 1: 1}
+    assert euler_phi(6 * (2**61 - 1)) == 2 * (2**61 - 2)
+
+
+def test_factorize_refuses_a_composite_cofactor_past_the_bound(monkeypatch):
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "1000")
     with pytest.raises(FactorBoundExceeded):
-        factorize((2**31 - 1) * (2**61 - 1), 10**6)
+        factorize(1009 * 1013)
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "1010")
+    assert factorize(1009 * 1013) == {1009: 1, 1013: 1}
 
 
 def test_euler_phi_matches_gcd_count():

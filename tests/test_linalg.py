@@ -207,6 +207,8 @@ def test_gaussian_binomial_rejects_bad_range():
         gaussian_binomial(2, 3, 2)
     with pytest.raises(BadArgs):
         gaussian_binomial(3, -1, 2)
+    with pytest.raises(BadArgs, match="6 is not a prime power"):
+        gaussian_binomial(4, 2, 6)
 
 
 def test_gl_order_matches_brute_count():
