@@ -39,7 +39,6 @@ from .errors import (
     NotMonic,
     NotPrime,
     SizeExceeded,
-    ZeroElement,
 )
 from .integers import from_digits, to_digits
 
@@ -365,18 +364,6 @@ class TowerCtx:
         """Raw tower scalar for a base field code."""
         return (code,) + (self.base.zero,) * (self.d - 1)
 
-    def embed(self, value) -> FieldElement:
-        """Embed a base field element (or code) into the tower."""
-        if isinstance(value, FieldElement):
-            if value.ctx != self.base:
-                raise ContextMismatch("can only embed elements of the base field")
-            code = value.raw
-        else:
-            code = value
-        if not isinstance(code, int) or not 0 <= code < self.base.size:
-            raise BadArgs(f"base code {code!r} outside [0, {self.base.size})")
-        return FieldElement(self, self.embed_base(code))
-
     def rank(self, raw) -> int:
         return integers.from_digits(raw, self.base.size)
 
@@ -476,18 +463,6 @@ def build_extension(
     return TowerCtx(base, d, _canonical_irreducible(base, d))
 
 
-def coords_of(tower: TowerCtx, elem: FieldElement) -> tuple[int, ...]:
-    """Coordinates of a tower element over the base field."""
-    if elem.ctx != tower:
-        raise ContextMismatch("element does not belong to the given tower")
-    return elem.coords
-
-
-def from_coords(tower: TowerCtx, coords: Sequence[int]) -> FieldElement:
-    """Tower element with the given coordinates over the base field."""
-    return tower.element(coords)
-
-
 def generates(tower: TowerCtx, beta: FieldElement) -> bool:
     """True iff beta generates the tower over its base field, i.e. its
     minimal polynomial has full degree."""
@@ -496,17 +471,3 @@ def generates(tower: TowerCtx, beta: FieldElement) -> bool:
     if beta.ctx != tower:
         raise ContextMismatch("element does not belong to the given tower")
     return polys.minimal_polynomial(tower, beta).degree == tower.d
-
-
-def multiplicative_order(ctx, beta: FieldElement) -> int:
-    """Order of a nonzero element in the multiplicative group of ctx."""
-    if beta.ctx != ctx:
-        raise ContextMismatch("element does not belong to the given field")
-    if beta.is_zero:
-        raise ZeroElement("zero has no multiplicative order")
-    n = ctx.size - 1
-    if n == 1:
-        return 1
-    factors = integers.factorize(n)
-    raw = beta.raw
-    return integers.order_from_factored(n, factors, lambda k: ctx.power(raw, k))

@@ -128,18 +128,3 @@ def from_digits(digits, base: int) -> int:
     for d in reversed(digits):
         code = code * base + d
     return code
-
-
-def order_from_factored(group_order: int, factors: dict[int, int], power) -> int:
-    """Order of an element via exponent dropping.
-
-    `power(k)` must return the element raised to the k-th power in a form
-    comparable to `power(0)` (the identity).  The element's order must
-    divide group_order.
-    """
-    identity = power(0)
-    order = group_order
-    for p in factors:
-        while order % p == 0 and power(order // p) == identity:
-            order //= p
-    return order

@@ -11,9 +11,11 @@ sequence is eventually periodic; it is purely periodic exactly when C_0
 is invertible, and the recurrence is primitive when every nonzero
 initial state cycles through all q**(mn) - 1 of them.
 
-The censuses count primitive recurrences, either by scanning all
-coefficient tuples or by closed form, and slice the scan by the
-characteristic polynomial of the companion matrix.
+Primitivity is tested as maximal multiplicative order of the block
+companion matrix, and the period of one trajectory comes from Brent's
+cycle finder.  The censuses count primitive recurrences, either by
+scanning all coefficient tuples or by closed form, and slice the scan
+by the characteristic polynomial of the companion matrix.
 """
 
 from __future__ import annotations
@@ -32,16 +34,6 @@ from .errors import (
     ShapeMismatch,
     SplitLabError,
 )
-
-_HASH_STATE_LIMIT = 1 << 20
-
-
-def _check_shape(m: int, n: int, q: int) -> None:
-    if q < 2:
-        raise BadArgs(f"q must be at least 2, got {q}")
-    if m < 1 or n < 1:
-        raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-
 
 class BlockRecurrence:
     """A length-n recurrence on words of F_q^m with matrix coefficients."""
@@ -143,24 +135,12 @@ class PeriodReport:
 def period_preperiod(rec: BlockRecurrence, init) -> PeriodReport:
     """Minimal preperiod and period of the trajectory from init.
 
-    Small state spaces are walked once with a position table; larger
-    ones fall back to Brent's cycle finding, which needs no memory but
-    may take preperiod + 2*period steps.
+    Brent's cycle finding (BIT 20, 1980) needs no memory.  It takes up
+    to about 5 * (preperiod + period) steps, each counted against the
+    process scan bound (IterationBoundExceeded past it).
     """
     state = _check_state(rec, init)
     bound = config.scan_bound()
-    size = rec.ctx.size ** (rec.m * rec.n)
-    if size <= min(_HASH_STATE_LIMIT, bound):
-        seen: dict[tuple, int] = {}
-        x = state
-        i = 0
-        while x not in seen:
-            seen[x] = i
-            x = step(rec, x)
-            i += 1
-        mu = seen[x]
-        return PeriodReport(preperiod=mu, period=i - mu)
-
     steps = 0
 
     def advance(s):
@@ -212,52 +192,29 @@ def block_companion(rec: BlockRecurrence) -> linalg.Matrix:
     return linalg.Matrix(ctx, rows, mn)
 
 
-def _states(ctx, m: int, n: int) -> Iterator[tuple[tuple, ...]]:
-    scalars = linalg.raw_scalars(ctx)
-    for flat in itertools.product(scalars, repeat=m * n):
-        yield tuple(flat[j * m : (j + 1) * m] for j in range(n))
-
-
-def is_primitive_recurrence(rec: BlockRecurrence, method: str = "order") -> bool:
+def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     """Whether every nonzero initial state is purely periodic with the
-    full period q**(mn) - 1.
-
-    The order route tests that the block companion matrix has maximal
-    multiplicative order; the definitional route walks every nonzero
-    trajectory.  The two must agree.
-    """
+    full period q**(mn) - 1, i.e. whether the block companion matrix has
+    maximal multiplicative order."""
     ctx = rec.ctx
-    q = ctx.size
     mn = rec.m * rec.n
-    N = q**mn - 1
-    if method == "order":
-        if rec.C[0].det() == ctx.zero:
+    N = ctx.size**mn - 1
+    if rec.C[0].det() == ctx.zero:
+        return False
+    T = block_companion(rec)
+    ident = linalg.Matrix.identity(ctx, mn)
+    if T**N != ident:
+        return False
+    for ell in integers.factorize(N):
+        if T ** (N // ell) == ident:
             return False
-        T = block_companion(rec)
-        ident = linalg.Matrix.identity(ctx, mn)
-        if T**N != ident:
-            return False
-        for ell in integers.factorize(N):
-            if T ** (N // ell) == ident:
-                return False
-        return True
-    if method == "definitional":
-        config.check_scan(q**mn, "state scan")
-        zero_state = tuple(((ctx.zero,) * rec.m) for _ in range(rec.n))
-        for state in _states(ctx, rec.m, rec.n):
-            if state == zero_state:
-                continue
-            report = period_preperiod(rec, state)
-            if not report.periodic or report.period != N:
-                return False
-        return True
-    raise BadArgs(f"unknown method {method!r}")
+    return True
 
 
 def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
     """All q**(m*m*n) block recurrences of shape (m, n), in lexicographic
     order of the concatenated coefficient codes C_0, C_1, ..."""
-    _check_shape(m, n, ctx.size)
+    splitting._check_params(ctx.size, m, n)
     config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
     return _recurrence_gen(ctx, m, n)
 
@@ -281,7 +238,7 @@ def nofiber_formula(m: int, n: int, q: int) -> int:
     """Closed form for the number of block companion matrices of shape
     (m, n) sharing one irreducible characteristic polynomial:
     q**(m*(m-1)*(n-1)) times the order of the affine part of GL_m."""
-    _check_shape(m, n, q)
+    splitting._check_params(q, m, n)
     qm = q**m
     out = q ** (m * (m - 1) * (n - 1))
     for i in range(1, m):
@@ -293,7 +250,7 @@ def pvrc_formula(m: int, n: int, q: int) -> int:
     """Closed form for the number of primitive block recurrences of
     shape (m, n) over F_q: one fiber per primitive characteristic
     polynomial."""
-    _check_shape(m, n, q)
+    splitting._check_params(q, m, n)
     mn = m * n
     phi = integers.euler_phi(q**mn - 1)
     if phi % mn:
@@ -308,7 +265,7 @@ def census_singer(m: int, n: int, q: int) -> int:
     multiplicative order, i.e. with primitive characteristic polynomial,
     by scanning every coefficient tuple.  Its closed form is
     pvrc_formula."""
-    _check_shape(m, n, q)
+    splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
     count = 0
     for rec in enumerate_recurrences(ctx, m, n):
@@ -331,7 +288,7 @@ def fiber_count(f: polys.Poly, m: int, n: int, method: str = "scan") -> int:
     """
     if not isinstance(f, polys.Poly):
         raise BadArgs("f must be a polynomial")
-    _check_shape(m, n, f.ctx.size)
+    splitting._check_params(f.ctx.size, m, n)
     if not f.is_monic:
         raise NotMonic("fiber counts need a monic polynomial")
     if f.degree != m * n:

@@ -20,7 +20,6 @@ from .errors import (
     BadArgs,
     ContextMismatch,
     DimensionMismatch,
-    IterationBoundExceeded,
     NotSquare,
     ShapeMismatch,
     Singular,
@@ -95,10 +94,6 @@ class Matrix:
         neg = self.ctx.neg
         return Matrix(self.ctx, [tuple(neg(a) for a in r) for r in self.rows], self.ncols)
 
-    def scale(self, c) -> Matrix:
-        mul = self.ctx.mul
-        return Matrix(self.ctx, [tuple(mul(c, a) for a in r) for r in self.rows], self.ncols)
-
     def __mul__(self, other: Matrix) -> Matrix:
         self._check(other)
         if self.ncols != other.nrows:
@@ -133,17 +128,6 @@ class Matrix:
             if k:
                 base = base * base
         return result
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.ctx, list(zip(*self.rows)) if self.rows else [], self.nrows)
-
-    def trace(self):
-        if not self.is_square:
-            raise NotSquare("trace needs a square matrix")
-        acc = self.ctx.zero
-        for i in range(self.nrows):
-            acc = self.ctx.add(acc, self.rows[i][i])
-        return acc
 
     def det(self):
         if not self.is_square:
@@ -363,9 +347,6 @@ class SubspaceBasis:
                 v = [add(x, mul(c, y)) for x, y in zip(v, row)]
             yield tuple(v)
 
-    def matrix(self) -> Matrix:
-        return Matrix(self.ctx, self.rows, self.ambient)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceBasis)
@@ -444,7 +425,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def gl_order(m: int, q: int) -> int:
-    """Order of the group of invertible m x m matrices over F_q."""
+    """Order of the group of invertible m x m matrices over F_q, q a
+    prime power."""
+    integers.prime_power_split(q)
     if m < 0:
         raise BadArgs(f"matrix size must be >= 0, got {m}")
     qm = q**m
@@ -547,40 +530,3 @@ def companion_matrix(f: polys.Poly) -> Matrix:
         row[m - 1] = ctx.neg(f.coeffs[i])
         rows.append(tuple(row))
     return Matrix(ctx, rows, m)
-
-
-def matrix_order(mat: Matrix) -> int:
-    """Multiplicative order of an invertible matrix.
-
-    When the characteristic polynomial is irreducible the order is found
-    by exponent dropping inside the cyclic group of size q**n - 1;
-    otherwise powers are walked directly, capped by the process scan
-    bound (IterationBoundExceeded past it).
-    """
-    if not mat.is_square:
-        raise NotSquare("order needs a square matrix")
-    n = mat.nrows
-    ctx = mat.ctx
-    if n == 0:
-        return 1
-    if mat.det() == ctx.zero:
-        raise Singular("a singular matrix has no multiplicative order")
-    f = char_poly(mat)
-    if n == 1 or polys.is_irreducible(f):
-        group = ctx.size**n - 1
-        if group == 1:
-            return 1
-        factors = integers.factorize(group)
-        return integers.order_from_factored(group, factors, lambda k: mat**k)
-    ident = Matrix.identity(ctx, n)
-    cap = config.scan_bound()
-    power = mat
-    order = 1
-    while power != ident:
-        power = power * mat
-        order += 1
-        if order > cap:
-            raise IterationBoundExceeded(
-                f"order exceeds {cap} iterations (raise it via SPLITLAB_SCAN_BOUND)"
-            )
-    return order

@@ -15,7 +15,6 @@ coordinate tuples.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -33,7 +32,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .fields import FieldCtx, FieldElement, TowerCtx
+    from .fields import FieldElement, TowerCtx
 
 NEG_DEGREE = float("-inf")
 
@@ -65,15 +64,6 @@ class Poly:
     @classmethod
     def x(cls, ctx) -> Poly:
         return cls(ctx, (ctx.zero, ctx.one))
-
-    @classmethod
-    def monomial(cls, ctx, k: int, c=None) -> Poly:
-        """c * x**k (c defaults to one)."""
-        if k < 0:
-            raise BadArgs("monomial exponent must be >= 0")
-        if c is None:
-            c = ctx.one
-        return cls(ctx, (ctx.zero,) * k + (c,))
 
     @property
     def degree(self):
@@ -174,14 +164,6 @@ class Poly:
         if self.is_monic:
             return self
         return self.scale(self.ctx.inv(self.coeffs[-1]))
-
-    def evaluate(self, point):
-        """Evaluate at a raw scalar of the coefficient context (Horner)."""
-        ctx = self.ctx
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, point), c)
-        return acc
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -341,23 +323,6 @@ def minimal_polynomial(tower: TowerCtx, beta: FieldElement) -> Poly:
         echelon.append((piv, vec, combo))
         power = tower.mul(power, beta.raw)
     raise AssertionError("unreachable: d+1 vectors in dimension d")
-
-
-def evaluate_in(f: Poly, point: FieldElement) -> FieldElement:
-    """Evaluate f at an element of an extension of the coefficient field.
-
-    The coefficients are embedded along the tower; `point` may also lie in
-    the coefficient field itself.
-    """
-    ctx = point.ctx
-    if ctx == f.ctx:
-        return ctx.element_from_raw(f.evaluate(point.raw))
-    if getattr(ctx, "base", None) != f.ctx:
-        raise ContextMismatch("point is not in an extension of the coefficient field")
-    acc = ctx.zero
-    for c in reversed(f.coeffs):
-        acc = ctx.add(ctx.mul(acc, point.raw), ctx.embed_base(c))
-    return ctx.element_from_raw(acc)
 
 
 def polys_of_degree_below(ctx, bound: int) -> Iterator[Poly]:

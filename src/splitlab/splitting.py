@@ -16,8 +16,8 @@ The scan route is one kernel: _splits stacks the translates of a basis
 and tests them for independence, and _splitting_scan runs it over every
 m-dimensional subspace.  is_alpha_splitting, is_T_splitting,
 count_pointed and the direct ordered-basis scan call _splits;
-count_splitting, pointed_consistency, count_T_splitting,
-weak_ssc_check and sweep_generators count through _splitting_scan.
+count_splitting, pointed_consistency, count_T_splitting and
+weak_ssc_check count through _splitting_scan.
 The closed forms never call either.
 
 Scan results are exact.  Closed forms carry a status flag saying whether
@@ -31,7 +31,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from . import config, fields, linalg, polys
+from . import config, fields, integers, linalg, polys
 from .errors import (
     BadArgs,
     ContextMismatch,
@@ -51,8 +51,7 @@ def conjecture_status(m: int, n: int) -> str:
 
 
 def _check_params(q: int, m: int, n: int) -> None:
-    if q < 2:
-        raise BadArgs(f"q must be at least 2, got {q}")
+    integers.prime_power_split(q)
     if m < 1 or n < 1:
         raise BadArgs(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
@@ -270,7 +269,6 @@ def _count_scan(inst: SplitInstance) -> int:
 class SplitCountReport:
     """Outcome of one splitting count, carrying both routes when run."""
 
-    description: str
     q: int
     m: int
     n: int
@@ -281,7 +279,6 @@ class SplitCountReport:
     status: str
     verdict: str
     seconds: float
-    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -313,11 +310,7 @@ def count_splitting(inst: SplitInstance, *, formula_only: bool = False) -> Split
     q, m, n = inst.q, inst.m, inst.n
     formula = ssc_formula(q, m, n)
     brute = None if formula_only else _count_scan(inst)
-    notes: tuple[str, ...] = ()
-    if m == 2 and n == 2:
-        notes = ("ambient dimension is 4; parameters are reported as (m, n) = (2, 2)",)
     return SplitCountReport(
-        description=f"splitting subspaces [{inst.describe()}]",
         q=q,
         m=m,
         n=n,
@@ -328,7 +321,6 @@ def count_splitting(inst: SplitInstance, *, formula_only: bool = False) -> Split
         status=conjecture_status(m, n),
         verdict=_verdict(brute, formula),
         seconds=time.perf_counter() - start,
-        notes=notes,
     )
 
 
@@ -354,7 +346,6 @@ class PointedReport:
     point, with the shared count and the identity tying it to the
     total."""
 
-    description: str
     q: int
     m: int
     n: int
@@ -365,13 +356,11 @@ class PointedReport:
     formula: int
     status: str
     verdict: str
-    seconds: float
 
 
 def pointed_consistency(inst: SplitInstance) -> PointedReport:
     """Scan once, tally how many splitting subspaces pass through each
     nonzero point, and check uniformity against the closed form."""
-    start = time.perf_counter()
     q, m, n = inst.q, inst.m, inst.n
     mn = m * n
     zero_vec = (inst.base.zero,) * mn
@@ -388,7 +377,6 @@ def pointed_consistency(inst: SplitInstance) -> PointedReport:
     formula = pointed_formula(q, m, n)
     verdict = "match" if identity_holds and common == formula else "mismatch"
     return PointedReport(
-        description=f"pointed splitting counts [{inst.describe()}]",
         q=q,
         m=m,
         n=n,
@@ -399,7 +387,6 @@ def pointed_consistency(inst: SplitInstance) -> PointedReport:
         formula=formula,
         status=conjecture_status(m, n),
         verdict=verdict,
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -461,7 +448,6 @@ class MoebiusReport:
     """Comparison of splitting counts for a generator and its image
     under a fractional linear transform of a Frobenius power."""
 
-    description: str
     q: int
     m: int
     n: int
@@ -471,7 +457,6 @@ class MoebiusReport:
     right: int
     status: str
     verdict: str
-    seconds: float
 
 
 def weak_ssc_check(
@@ -504,13 +489,11 @@ def weak_ssc_check(
     den = tower.add(scaled(c, g), tower.embed_base(d))
     if den == tower.zero:
         raise ZeroDenominator("transform denominator vanishes at this generator")
-    start = time.perf_counter()
     beta = tower.element_from_raw(tower.div(num, den))
     other = SplitInstance(tower, inst.m, inst.n, beta)
     left = _count_scan(inst)
     right = _count_scan(other)
     return MoebiusReport(
-        description=f"generator transform [{inst.describe()}]",
         q=q,
         m=inst.m,
         n=inst.n,
@@ -520,19 +503,4 @@ def weak_ssc_check(
         right=right,
         status="proved",
         verdict="match" if left == right else "mismatch",
-        seconds=time.perf_counter() - start,
     )
-
-
-def sweep_generators(q: int, m: int, n: int, *, defining_poly=None) -> dict[int, int]:
-    """Splitting count histogram over every generator of the tower:
-    maps each observed count to how many generators attain it."""
-    inst = split_instance(q, m, n, defining_poly=defining_poly)
-    tower = inst.tower
-    out: dict[int, int] = {}
-    for beta in tower.elements():
-        if beta.is_zero or not fields.generates(tower, beta):
-            continue
-        count = _count_scan(SplitInstance(tower, m, n, beta))
-        out[count] = out.get(count, 0) + 1
-    return dict(sorted(out.items()))

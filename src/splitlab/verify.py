@@ -232,7 +232,7 @@ def _h_pvrc(point):
     brute = sum(
         1
         for rec in lfsr.enumerate_recurrences(ctx, m, n)
-        if lfsr.is_primitive_recurrence(rec, "order")
+        if lfsr.is_primitive_recurrence(rec)
     )
     closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"

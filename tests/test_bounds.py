@@ -11,13 +11,20 @@ from splitlab import (
     Poly,
     ScanBoundExceeded,
     build_field,
+    census_singer,
     coprime_pair_count,
+    count_nilpotent,
+    count_pointed,
+    count_splitting,
     count_splitting_bases,
+    fiber_count,
     find_irreducibles,
-    is_primitive_recurrence,
     lfsr,
-    matrix_order,
+    linalg,
+    period_preperiod,
+    pointed_consistency,
     polys,
+    q_totient,
     split_instance,
     splitting,
 )
@@ -25,6 +32,7 @@ from splitlab import (
 F2 = build_field(2)
 FIB = BlockRecurrence(F2, 1, (Matrix(F2, ((1,),)), Matrix(F2, ((1,),))))
 INST = split_instance(2, 2, 2)
+X4 = Poly(F2, (1, 1, 0, 0, 1))  # x**4 + x + 1
 
 # (id, call, bound just below the need, expected error, kernel the call
 # must not enter when refused, or None where the work is not a call)
@@ -37,10 +45,24 @@ CASES = (
      ScanBoundExceeded, (polys, "gcd")),
     ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
      ScanBoundExceeded, (splitting, "_splits")),
-    ("is_primitive_recurrence", lambda: is_primitive_recurrence(FIB, "definitional"), 3,
-     ScanBoundExceeded, (lfsr, "period_preperiod")),
-    # char poly (x + 1)**2 is reducible, so the order is walked: 2 steps
-    ("matrix_order", lambda: matrix_order(Matrix(F2, ((1, 1), (0, 1)))), 1,
+    # [4, 2]_2 = 35 subspaces
+    ("count_splitting", lambda: count_splitting(INST), 34,
+     ScanBoundExceeded, (splitting, "_splits")),
+    ("pointed_consistency", lambda: pointed_consistency(INST), 34,
+     ScanBoundExceeded, (splitting, "_splits")),
+    ("count_pointed", lambda: count_pointed(INST, INST.tower.alpha), 34,
+     ScanBoundExceeded, (splitting, "_splits")),
+    ("q_totient", lambda: q_totient(X4, "brute"), 15,
+     ScanBoundExceeded, (polys, "gcd")),
+    ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,
+     ScanBoundExceeded, (linalg, "enumerate_matrices")),
+    ("census_singer", lambda: census_singer(2, 2, 2), 255,
+     ScanBoundExceeded, (lfsr, "block_companion")),
+    ("fiber_count", lambda: fiber_count(X4, 2, 2, "scan"), 255,
+     ScanBoundExceeded, (linalg, "char_poly")),
+    # the golden sequence from (0, 1) has period 3; Brent's method takes
+    # 6 steps to find it and 3 more to measure the preperiod
+    ("period_preperiod", lambda: period_preperiod(FIB, ((0,), (1,))), 8,
      IterationBoundExceeded, None),
 )
 

@@ -14,14 +14,10 @@ from splitlab import (
     NotPrime,
     Poly,
     SizeExceeded,
-    ZeroElement,
     build_extension,
     build_field,
-    coords_of,
     field_from_order,
-    from_coords,
     generates,
-    multiplicative_order,
 )
 from splitlab import fields, integers, polys
 
@@ -225,35 +221,11 @@ def test_construction_is_deterministic():
 
 
 def test_generator_orders():
-    prim = build_extension(F2, 4, Poly(F2, (1, 1, 0, 0, 1)))
-    assert multiplicative_order(prim, prim.alpha) == 15
-    slow = build_extension(F2, 4, Poly(F2, (1, 1, 1, 1, 1)))
-    assert multiplicative_order(slow, slow.alpha) == 5
+    # alpha has order 15 modulo a primitive modulus, 5 modulo x^4+x^3+x^2+x+1
+    assert polys.is_primitive(Poly(F2, (1, 1, 0, 0, 1)))
+    assert not polys.is_primitive(Poly(F2, (1, 1, 1, 1, 1)))
     # the default modulus (1, 0, 0, 1, 1) is primitive
-    default = build_extension(F2, 4)
-    assert multiplicative_order(default, default.alpha) == 15
-
-
-def test_multiplicative_order_divides_group_order():
-    tower = build_extension(F2, 4)
-    orders = {}
-    for beta in tower.elements():
-        if beta.is_zero:
-            continue
-        k = multiplicative_order(tower, beta)
-        assert 15 % k == 0
-        orders[k] = orders.get(k, 0) + 1
-    # phi(k) elements of each order k dividing 15
-    assert orders == {k: integers.euler_phi(k) for k in (1, 3, 5, 15)}
-
-
-def test_multiplicative_order_errors():
-    tower = build_extension(F2, 4)
-    other = build_extension(F2, 2)
-    with pytest.raises(ZeroElement):
-        multiplicative_order(tower, tower.element_from_raw(tower.zero))
-    with pytest.raises(ContextMismatch):
-        multiplicative_order(tower, other.alpha)
+    assert polys.is_primitive(build_extension(F2, 4).defining_poly)
 
 
 def test_generates():
@@ -271,10 +243,10 @@ def test_generates():
 def test_coords_roundtrip():
     tower = build_extension(build_field(2, 2), 2)
     for beta in tower.elements():
-        c = coords_of(tower, beta)
+        c = beta.coords
         assert len(c) == tower.d
-        assert from_coords(tower, c) == beta
-    assert coords_of(tower, tower.alpha) == (0, 1)
+        assert tower.element(c) == beta
+    assert tower.alpha.coords == (0, 1)
 
 
 def test_embed_base_is_a_homomorphism():

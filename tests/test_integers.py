@@ -1,11 +1,10 @@
-"""Integer helpers: primality, factoring, totient, element order."""
+"""Integer helpers: primality, factoring, totient, prime powers."""
 
 import math
 
 import pytest
 
 from splitlab import BadArgs, FactorBoundExceeded, euler_phi, factorize, is_prime, prime_power_split
-from splitlab.integers import order_from_factored
 
 
 def naive_is_prime(n):
@@ -87,16 +86,3 @@ def test_prime_power_split():
     for bad in (1, 6, 12, 100, (2**31 - 1) * (2**61 - 1)):
         with pytest.raises(BadArgs):
             prime_power_split(bad)
-
-
-def test_order_from_factored_matches_brute():
-    modulus = 31
-    group = modulus - 1
-    factors = factorize(group)
-    for g in range(1, modulus):
-        fast = order_from_factored(group, factors, lambda k: pow(g, k, modulus))
-        acc, brute = g % modulus, 1
-        while acc != 1:
-            acc = acc * g % modulus
-            brute += 1
-        assert fast == brute, g

@@ -53,6 +53,30 @@ def all_states(ctx, m, n):
 FIB = scalar_rec(F2, 1, 1)  # s_{i+2} = s_i + s_{i+1}
 
 
+def table_period(rec, init):
+    """Oracle for period_preperiod: walk once, remembering the step at
+    which each state was first seen; the first repeat closes the cycle."""
+    seen = {}
+    state = tuple(tuple(w) for w in init)
+    while state not in seen:
+        seen[state] = len(seen)
+        state = step(rec, state)
+    mu = seen[state]
+    return mu, len(seen) - mu
+
+
+def primitive_by_periods(rec):
+    """Oracle for is_primitive_recurrence, from the definition: every
+    nonzero state is purely periodic with period q**(mn) - 1."""
+    full = rec.ctx.size ** (rec.m * rec.n) - 1
+    zero = tuple((rec.ctx.zero,) * rec.m for _ in range(rec.n))
+    return all(
+        table_period(rec, state) == (0, full)
+        for state in all_states(rec.ctx, rec.m, rec.n)
+        if state != zero
+    )
+
+
 def test_simulate_golden_sequence():
     assert simulate(FIB, ((0,), (1,)), 6) == [(0,), (1,), (1,), (0,), (1,), (1,)]
     assert simulate(FIB, ((0,), (0,)), 4) == [(0,)] * 4
@@ -88,15 +112,19 @@ def test_period_report_validation():
         PeriodReport(0, 0)
 
 
-def test_cycle_detection_paths_agree(monkeypatch):
-    """Brent's fallback must return the same answer as the table walk."""
-    rec = scalar_rec(F3, 0, 1)  # s_{i+2} = s_{i+1}, collapses to a constant
-    for init in all_states(F3, 1, 2):
-        table = period_preperiod(rec, init)
-        with monkeypatch.context() as mp:
-            mp.setenv("SPLITLAB_SCAN_BOUND", "8")  # below 9 states: Brent
+def test_cycle_detection_paths_agree():
+    """Brent's method must give what the table walk gives, on every state."""
+    recs = [
+        scalar_rec(F3, 0, 1),  # s_{i+2} = s_{i+1}, collapses to a constant
+        FIB,
+        scalar_rec(F2, 0),  # s_{i+1} = 0
+        scalar_rec(F3, 2, 1),
+        *enumerate_recurrences(F2, 2, 2),
+    ]
+    for rec in recs:
+        for init in all_states(rec.ctx, rec.m, rec.n):
             brent = period_preperiod(rec, init)
-        assert (table.preperiod, table.period) == (brent.preperiod, brent.period), init
+            assert (brent.preperiod, brent.period) == table_period(rec, init), (rec, init)
 
 
 def test_iteration_bound_is_enforced(monkeypatch):
@@ -155,20 +183,20 @@ def test_purely_periodic_iff_leading_block_invertible():
 def test_primitivity_routes_agree():
     count = 0
     for rec in enumerate_recurrences(F2, 2, 2):
-        by_order = is_primitive_recurrence(rec, "order")
-        by_periods = is_primitive_recurrence(rec, "definitional")
+        by_order = is_primitive_recurrence(rec)
+        by_periods = primitive_by_periods(rec)
         assert by_order == by_periods, rec
         count += by_order
     assert count == 16
 
 
 def test_primitive_recurrence_has_maximal_periods():
-    c0 = Matrix(F2, ((1, 1), (1, 0)))
-    c1 = Matrix(F2, ((0, 1), (1, 1)))
+    c0 = Matrix(F2, ((0, 1), (1, 0)))
+    c1 = Matrix(F2, ((0, 0), (0, 1)))
     rec = BlockRecurrence(F2, 2, (c0, c1))
-    if is_primitive_recurrence(rec):
-        report = period_preperiod(rec, ((1, 0), (0, 0)))
-        assert (report.preperiod, report.period) == (0, 15)
+    assert is_primitive_recurrence(rec)
+    report = period_preperiod(rec, ((1, 0), (0, 0)))
+    assert (report.preperiod, report.period) == (0, 15)
 
 
 def test_singer_census_fixtures():

@@ -19,7 +19,6 @@ from splitlab import (
     enumerate_subspaces,
     gaussian_binomial,
     gl_order,
-    matrix_order,
     rref,
     subspace_from_rows,
     vec_mat,
@@ -53,8 +52,6 @@ def test_matrix_basics():
     m = Matrix(F2, ((1, 1), (0, 1)))
     assert m.nrows == 2 and m.ncols == 2
     assert str(m) == "1,1;0,1"
-    assert m.transpose().rows == ((1, 0), (1, 1))
-    assert m.trace() == 0
     assert m.det() == 1
     assert Matrix.identity(F3, 3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert Matrix.zero(F2, 2, 3).rows == ((0, 0, 0), (0, 0, 0))
@@ -260,27 +257,6 @@ def test_cayley_hamilton():
                 ))
                 power = power * m
             assert not any(any(row) for row in acc.rows), m
-
-
-def test_matrix_order_fixtures():
-    assert matrix_order(Matrix(F2, ((0, 1), (1, 1)))) == 3
-    assert matrix_order(companion_matrix(Poly(F2, (1, 1, 1, 1, 1)))) == 5
-    assert matrix_order(companion_matrix(Poly(F2, (1, 1, 0, 0, 1)))) == 15
-    assert matrix_order(Matrix.identity(F3, 2)) == 1
-    with pytest.raises(Singular):
-        matrix_order(Matrix.zero(F2, 2, 2))
-
-
-def test_matrix_order_matches_brute():
-    eye = Matrix.identity(F3, 2)
-    for m in all_matrices(F3, 2, 2):
-        if m.det() == 0:
-            continue
-        acc, k = m, 1
-        while acc.rows != eye.rows:
-            acc = acc * m
-            k += 1
-        assert matrix_order(m) == k, m
 
 
 def test_enumerate_matrices_count():

@@ -41,7 +41,6 @@ from splitlab import (
     split_instance,
     splitting_lower_bound,
     ssc_formula,
-    sweep_generators,
     transform_subspace,
     vec_mat,
     weak_ssc_check,
@@ -77,6 +76,23 @@ def test_lower_bound_fixtures():
         assert ssc_formula(q, m, n) >= splitting_lower_bound(q, m, n)
 
 
+@pytest.mark.parametrize("q", (1, 6, 12))
+def test_closed_forms_need_a_field_size(q):
+    closed_forms = (
+        lambda: ssc_formula(q, 2, 2),
+        lambda: splitting_lower_bound(q, 2, 2),
+        lambda: pointed_formula(q, 2, 2),
+        lambda: bases_formula(q, 2, 2),
+        lambda: nobases_formula(q, 2),
+        lambda: lfsr.nofiber_formula(2, 2, q),
+        lambda: lfsr.pvrc_formula(2, 2, q),
+        lambda: gl_order(2, q),
+    )
+    for closed_form in closed_forms:
+        with pytest.raises(BadArgs, match="not a prime power"):
+            closed_form()
+
+
 def test_m2_subtraction_identity():
     for q in (2, 3, 4, 5):
         assert m2_subtraction(q) == ssc_formula(q, 2, 2)
@@ -105,8 +121,20 @@ def test_count_is_independent_of_modulus_and_generator():
 
 
 def test_sweep_generators():
-    assert sweep_generators(2, 2, 2) == {20: 12}
-    assert sweep_generators(2, 1, 2) == {3: 2}
+    """Every generator of the tower gives the same splitting count."""
+
+    def histogram(m, n):
+        tower = build_extension(F2, m * n)
+        out = {}
+        for beta in tower.elements():
+            if beta.is_zero or not generates(tower, beta):
+                continue
+            count = count_splitting(SplitInstance(tower, m, n, beta)).brute
+            out[count] = out.get(count, 0) + 1
+        return out
+
+    assert histogram(2, 2) == {20: 12}
+    assert histogram(1, 2) == {3: 2}
 
 
 def test_report_json_keys():
