@@ -2,8 +2,9 @@
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
 mapped to v * M.  The independence test takes bare sequences of
-coordinate tuples so that hot scanning loops can avoid Matrix objects;
-over F_2 it switches to a bit-packed elimination.  rref gives the rank.
+coordinate tuples so that hot scanning loops can avoid Matrix objects.
+It is the generic elimination over every field; the packed F_2 kernel
+of the splitting scan is tested against it.  rref gives the rank.
 
 Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
@@ -253,38 +254,9 @@ def _rref_rows(ctx, rows: Iterable[Sequence], ncols: int | None = None):
     return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
 
 
-def _pack_bits(row: Sequence[int]) -> int:
-    v = 0
-    for j, x in enumerate(row):
-        if x:
-            v |= 1 << j
-    return v
-
-
-def _is_bit_ctx(ctx, rows: list) -> bool:
-    return getattr(ctx, "size", 0) == 2 and bool(rows) and isinstance(rows[0][0], int)
-
-
 def rows_are_independent(ctx, rows: Iterable[Sequence]) -> bool:
     """Whether the given row vectors are linearly independent.  Stops at
     the first dependent row."""
-    rows = list(rows)
-    if not rows:
-        return True
-    if _is_bit_ctx(ctx, rows):
-        basis: dict[int, int] = {}
-        for r in rows:
-            v = _pack_bits(r)
-            while v:
-                h = v.bit_length() - 1
-                b = basis.get(h)
-                if b is None:
-                    basis[h] = v
-                    break
-                v ^= b
-            if not v:
-                return False
-        return True
     zero = ctx.zero
     echelon: list[tuple[int, list]] = []
     for r in rows:

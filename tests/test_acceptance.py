@@ -39,7 +39,6 @@ from splitlab import (
     statement_ids,
     verify,
 )
-from splitlab import linalg
 
 F2 = build_field(2)
 F3 = build_field(3)

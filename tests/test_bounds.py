@@ -39,8 +39,10 @@ X4 = Poly(F2, (1, 1, 0, 0, 1))  # x**4 + x + 1
 CASES = (
     ("find_irreducibles", lambda: find_irreducibles(F2, 4), 15,
      ScanBoundExceeded, (polys, "is_irreducible")),
-    ("factor", lambda: polys.factor(Poly(F2, (1, 1, 0, 0, 1))), 1,
-     FactorSearchExceeded, (polys, "is_irreducible")),
+    # the degree-1 scan (2 candidates) runs within bound 3 and the
+    # degree-2 scan (4) refuses; test_factor_never_starts_the_scan_over_the_bound
+    # checks that it does so before scanning
+    ("factor", lambda: polys.factor(X4), 3, FactorSearchExceeded, None),
     ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 31,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
@@ -83,3 +85,23 @@ def test_scan_refuses_over_the_process_bound(monkeypatch, call, bound, error, ke
         monkeypatch.setattr(*kernel, _kernel_entered)
     with pytest.raises(error, match="SPLITLAB_SCAN_BOUND"):
         call()
+
+
+@pytest.mark.parametrize("call, bound", [c[1:3] for c in CASES], ids=[c[0] for c in CASES])
+def test_scan_answers_one_over_its_bound(monkeypatch, call, bound):
+    """Each bound in CASES is its call's need minus one, so one more
+    lets the call answer."""
+    polys._irreducible_scan.cache_clear()
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(bound + 1))
+    call()
+
+
+def test_factor_never_starts_the_scan_over_the_bound(monkeypatch):
+    polys._irreducible_scan.cache_clear()
+    scan = polys._irreducible_scan
+    scanned = []
+    monkeypatch.setattr(polys, "_irreducible_scan", lambda ctx, k: scanned.append(k) or scan(ctx, k))
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "3")
+    with pytest.raises(FactorSearchExceeded, match="degree 2 needs 4"):
+        polys.factor(X4)
+    assert scanned == [1]

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from splitlab import lfsr
 from splitlab.cli import main
 

@@ -1,5 +1,5 @@
-"""Import hygiene without a linter: no module of the package imports a
-name it never uses."""
+"""Import hygiene without a linter: no module of the package or of its
+tests imports a name it never uses."""
 
 import ast
 import pathlib
@@ -9,7 +9,10 @@ import pytest
 import splitlab
 
 PACKAGE = pathlib.Path(splitlab.__file__).parent
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).parent
+# package modules by name, test modules as tests/<name>
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES |= {f"tests/{p.name}": p for p in TESTS.glob("*.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,7 +45,7 @@ def test_detector_sees_unused_and_used_imports():
     assert unused_imports(source) == ["FieldCtx (line 5)", "itertools (line 2)"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_uses_every_import(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
+    source = MODULES[module].read_text(encoding="utf-8")
     assert unused_imports(source) == []

@@ -45,7 +45,7 @@ from splitlab import (
     vec_mat,
     weak_ssc_check,
 )
-from splitlab import lfsr, linalg, splitting
+from splitlab import lfsr, linalg
 
 F2 = build_field(2)
 
@@ -349,7 +349,9 @@ CLOSED_FORMS = (
     lfsr.pvrc_formula,
 )
 SCAN_ROUTE = {
+    "_is_f2",
     "_splits",
+    "_steps",
     "_splitting_scan",
     "_count_scan",
     "enumerate_subspaces",
