@@ -220,7 +220,7 @@ def _cmd_fiber_census(args: argparse.Namespace) -> int:
     per_fiber = lfsr.nofiber_formula(args.m, args.n, q)
     total = 0
     any_mismatch = False
-    for f, scan, bridge in fiber_rows(members, args.m, args.n):
+    for f, scan, bridge in fiber_rows(base, members, args.m, args.n):
         literal = ",".join(str(c) for c in f.coeffs)
         total += scan
         if bridge is not None:

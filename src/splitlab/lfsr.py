@@ -14,13 +14,15 @@ initial state cycles through all q**(mn) - 1 of them.
 Primitivity is tested as maximal multiplicative order of the block
 companion matrix, and the period of one trajectory comes from Brent's
 cycle finder.  The censuses count primitive recurrences, either by
-scanning all coefficient tuples or by closed form, and slice the scan
-by the characteristic polynomial of the companion matrix.
+scanning all coefficient tuples or by closed form.  The companions with
+one characteristic polynomial form a fiber: fiber_histogram sizes all
+fibers in one scan, fiber_count an irreducible one by the bridge.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -277,15 +279,7 @@ def census_singer(m: int, n: int, q: int) -> int:
     return count
 
 
-def fiber_count(f: polys.Poly, m: int, n: int, method: str = "scan") -> int:
-    """Number of (m, n) block companion matrices whose characteristic
-    polynomial is the monic degree-mn polynomial f.
-
-    The scan route inspects every coefficient tuple.  The bridge route,
-    for irreducible f, divides the ordered splitting-basis count of the
-    tower defined by f by the number of nonzero tower elements.  The
-    closed form shared by all irreducible f is nofiber_formula.
-    """
+def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
     if not isinstance(f, polys.Poly):
         raise BadArgs("f must be a polynomial")
     splitting._check_params(f.ctx.size, m, n)
@@ -293,24 +287,33 @@ def fiber_count(f: polys.Poly, m: int, n: int, method: str = "scan") -> int:
         raise NotMonic("fiber counts need a monic polynomial")
     if f.degree != m * n:
         raise BadArgs(f"f has degree {f.degree}, expected m*n = {m * n}")
+
+
+def fiber_histogram(ctx, m: int, n: int) -> Counter:
+    """Every fiber's size from one scan of the q**(m*m*n) recurrences:
+    each block companion's characteristic polynomial maps to how many
+    share it, and a polynomial that never occurs reads as 0."""
+    return Counter(
+        linalg.char_poly(block_companion(rec)) for rec in enumerate_recurrences(ctx, m, n)
+    )
+
+
+def fiber_count(f: polys.Poly, m: int, n: int) -> int:
+    """Number of (m, n) block companion matrices whose characteristic
+    polynomial is the monic irreducible degree-mn polynomial f, by the
+    bridge: the ordered splitting-basis count of the tower defined by f
+    over the number of nonzero tower elements.  fiber_histogram scans
+    every fiber; nofiber_formula is the closed form for irreducible f."""
+    _check_fiber_poly(f, m, n)
+    if not polys.is_irreducible(f):
+        raise NotIrreducible("the bridge route needs an irreducible polynomial")
     q = f.ctx.size
-    if method == "scan":
-        ctx = f.ctx
-        count = 0
-        for rec in enumerate_recurrences(ctx, m, n):
-            if linalg.char_poly(block_companion(rec)) == f:
-                count += 1
-        return count
-    if method == "bridge":
-        if not polys.is_irreducible(f):
-            raise NotIrreducible("the bridge route needs an irreducible polynomial")
-        tower = fields.build_extension(f.ctx, m * n, f)
-        inst = splitting.SplitInstance(tower, m, n)
-        bases = splitting.count_splitting_bases(inst, "auto")
-        units = q ** (m * n) - 1
-        if bases % units:
-            raise SplitLabError(
-                "internal: ordered-basis count not divisible by the unit group order"
-            )
-        return bases // units
-    raise BadArgs(f"unknown method {method!r}")
+    tower = fields.build_extension(f.ctx, m * n, f)
+    inst = splitting.SplitInstance(tower, m, n)
+    bases = splitting.count_splitting_bases(inst, "auto")
+    units = q ** (m * n) - 1
+    if bases % units:
+        raise SplitLabError(
+            "internal: ordered-basis count not divisible by the unit group order"
+        )
+    return bases // units

@@ -358,20 +358,19 @@ def _subspace_gen(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
     zero, one = ctx.zero, ctx.one
     scalars = raw_scalars(ctx)
     for pivots in itertools.combinations(range(ambient), dim):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(dim)
-            for j in range(ambient)
-            if j > pivots[i] and j not in pivot_set
-        ]
-        for filling in itertools.product(scalars, repeat=len(free)):
-            rows = [[zero] * ambient for _ in range(dim)]
-            for i in range(dim):
-                rows[i][pivots[i]] = one
-            for (i, j), val in zip(free, filling):
-                rows[i][j] = val
-            yield SubspaceBasis(ctx, ambient, tuple(tuple(r) for r in rows), pivots)
+        choices = []  # every possible echelon row, per pivot
+        for p in pivots:
+            free = [j for j in range(p + 1, ambient) if j not in pivots]
+            row = [zero] * ambient
+            row[p] = one
+            options = []
+            for filling in itertools.product(scalars, repeat=len(free)):
+                for j, val in zip(free, filling):
+                    row[j] = val
+                options.append(tuple(row))
+            choices.append(options)
+        for rows in itertools.product(*choices):
+            yield SubspaceBasis(ctx, ambient, rows, pivots)
 
 
 def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:

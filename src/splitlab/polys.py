@@ -376,11 +376,17 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor into monic irreducibles by exhaustive trial division.
 
     Returns (factor, multiplicity) pairs in scan order.  Raises
-    FactorSearchExceeded if the candidate scan at some degree would
-    exceed the scan bound.
+    FactorSearchExceeded, before any scan, if the candidate scan at the
+    largest degree it may reach, deg(f) // 2, would exceed the scan
+    bound; a polynomial whose factors are all small is refused too.
     """
     if f.is_zero or f.degree < 1:
         raise DegreeZero("factorization needs degree >= 1")
+    top = f.degree // 2
+    try:
+        config.check_scan(f.ctx.size**top, f"irreducible scan at degree {top}")
+    except ScanBoundExceeded as exc:
+        raise FactorSearchExceeded(str(exc)) from exc
     rem = f.monic()
     out: list[tuple[Poly, int]] = []
     t = 1
@@ -388,11 +394,7 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
         if 2 * t > rem.degree:
             out.append((rem, 1))
             break
-        try:
-            candidates = _irreducibles(f.ctx, t)
-        except ScanBoundExceeded as exc:
-            raise FactorSearchExceeded(str(exc)) from exc
-        for g in candidates:
+        for g in _irreducibles(f.ctx, t):
             mult = 0
             while True:
                 quo, res = divmod(rem, g)

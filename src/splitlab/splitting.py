@@ -12,13 +12,13 @@ exhaustive counts over all subspaces, the ordered-basis variant, the
 pointed refinement, the endomorphism variant, and the closed forms for
 each.
 
-The scan route is one kernel: _splits tests a basis and its translates
-(prepared once per scan by _steps) for independence, and _splitting_scan
+The scan route is one kernel: _splitter prepares, once per scan, the
+test of a basis and its translates for independence, and _splitting_scan
 runs it over every m-dimensional subspace.  Over F_2 it is packed: rows
 are int bitmasks and translates XORs of row images.  Elsewhere it stacks
 vec_mat images for linalg.rows_are_independent, the generic path the
 tests check the packed one against.  is_alpha_splitting, is_T_splitting,
-count_pointed and the direct ordered-basis scan call _splits;
+count_pointed and the direct ordered-basis scan call _splitter;
 count_splitting, pointed_consistency, count_T_splitting and
 weak_ssc_check count through _splitting_scan.
 The closed forms never call either.
@@ -157,66 +157,60 @@ def _check_subspace(ctx, W: linalg.SubspaceBasis, m: int, n: int) -> None:
         )
 
 
-def _is_f2(ctx) -> bool:
-    return isinstance(ctx, fields.FieldCtx) and ctx.size == 2
+def _splitter(ctx, powers):
+    """The test splits(rows) -> bool: whether the rows and their images
+    rows * T^k under powers = (T^0, ..., T^(n-1)) are independent, built
+    once per scan.  The one place the scan route stacks translates.
+    Over F_2 it is packed: images[j] stacks e_j T^0, ..., e_j T^(n-1) as
+    bitmasks (e_j T^k from bit k*width), so a row's n translates are one
+    XOR of the images at its nonzero coordinates, each inserted into an
+    int echelon basis (pivots[h] has leading bit h - 1) until one is
+    dependent.  Elsewhere it stacks vec_mat images for
+    linalg.rows_are_independent."""
+    if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
 
+        def splits(rows) -> bool:
+            stacked = list(rows)
+            for P in powers[1:]:
+                stacked.extend(linalg.vec_mat(w, P) for w in rows)
+            return linalg.rows_are_independent(ctx, stacked)
 
-def _steps(ctx, powers):
-    """The translates _splits reads, built once per scan from powers =
-    (T^0, ..., T^(n-1)).  Over F_2 they are packed: (width, n, images),
-    where images[j] stacks the rows e_j T^0, ..., e_j T^(n-1) as bitmasks,
-    e_j T^k in bits k*width to (k+1)*width - 1.  Elsewhere they are the
-    matrices T^1, ..., T^(n-1)."""
-    if not _is_f2(ctx):
-        return powers[1:]
-    width = powers[0].nrows
+        return splits
+    width, n = powers[0].nrows, len(powers)
     images = tuple(
         sum(x << (k * width + i) for k, P in enumerate(powers) for i, x in enumerate(P.rows[j]))
         for j in range(width)
     )
-    return width, len(powers), images
-
-
-def _splits(ctx, steps, rows) -> bool:
-    """Whether the rows and their images rows * T^k, for the powers that
-    steps = _steps(ctx, powers) holds, are linearly independent.  The one
-    place the scan route stacks translates.
-
-    Over F_2 a row's n translates are one XOR of the images at its
-    nonzero coordinates, each inserted into an int echelon basis
-    (pivots[h] has leading bit h - 1) until one is dependent."""
-    if not _is_f2(ctx):
-        stacked = list(rows)
-        for P in steps:
-            stacked.extend(linalg.vec_mat(w, P) for w in rows)
-        return linalg.rows_are_independent(ctx, stacked)
-    width, n, images = steps
     mask = (1 << width) - 1
-    pivots = [0] * (width + 1)
-    for row in rows:
-        stack = reduce(xor, compress(images, row), 0)
-        for _ in range(n):
-            v = stack & mask
-            stack >>= width
-            while v:
-                h = v.bit_length()
-                b = pivots[h]
-                if not b:
-                    pivots[h] = v
-                    break
-                v ^= b
-            else:
-                return False
-    return True
+
+    def splits(rows) -> bool:
+        pivots = [0] * (width + 1)
+        for row in rows:
+            stack = reduce(xor, compress(images, row), 0)
+            for _ in range(n):
+                v = stack & mask
+                stack >>= width
+                while v:
+                    h = v.bit_length()
+                    b = pivots[h]
+                    if not b:
+                        pivots[h] = v
+                        break
+                    v ^= b
+                else:
+                    return False
+        return True
+
+    return splits
 
 
 def _splitting_scan(ctx, powers, m: int):
     """Yield the m-dimensional subspaces that split with respect to T,
     given powers = (T^0, ..., T^(n-1))."""
     candidates = linalg.enumerate_subspaces(ctx, m * len(powers), m)
-    steps = _steps(ctx, powers)
+    splits = _splitter(ctx, powers)
     for W in candidates:
-        if _splits(ctx, steps, W.rows):
+        if splits(W.rows):
             yield W
 
 
@@ -308,7 +302,7 @@ def is_alpha_splitting(inst: SplitInstance, W: linalg.SubspaceBasis) -> bool:
     """Whether the m-dimensional subspace W splits the instance's tower
     with respect to its generator."""
     _check_subspace(inst.base, W, inst.m, inst.n)
-    return _splits(inst.base, _steps(inst.base, inst.mats), W.rows)
+    return _splitter(inst.base, inst.mats)(W.rows)
 
 
 def _count_scan(inst: SplitInstance) -> int:
@@ -383,8 +377,8 @@ def count_pointed(inst: SplitInstance, x: fields.FieldElement) -> int:
     coords = x.coords
     base = inst.base
     candidates = linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m)
-    steps = _steps(base, inst.mats)
-    return sum(1 for W in candidates if W.contains(coords) and _splits(base, steps, W.rows))
+    splits = _splitter(base, inst.mats)
+    return sum(1 for W in candidates if W.contains(coords) and splits(W.rows))
 
 
 @dataclass(frozen=True)
@@ -455,12 +449,9 @@ def count_splitting_bases(inst: SplitInstance, method: str = "auto") -> int:
     if method == "product":
         return _count_scan(inst) * linalg.gl_order(m, q)
     config.check_scan(tuples, "ordered basis scan")
-    base = inst.base
-    steps = _steps(base, inst.mats)
+    splits = _splitter(inst.base, inst.mats)
     vecs = [e.raw for e in inst.tower.elements()]
-    return sum(
-        1 for combo in itertools.product(vecs, repeat=m) if _splits(base, steps, combo)
-    )
+    return sum(1 for combo in itertools.product(vecs, repeat=m) if splits(combo))
 
 
 def is_T_splitting(
@@ -471,7 +462,7 @@ def is_T_splitting(
     independent."""
     powers = _powers(T, m, n)
     _check_subspace(T.ctx, W, m, n)
-    return _splits(T.ctx, _steps(T.ctx, powers), W.rows)
+    return _splitter(T.ctx, powers)(W.rows)
 
 
 def count_T_splitting(T: linalg.Matrix, m: int, n: int) -> int:

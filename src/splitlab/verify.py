@@ -247,18 +247,22 @@ def _h_bcscc(point):
     return brute, closed, verdict, "census by primitive characteristic polynomial"
 
 
-def fiber_rows(members, m: int, n: int):
-    """Yield (f, scan, bridge) for every polynomial f of degree m*n in
-    members: its fiber counted by the recurrence scan and by the
-    ordered-basis bridge.  bridge is None when f is reducible, which the
-    bridge route itself reports."""
+def fiber_rows(ctx, members, m: int, n: int):
+    """Yield (f, scan, bridge) for every polynomial f of degree m*n over
+    ctx in members: its fiber counted by the one recurrence scan,
+    lfsr.fiber_histogram, run after every member is checked, and by the
+    ordered-basis bridge.  bridge is None when f is reducible, which
+    the bridge route itself reports."""
+    members = list(members)
     for f in members:
-        scan = lfsr.fiber_count(f, m, n, "scan")
+        lfsr._check_fiber_poly(f, m, n)
+    hist = lfsr.fiber_histogram(ctx, m, n)
+    for f in members:
         try:
-            bridge = lfsr.fiber_count(f, m, n, "bridge")
+            bridge = lfsr.fiber_count(f, m, n)
         except NotIrreducible:
             bridge = None
-        yield f, scan, bridge
+        yield f, hist[f], bridge
 
 
 def _fiber_family(point, kind: str):
@@ -268,7 +272,7 @@ def _fiber_family(point, kind: str):
     per_fiber = lfsr.nofiber_formula(m, n, q)
     all_equal = True
     total = 0
-    for _, scan, bridge in fiber_rows(members, m, n):
+    for _, scan, bridge in fiber_rows(ctx, members, m, n):
         total += scan
         if not scan == bridge == per_fiber:
             all_equal = False
@@ -295,7 +299,7 @@ def _h_chain(point):
     ok = True
     prim_total = 0
     prim_count = 0
-    for f, scan, bridge in fiber_rows(irr, m, n):
+    for f, scan, bridge in fiber_rows(ctx, irr, m, n):
         if scan != bridge:
             ok = False
         if polys.is_primitive(f):

@@ -26,6 +26,7 @@ from splitlab import (
     enumerate_recurrences,
     enumerate_subspaces,
     fiber_count,
+    fiber_histogram,
     find_irreducibles,
     gaussian_binomial,
     gl_order,
@@ -144,20 +145,19 @@ def test_criterion_09_primitive_recurrence_census():
 
 def test_criterion_10_fibers_of_irreducible_quartics():
     ok = True
+    hist = fiber_histogram(F2, 2, 2)
     for f in find_irreducibles(F2, 4):
-        scan = fiber_count(f, 2, 2, "scan")
+        scan = hist[f]
         closed = nofiber_formula(2, 2, 2)
-        bridge = fiber_count(f, 2, 2, "bridge")
+        bridge = fiber_count(f, 2, 2)
         ok = ok and scan == closed == bridge == 8
     ok = ok and bases_formula(2, 2, 2) // (2**4 - 1) == 8
     report(10, "every irreducible quartic fiber is 8, on all three routes", ok)
 
 
 def test_criterion_11_fiber_partition():
-    total = sum(
-        fiber_count(Poly(F2, tail + (1,)), 2, 2, "scan")
-        for tail in itertools.product(range(2), repeat=4)
-    )
+    hist = fiber_histogram(F2, 2, 2)
+    total = sum(hist[Poly(F2, tail + (1,))] for tail in itertools.product(range(2), repeat=4))
     report(11, "fibers over all monic quartics partition the 2^8 recurrences", total == 2**8)
 
 

@@ -17,7 +17,7 @@ from splitlab import (
     count_pointed,
     count_splitting,
     count_splitting_bases,
-    fiber_count,
+    fiber_histogram,
     find_irreducibles,
     lfsr,
     linalg,
@@ -39,28 +39,28 @@ X4 = Poly(F2, (1, 1, 0, 0, 1))  # x**4 + x + 1
 CASES = (
     ("find_irreducibles", lambda: find_irreducibles(F2, 4), 15,
      ScanBoundExceeded, (polys, "is_irreducible")),
-    # the degree-1 scan (2 candidates) runs within bound 3 and the
-    # degree-2 scan (4) refuses; test_factor_never_starts_the_scan_over_the_bound
-    # checks that it does so before scanning
-    ("factor", lambda: polys.factor(X4), 3, FactorSearchExceeded, None),
+    # its largest trial degree, 2, needs 4 candidates; it refuses before
+    # the degree-1 scan (test_factor_never_starts_the_scan_over_the_bound)
+    ("factor", lambda: polys.factor(X4), 3, FactorSearchExceeded,
+     (polys, "is_irreducible")),
     ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 31,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
-     ScanBoundExceeded, (splitting, "_splits")),
+     ScanBoundExceeded, (splitting, "_splitter")),
     # [4, 2]_2 = 35 subspaces
     ("count_splitting", lambda: count_splitting(INST), 34,
-     ScanBoundExceeded, (splitting, "_splits")),
+     ScanBoundExceeded, (splitting, "_splitter")),
     ("pointed_consistency", lambda: pointed_consistency(INST), 34,
-     ScanBoundExceeded, (splitting, "_splits")),
+     ScanBoundExceeded, (splitting, "_splitter")),
     ("count_pointed", lambda: count_pointed(INST, INST.tower.alpha), 34,
-     ScanBoundExceeded, (splitting, "_splits")),
+     ScanBoundExceeded, (splitting, "_splitter")),
     ("q_totient", lambda: q_totient(X4, "brute"), 15,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,
      ScanBoundExceeded, (linalg, "enumerate_matrices")),
     ("census_singer", lambda: census_singer(2, 2, 2), 255,
      ScanBoundExceeded, (lfsr, "block_companion")),
-    ("fiber_count", lambda: fiber_count(X4, 2, 2, "scan"), 255,
+    ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 255,
      ScanBoundExceeded, (linalg, "char_poly")),
     # the golden sequence from (0, 1) has period 3; Brent's method takes
     # 6 steps to find it and 3 more to measure the preperiod
@@ -104,4 +104,4 @@ def test_factor_never_starts_the_scan_over_the_bound(monkeypatch):
     monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "3")
     with pytest.raises(FactorSearchExceeded, match="degree 2 needs 4"):
         polys.factor(X4)
-    assert scanned == [1]
+    assert scanned == []

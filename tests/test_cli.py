@@ -265,6 +265,30 @@ def test_fiber_census_all_primitive(capsys):
     assert out.splitlines()[-1] == "total 16 over 2 polynomials"
 
 
+def test_fiber_census_scans_the_recurrences_once(capsys, monkeypatch):
+    calls = []
+    scan = lfsr.enumerate_recurrences
+    monkeypatch.setattr(lfsr, "enumerate_recurrences", lambda *a: calls.append(a) or scan(*a))
+    code, _, _ = run(
+        capsys, "fiber-census", "--q", "2", "--m", "2", "--n", "2",
+        "--all-irreducible",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_fiber_census_checks_the_poly_before_the_scan(capsys, monkeypatch):
+    # both recurrence scans need more than 100 candidates
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "100")
+    for argv, message in (
+        (("--q", "2", "--m", "2", "--n", "2", "--poly", "1,1,1"),
+         "error: f has degree 2, expected m*n = 4\n"),
+        (("--q", "3", "--m", "2", "--n", "2", "--poly", "1,0,0,0,2"),
+         "error: fiber counts need a monic polynomial\n"),
+    ):
+        assert run(capsys, "fiber-census", *argv) == (3, "", message), argv
+
+
 def test_field_literal_forms(capsys):
     args = ("coprime-census", "--n1", "1", "--n2", "1", "--method", "closed")
     code_a, out_a, _ = run(capsys, *args, "--q", "2^2")

@@ -23,7 +23,9 @@ from splitlab import (
     char_poly,
     enumerate_recurrences,
     euler_phi,
+    field_from_order,
     fiber_count,
+    fiber_histogram,
     find_irreducibles,
     is_primitive_recurrence,
     nofiber_formula,
@@ -236,32 +238,83 @@ def test_enumerate_recurrences_counts_and_bound(monkeypatch):
 
 def test_fiber_count_fixtures():
     quad = Poly(F2, (1, 1, 1))
-    assert fiber_count(quad, 2, 1, "scan") == 2
+    assert fiber_histogram(F2, 2, 1)[quad] == 2
     assert nofiber_formula(2, 1, 2) == 2
-    assert fiber_count(quad, 2, 1, "bridge") == 2
-    assert fiber_count(quad, 1, 2, "scan") == 1
+    assert fiber_count(quad, 2, 1) == 2
+    assert fiber_histogram(F2, 1, 2)[quad] == 1
     assert nofiber_formula(2, 2, 2) == 8
+    hist = fiber_histogram(F2, 2, 2)
     for f in find_irreducibles(F2, 4):
-        assert fiber_count(f, 2, 2, "scan") == 8, f
-        assert fiber_count(f, 2, 2, "bridge") == 8, f
+        assert hist[f] == 8, f
+        assert fiber_count(f, 2, 2) == 8, f
 
 
 def test_fiber_bridge_is_bases_over_units():
     f = Poly(F2, (1, 1, 0, 0, 1))
-    assert fiber_count(f, 2, 2, "bridge") == bases_formula(2, 2, 2) // 15
+    assert fiber_count(f, 2, 2) == bases_formula(2, 2, 2) // 15
     assert ssc_formula(2, 2, 2) * linalg.gl_order(2, 2) == 120
 
 
 def test_fiber_partition():
+    hist = fiber_histogram(F2, 2, 2)
     total = 0
     for tail in itertools.product(range(2), repeat=4):
-        total += fiber_count(Poly(F2, tail + (1,)), 2, 2, "scan")
+        total += hist[Poly(F2, tail + (1,))]
     assert total == 2**8
 
+    hist = fiber_histogram(F3, 2, 1)
     total = 0
     for tail in itertools.product(range(3), repeat=2):
-        total += fiber_count(Poly(F3, tail + (1,)), 2, 1, "scan")
+        total += hist[Poly(F3, tail + (1,))]
     assert total == 3**4
+
+
+# every shape whose recurrence scan has at most 4096 candidates
+HISTOGRAM_SHAPES = [
+    (q, m, n)
+    for q in (2, 3, 4)
+    for m in (1, 2, 3)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
+]
+
+
+def per_polynomial_fibers(ctx, m, n):
+    """The per-polynomial scan, for every monic f of degree mn: walk all
+    recurrences and count those whose companion has characteristic
+    polynomial f.  Each recurrence's polynomial is computed once up
+    front rather than once per f."""
+    chars = [char_poly(block_companion(rec)).coeffs for rec in enumerate_recurrences(ctx, m, n)]
+    out = {}
+    for tail in itertools.product(linalg.raw_scalars(ctx), repeat=m * n):
+        f = Poly(ctx, tail + (ctx.one,))
+        out[f] = chars.count(f.coeffs)
+    return out
+
+
+def monic_irreducibles(ctx, d):
+    """The monic polynomials of degree d that are no product of two
+    monic polynomials of positive degree: a sieve, not Rabin's test."""
+    scalars = linalg.raw_scalars(ctx)
+
+    def monic(k):
+        return [Poly(ctx, tail + (ctx.one,)) for tail in itertools.product(scalars, repeat=k)]
+
+    reducible = {g * h for k in range(1, d // 2 + 1) for g in monic(k) for h in monic(d - k)}
+    return [f for f in monic(d) if f not in reducible]
+
+
+@pytest.mark.parametrize("q, m, n", HISTOGRAM_SHAPES)
+def test_fiber_histogram_matches_the_per_polynomial_scan(q, m, n):
+    ctx = field_from_order(q)
+    hist = fiber_histogram(ctx, m, n)
+    oracle = per_polynomial_fibers(ctx, m, n)
+    assert set(hist) <= set(oracle)
+    assert {f: hist[f] for f in oracle} == oracle
+    assert sum(hist.values()) == q ** (m * m * n)
+    per_fiber = nofiber_formula(m, n, q)
+    for f in monic_irreducibles(ctx, m * n):
+        assert hist[f] == per_fiber, f
 
 
 def test_fiber_count_validation():
@@ -270,9 +323,7 @@ def test_fiber_count_validation():
     with pytest.raises(BadArgs):
         fiber_count(Poly(F2, (1, 1, 1)), 2, 2)  # degree 2 != m*n = 4
     with pytest.raises(NotIrreducible):
-        fiber_count(Poly(F2, (0, 0, 0, 0, 1)), 2, 2, "bridge")
-    with pytest.raises(BadArgs):
-        fiber_count(Poly(F2, (1, 1, 1)), 2, 1, "bogus")
+        fiber_count(Poly(F2, (0, 0, 0, 0, 1)), 2, 2)
 
 
 def test_simulate_count_validation():

@@ -17,6 +17,7 @@ from splitlab import (
     count_nilpotent,
     enumerate_matrices,
     enumerate_subspaces,
+    field_from_order,
     gaussian_binomial,
     gl_order,
     rref,
@@ -173,6 +174,36 @@ def test_enumerate_subspaces_counts():
             for dim in range(ambient + 1):
                 seen = {sb.rows for sb in enumerate_subspaces(ctx, ambient, dim)}
                 assert len(seen) == gaussian_binomial(ambient, dim, q), (q, ambient, dim)
+
+
+def template_subspaces(ctx, ambient, dim):
+    """(rows, pivots) of every echelon basis, each candidate's rows
+    filled into a fresh list-of-lists template, in the order
+    enumerate_subspaces must keep."""
+    zero, one = ctx.zero, ctx.one
+    for pivots in itertools.combinations(range(ambient), dim):
+        free = [
+            (i, j)
+            for i in range(dim)
+            for j in range(ambient)
+            if j > pivots[i] and j not in pivots
+        ]
+        for filling in itertools.product(linalg.raw_scalars(ctx), repeat=len(free)):
+            rows = [[zero] * ambient for _ in range(dim)]
+            for i in range(dim):
+                rows[i][pivots[i]] = one
+            for (i, j), val in zip(free, filling):
+                rows[i][j] = val
+            yield tuple(tuple(r) for r in rows), pivots
+
+
+@pytest.mark.parametrize(
+    "q, ambient, dim", ((2, 6, 3), (3, 4, 2), (4, 4, 2), (8, 3, 1), (2, 5, 0), (2, 5, 5))
+)
+def test_enumerate_subspaces_matches_the_template_order(q, ambient, dim):
+    ctx = field_from_order(q)
+    got = [(W.rows, W.pivots) for W in enumerate_subspaces(ctx, ambient, dim)]
+    assert got == list(template_subspaces(ctx, ambient, dim))
 
 
 def test_enumerate_subspaces_respects_bound(monkeypatch):

@@ -40,8 +40,7 @@ def generic_splits(ctx, powers, rows):
 def packed_splits(powers):
     """The kernel over F_2, with the translates packed once as a scan
     packs them."""
-    steps = splitting._steps(F2, powers)
-    return lambda rows: splitting._splits(F2, steps, rows)
+    return splitting._splitter(F2, powers)
 
 
 def random_instance(m, n, rng):

@@ -349,9 +349,7 @@ CLOSED_FORMS = (
     lfsr.pvrc_formula,
 )
 SCAN_ROUTE = {
-    "_is_f2",
-    "_splits",
-    "_steps",
+    "_splitter",
     "_splitting_scan",
     "_count_scan",
     "enumerate_subspaces",

@@ -12,6 +12,7 @@ from splitlab import (
     VerificationJob,
     default_grid,
     emit,
+    lfsr,
     statement_ids,
 )
 from splitlab import verify as run
@@ -174,3 +175,18 @@ def test_endo_point_shape():
     point = verdict.points[0]
     assert point.verdict == "match"
     assert point.brute == 3  # x^2 + x + 1 over F_2
+
+
+@pytest.mark.parametrize("statement, scans", (("PFC", 1), ("IFC", 1), ("CHAIN", 2)))
+def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, statement, scans):
+    """One histogram serves every fiber of a point; CHAIN's census keeps
+    its own scan."""
+    calls = []
+    scan = lfsr.enumerate_recurrences
+    monkeypatch.setattr(lfsr, "enumerate_recurrences", lambda *a: calls.append(a) or scan(*a))
+    for point in default_grid(statement):
+        calls.clear()
+        (result,) = run(VerificationJob(statement, grid=(point,))).points
+        assert result.verdict == "match", point
+        assert len(calls) == scans, point
+
