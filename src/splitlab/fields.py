@@ -5,10 +5,14 @@ Two kinds of context, both immutable after construction:
 - FieldCtx represents F_{p^e}.  Raw scalars are integer codes in
   [0, p**e); the little-endian base-p digits of a code are the
   coefficients of the residue class representative modulo the defining
-  polynomial.  For e = 1 arithmetic is one expression modulo p; for
-  e > 1 it is tower arithmetic over F_p on the digit tuple, through one
-  private TowerCtx F_p[x]/(modulus), so there is a single implementation
-  of arithmetic modulo an irreducible polynomial.
+  polynomial.  For e = 1 arithmetic is one expression modulo p.  For
+  e > 1 and p**e <= 2**16 it is table lookup: antilog/log tables of
+  one primitive element g, and for odd p Zech logarithms
+  log(1 + g**k) for addition (for p = 2 codes add bitwise).  Above that
+  size it is tower arithmetic over F_p on the digit tuple, through one
+  private TowerCtx F_p[x]/(modulus); that tower also builds the tables,
+  so there is a single implementation of arithmetic modulo an
+  irreducible polynomial.
 
 - TowerCtx represents F_{q^d} built on top of a FieldCtx base F_q.  Raw
   scalars are length-d tuples of base codes: the coordinates with
@@ -43,6 +47,10 @@ from .errors import (
 from .integers import from_digits, to_digits
 
 _MAX_SIZE = 1 << 63
+# F_{p^e} with e > 1 up to this size runs on log/antilog tables; the
+# tables of GF(2**16) hold about 2 * 10**5 entries and build in well
+# under a second.
+_TABLE_MAX = 1 << 16
 
 
 class FieldElement:
@@ -123,14 +131,20 @@ class FieldCtx:
     """Arithmetic context for F_{p^e} on integer codes.
 
     For e = 1 every operation is one expression modulo p.  For e > 1 the
-    field is the tower F_p[x]/(modulus): each operation runs on the
-    code's digit tuple in one private TowerCtx over F_p, and the result
-    tuple is turned back into a code.
+    field is the tower F_p[x]/(modulus).  Up to _TABLE_MAX elements each
+    operation is a lookup in tables built once from that tower: with g
+    the first code from p upward (the class of x first) whose powers run
+    through all q - 1 units, _exp[k] = g**k for 0 <= k < 2(q - 1), _log
+    inverts it on the units, and for odd p _zech[k] = log(1 + g**k), or
+    -1 where 1 + g**k = 0.  For p = 2 codes add as bit vectors, a ^ b.
+    Above _TABLE_MAX each operation runs on the code's digit tuple in one
+    private TowerCtx over F_p, and the result tuple is turned back into
+    a code.  Both give the same codes.
 
     Construct through build_field; the constructor trusts its inputs.
     """
 
-    __slots__ = ("p", "e", "size", "modulus", "zero", "one", "_tower")
+    __slots__ = ("p", "e", "size", "modulus", "zero", "one", "_tower", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -139,11 +153,93 @@ class FieldCtx:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
+        self._exp = self._log = self._zech = None
         if e == 1:
             self._tower = None
         else:
             prime = FieldCtx(p, 1, None)
             self._tower = TowerCtx(prime, e, polys.Poly(prime, modulus))
+            if self.size <= _TABLE_MAX:
+                self._build_tables()
+
+    def _powers(self, g: int) -> list[int]:
+        """Codes of g**0, g**1, ... up to the last power before g**k = 1.
+
+        The walk runs on packed digit tuples: digit i sits in lane
+        [w*i, w*(i+1)) of an int, w = p.bit_length() + 1.  Multiplication
+        by g is F_p-linear, so one step adds its images of the low and of
+        the high digits, each a lookup in a table built from the tower's
+        products x**i * g.  Each lane then holds a sum s <= 2p - 2, and
+        one reduction serves every lane: adding 2**(w-1) - p sets the
+        lane's top bit, without a carry out of the lane, exactly where
+        s >= p.
+        """
+        p, e, tower = self.p, self.e, self._tower
+        w = p.bit_length() + 1
+        lanes = range(e)
+        low_len = e // 2
+        cut = w * low_len
+        mask = (1 << cut) - 1
+        offset = sum(((1 << (w - 1)) - p) << (w * i) for i in lanes)
+        tops = sum(1 << (w * i + w - 1) for i in lanes)
+        g_digits = to_digits(g, p, e)
+        unit = [tuple(int(j == i) for j in lanes) for i in lanes]
+        # columns[j][i]: digit j of x**i * g
+        columns = list(zip(*(tower.mul(u, g_digits) for u in unit)))
+
+        def pack(digits):
+            return sum(d << (w * i) for i, d in enumerate(digits))
+
+        def tables(shift, length):
+            """Images under g, and codes, of the digit tuples that are
+            zero outside digits shift .. shift + length - 1."""
+            images, codes = {}, {}
+            for digits in itertools.product(range(p), repeat=length):
+                full = (0,) * shift + digits + (0,) * (e - shift - length)
+                key = pack(digits)
+                images[key] = pack([sum(d * c for d, c in zip(full, col)) % p for col in columns])
+                codes[key] = from_digits(full, p)
+            return images, codes
+
+        low_image, low_code = tables(0, low_len)
+        high_image, high_code = tables(low_len, e - low_len)
+        codes = []
+        packed = 1
+        while True:
+            low, high = packed & mask, packed >> cut
+            codes.append(low_code[low] + high_code[high])
+            packed = low_image[low] + high_image[high]
+            packed -= (((packed + offset) & tops) >> (w - 1)) * p
+            if packed == 1:
+                return codes
+
+    def _build_tables(self) -> None:
+        """Fill _exp, _log and, for odd p, _zech.  A code g is certified
+        primitive by walking its powers back to 1: the walk has length
+        q - 1 exactly when g generates the unit group.  Codes below p
+        lie in F_p, and codes met on a failed walk lie in the proper
+        subgroup it generated, so neither is tried."""
+        p, q = self.p, self.size
+        tried = set()
+        for g in range(p, q):
+            if g in tried:
+                continue
+            powers = self._powers(g)
+            if len(powers) == q - 1:
+                break
+            tried.update(powers)
+        log = [None] * q  # zero has no logarithm; every op tests for it first
+        for k, c in enumerate(powers):
+            log[c] = k
+        self._exp = powers + powers
+        self._log = log
+        if p != 2:
+            zech = []
+            for c in powers:
+                # adding 1 changes only the constant digit, c % p
+                one_plus = c + 1 - p if c % p == p - 1 else c + 1
+                zech.append(log[one_plus] if one_plus else -1)
+            self._zech = zech
 
     # -- raw scalar arithmetic ------------------------------------------
 
@@ -151,25 +247,61 @@ class FieldCtx:
         p, e = self.p, self.e
         if e == 1:
             return (a + b) % p
-        return from_digits(self._tower.add(to_digits(a, p, e), to_digits(b, p, e)), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.add(to_digits(a, p, e), to_digits(b, p, e)), p)
+        if p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        # a + b = g**la * (1 + g**(lb - la)); a negative index wraps
+        # modulo q - 1, the length of _zech
+        z = self._zech[log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def sub(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         if e == 1:
             return (a - b) % p
-        return from_digits(self._tower.sub(to_digits(a, p, e), to_digits(b, p, e)), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.sub(to_digits(a, p, e), to_digits(b, p, e)), p)
+        if p == 2:
+            return a ^ b
+        units = self.size - 1
+        if not b:
+            return a
+        if not a:
+            return self._exp[log[b] + units // 2]
+        la = log[a]
+        # -1 = g**((q - 1) / 2), so a - b = g**la * (1 + g**(lb + (q - 1)/2 - la))
+        z = self._zech[(log[b] + units // 2 - la) % units]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         p, e = self.p, self.e
         if e == 1:
             return -a % p
-        return from_digits(self._tower.neg(to_digits(a, p, e)), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.neg(to_digits(a, p, e)), p)
+        if p == 2 or not a:
+            return a
+        return self._exp[log[a] + (self.size - 1) // 2]
 
     def mul(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         if e == 1:
             return a * b % p
-        return from_digits(self._tower.mul(to_digits(a, p, e), to_digits(b, p, e)), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.mul(to_digits(a, p, e), to_digits(b, p, e)), p)
+        if not a or not b:
+            return 0
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -177,10 +309,20 @@ class FieldCtx:
         p, e = self.p, self.e
         if e == 1:
             return pow(a, -1, p)
-        return from_digits(self._tower.inv(to_digits(a, p, e)), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.inv(to_digits(a, p, e)), p)
+        return self._exp[self.size - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        log = self._log
+        if log is None:
+            return self.mul(a, self.inv(b))
+        if b == 0:
+            raise DivisionByZero(f"inverse of zero in {self}")
+        if not a:
+            return 0
+        return self._exp[log[a] - log[b] + self.size - 1]
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -189,7 +331,12 @@ class FieldCtx:
         p, e = self.p, self.e
         if e == 1:
             return pow(a, k, p)
-        return from_digits(self._tower.power(to_digits(a, p, e), k), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.power(to_digits(a, p, e), k), p)
+        if not a:
+            return 0 if k else 1
+        return self._exp[log[a] * k % (self.size - 1)]
 
     def frobenius(self, a: int, r: int) -> int:
         if r < 0:
@@ -197,7 +344,13 @@ class FieldCtx:
         p, e = self.p, self.e
         if e == 1:
             return a  # a**p == a in F_p
-        return from_digits(self._tower.frobenius(to_digits(a, p, e), r), p)
+        log = self._log
+        if log is None:
+            return from_digits(self._tower.frobenius(to_digits(a, p, e), r), p)
+        if not a:
+            return 0
+        units = self.size - 1
+        return self._exp[log[a] * pow(p, r, units) % units]
 
     # -- elements --------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """One scan bound: every scan refuses over SPLITLAB_SCAN_BOUND before it
 does any work, whatever ran earlier in the process."""
 
+import random
+
 import pytest
 
 from splitlab import (
@@ -12,13 +14,17 @@ from splitlab import (
     ScanBoundExceeded,
     build_field,
     census_singer,
+    config,
     coprime_pair_count,
     count_nilpotent,
     count_pointed,
     count_splitting,
     count_splitting_bases,
     fiber_histogram,
+    field_from_order,
+    fields,
     find_irreducibles,
+    integers,
     lfsr,
     linalg,
     period_preperiod,
@@ -105,3 +111,36 @@ def test_factor_never_starts_the_scan_over_the_bound(monkeypatch):
     with pytest.raises(FactorSearchExceeded, match="degree 2 needs 4"):
         polys.factor(X4)
     assert scanned == []
+
+
+# every F_{p^e} with e > 1 and p**e <= 4096
+SMALL_EXTENSIONS = [(p, e) for p in range(2, 64) if integers.is_prime(p)
+                    for e in range(2, 13) if p**e <= 4096]
+
+
+def test_field_tables_do_not_depend_on_the_scan_bound(monkeypatch):
+    """The tables certify their primitive element by walking its powers,
+    not by factoring q - 1 up to the scan bound."""
+    assert len(SMALL_EXTENSIONS) == 40
+    default = {pe: build_field(*pe) for pe in SMALL_EXTENSIONS}
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "3")
+    for (p, e), ref in default.items():
+        ctx = field_from_order(p**e)
+        assert ctx == ref
+        assert (ctx._exp, ctx._log, ctx._zech) == (ref._exp, ref._log, ref._zech)
+        rng = random.Random(f"bound/{p},{e}")
+        for _ in range(50):
+            a, b = rng.randrange(ctx.size), rng.randrange(1, ctx.size)
+            for op in ("add", "sub", "mul", "div"):
+                assert getattr(ctx, op)(a, b) == getattr(ref, op)(a, b), (ctx, op, a, b)
+            assert ctx.neg(a) == ref.neg(a)
+            assert ctx.inv(b) == ref.inv(b)
+            assert ctx.power(b, -a) == ref.power(b, -a)
+
+    def no_bound():
+        raise AssertionError("building the tables read the scan bound")
+
+    monkeypatch.setattr(config, "scan_bound", no_bound)
+    for (p, e), ref in default.items():
+        ctx = fields.FieldCtx(p, e, ref.modulus)
+        assert (ctx._exp, ctx._log, ctx._zech) == (ref._exp, ref._log, ref._zech)

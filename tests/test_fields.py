@@ -163,8 +163,25 @@ def check_against_poly_route(ctx, pairs, singles):
                 assert ctx.power(a, k) == route.power(a, k), (ctx, a, k)
 
 
+def check_tables(ctx):
+    """exp runs once through the units in its first q - 1 entries and
+    repeats them; log inverts it; for odd p the only Zech entry
+    log(1 + g**k) that is undefined is at g**k = -1, k = (q - 1) / 2."""
+    q = ctx.size
+    units = q - 1
+    exp, log = ctx._exp, ctx._log
+    assert len(exp) == 2 * units
+    assert sorted(exp[:units]) == list(range(1, q))
+    assert exp[units:] == exp[:units]
+    assert [log[exp[k]] for k in range(units)] == list(range(units))
+    if ctx.p == 2:
+        assert ctx._zech is None
+    else:
+        assert [k for k, z in enumerate(ctx._zech) if z == -1] == [units // 2]
+
+
 def test_prime_power_fields_match_the_poly_route_on_every_pair():
-    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)):
+    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)):
         ctx = build_field(p, e)
         everything = range(ctx.size)
         check_against_poly_route(ctx, itertools.product(everything, repeat=2), everything)
@@ -172,7 +189,8 @@ def test_prime_power_fields_match_the_poly_route_on_every_pair():
 
 def test_prime_power_fields_match_the_poly_route_on_random_pairs():
     rng = random.Random(5)
-    for ctx in (build_field(2, 8), build_field(3, 5), build_field(7, 3), build_field(2**31 - 1, 2)):
+    for ctx in (build_field(2, 8), build_field(3, 5), build_field(7, 3), build_field(2**31 - 1, 2),
+                build_field(2, 16), build_field(251, 2), build_field(2, 17), build_field(257, 2)):
         pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
         singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
         check_against_poly_route(ctx, pairs, singles)
@@ -188,9 +206,23 @@ def test_random_moduli_match_the_poly_route():
             if modulus != canonical and polys.is_irreducible(Poly(prime, modulus)):
                 break
         ctx = fields.FieldCtx(p, e, modulus)
+        check_tables(ctx)
         pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
         singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
         check_against_poly_route(ctx, pairs, singles)
+
+
+def test_tables_hold_up_to_the_cap_and_the_tower_above_it():
+    for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
+                 (2, 8), (3, 5), (7, 3), (2, 16), (251, 2)):
+        ctx = build_field(p, e)
+        assert ctx.size <= fields._TABLE_MAX
+        check_tables(ctx)
+    for p, e in ((2, 17), (257, 2), (2**31 - 1, 2)):
+        ctx = build_field(p, e)
+        assert ctx.size > fields._TABLE_MAX
+        assert ctx._exp is ctx._log is ctx._zech is None
+    assert build_field(7)._log is None
 
 
 def test_canonical_moduli_are_least():

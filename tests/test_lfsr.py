@@ -317,6 +317,14 @@ def test_fiber_histogram_matches_the_per_polynomial_scan(q, m, n):
         assert hist[f] == per_fiber, f
 
 
+def test_find_irreducibles_over_f4_matches_the_sieve():
+    ctx = field_from_order(4)
+    for d in range(1, 7):
+        found = find_irreducibles(ctx, d)
+        assert len(found) == len(set(found))
+        assert set(found) == set(monic_irreducibles(ctx, d)), d
+
+
 def test_fiber_count_validation():
     with pytest.raises(NotMonic):
         fiber_count(Poly(F3, (1, 0, 2)), 2, 1)
