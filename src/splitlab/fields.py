@@ -21,7 +21,8 @@ Two kinds of context, both immutable after construction:
 
 FieldElement pairs a context with a raw scalar and provides operator
 sugar; all arithmetic ultimately runs on raw scalars through the context
-methods add/sub/mul/neg/inv/div/power/frobenius.
+methods add/sub/mul/neg/inv/div/power/frobenius.  The matrix kernels of
+linalg run on dot, one fused sum of products per call.
 
 Default defining polynomials are canonical: the lexicographically least
 monic irreducible of the requested degree, comparing coefficient tuples
@@ -32,6 +33,8 @@ produce identical moduli.
 from __future__ import annotations
 
 import itertools
+import operator
+from functools import reduce
 from typing import Iterator, Sequence
 
 from . import integers, polys
@@ -51,6 +54,17 @@ _MAX_SIZE = 1 << 63
 # tables of GF(2**16) hold about 2 * 10**5 entries and build in well
 # under a second.
 _TABLE_MAX = 1 << 16
+
+
+def _fold_dot(ctx, xs, ys):
+    """The generic dot product: one add and one mul per nonzero pair."""
+    zero = ctx.zero
+    add, mul = ctx.add, ctx.mul
+    acc = zero
+    for x, y in zip(xs, ys):
+        if x != zero and y != zero:
+            acc = add(acc, mul(x, y))
+    return acc
 
 
 class FieldElement:
@@ -303,6 +317,18 @@ class FieldCtx:
             return 0
         return self._exp[log[a] + log[b]]
 
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """Sum of the products of paired entries.  For e = 1 it is one
+        integer sum reduced once modulo p; for p = 2 tables an XOR of
+        antilogs _exp[log x + log y]; otherwise the add/mul fold."""
+        if self.e == 1:
+            return sum(map(operator.mul, xs, ys)) % self.p
+        log = self._log
+        if log is None or self.p != 2:
+            return _fold_dot(self, xs, ys)
+        exp = self._exp
+        return reduce(operator.xor, [exp[log[x] + log[y]] for x, y in zip(xs, ys) if x and y], 0)
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
@@ -463,6 +489,8 @@ class TowerCtx:
                 if row[i] != zero:
                     out[i] = base.add(out[i], base.mul(c, row[i]))
         return tuple(out)
+
+    dot = _fold_dot  # sum of the products of paired entries
 
     def inv(self, a):
         if a == self.zero:

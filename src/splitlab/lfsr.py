@@ -269,13 +269,16 @@ def census_singer(m: int, n: int, q: int) -> int:
     pvrc_formula."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
+    primitive: dict[polys.Poly, bool] = {}  # one test per distinct polynomial
     count = 0
     for rec in enumerate_recurrences(ctx, m, n):
         if rec.C[0].det() == ctx.zero:
             continue
         f = linalg.char_poly(block_companion(rec))
-        if polys.is_primitive(f):
-            count += 1
+        verdict = primitive.get(f)
+        if verdict is None:
+            verdict = primitive[f] = polys.is_primitive(f)
+        count += verdict
     return count
 
 

@@ -1,7 +1,9 @@
 """Dense linear algebra over finite field contexts.
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
-mapped to v * M.  The independence test takes bare sequences of
+mapped to v * M.  Products, vec_mat and char_poly take every entry as
+one ctx.dot; powers square and multiply raw rows, packed into ints over
+F_2.  The independence test takes bare sequences of
 coordinate tuples so that hot scanning loops can avoid Matrix objects.
 It is the generic elimination over every field; the packed F_2 kernel
 of the splitting scan is tested against it.  rref gives the rank.
@@ -13,6 +15,7 @@ by pivot profile visits every subspace exactly once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -101,34 +104,37 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        ctx = self.ctx
-        zero = ctx.zero
-        add, mul = ctx.add, ctx.mul
-        out = []
-        for row in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row):
-                if a == zero:
-                    continue
-                orow = other.rows[k]
-                acc = [add(x, mul(a, b)) for x, b in zip(acc, orow)]
-            out.append(tuple(acc))
-        return Matrix(ctx, out, other.ncols)
+        rows = _product(self.ctx, self.rows, other.rows, other.ncols)
+        return Matrix(self.ctx, rows, other.ncols)
 
     def __pow__(self, k: int) -> Matrix:
+        """Square-and-multiply on raw rows, one Matrix at the end.  Over
+        F_2 a row is packed into an int (bit j is column j), so a product
+        row is the XOR of the rows its bits select."""
         if not self.is_square:
             raise NotSquare("only square matrices have powers")
         if k < 0:
             return self.inverse() ** (-k)
-        result = Matrix.identity(self.ctx, self.nrows)
-        base = self
+        ctx, n = self.ctx, self.nrows
+        packed = isinstance(ctx, fields.FieldCtx) and ctx.size == 2
+        if packed:
+            base = [sum(x << j for j, x in enumerate(row)) for row in self.rows]
+            step = _packed_product
+        else:
+            base = self.rows
+            step = functools.partial(_product, ctx, ncols=n)
+        result = None
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else step(result, base)
             k >>= 1
             if k:
-                base = base * base
-        return result
+                base = step(base, base)
+        if result is None:
+            return Matrix.identity(ctx, n)
+        if packed:
+            result = [tuple(row >> j & 1 for j in range(n)) for row in result]
+        return Matrix(ctx, result, n)
 
     def det(self):
         if not self.is_square:
@@ -197,16 +203,29 @@ def vec_mat(vec: Sequence, mat: Matrix) -> tuple:
     """Row vector times matrix."""
     if len(vec) != mat.nrows:
         raise ShapeMismatch(f"vector of length {len(vec)} times {mat.nrows}-row matrix")
-    ctx = mat.ctx
-    zero = ctx.zero
-    add, mul = ctx.add, ctx.mul
-    out = [zero] * mat.ncols
-    for i, v in enumerate(vec):
-        if v == zero:
-            continue
-        row = mat.rows[i]
-        out = [add(x, mul(v, b)) for x, b in zip(out, row)]
-    return tuple(out)
+    return _product(mat.ctx, (vec,), mat.rows, mat.ncols)[0]
+
+
+def _product(ctx, a_rows, b_rows, ncols: int) -> list[tuple]:
+    """Rows of A * B from raw rows: B is transposed once and each entry
+    is one ctx.dot of a row of A with a column of B."""
+    cols = tuple(zip(*b_rows)) if b_rows else ((),) * ncols
+    dot = ctx.dot
+    return [tuple(dot(row, col) for col in cols) for row in a_rows]
+
+
+def _packed_product(a_rows: list[int], b_rows: list[int]) -> list[int]:
+    """A * B over F_2 on rows packed into ints: row i of the product is
+    the XOR of the rows of B at the set bits of row i of A."""
+    out = []
+    for a in a_rows:
+        acc = 0
+        while a:
+            low = a & -a
+            acc ^= b_rows[low.bit_length() - 1]
+            a ^= low
+        out.append(acc)
+    return out
 
 
 def rref(mat: Matrix) -> tuple[Matrix, int]:
@@ -437,8 +456,7 @@ def char_poly(mat: Matrix) -> polys.Poly:
     if n == 0:
         return polys.Poly.one(ctx)
     A = mat.rows
-    zero = ctx.zero
-    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    neg, dot = ctx.neg, ctx.dot
     # Leading-first coefficient vector for the 1x1 trailing submatrix.
     coeffs: list = [ctx.one, neg(A[n - 1][n - 1])]
     for k in range(2, n + 1):
@@ -450,35 +468,14 @@ def char_poly(mat: Matrix) -> polys.Poly:
         s: list = [ctx.one, neg(a)]
         v = col
         for t in range(2, k + 1):
-            dot = zero
-            for x, y in zip(row, v):
-                if x != zero and y != zero:
-                    dot = add(dot, mul(x, y))
-            s.append(neg(dot))
+            s.append(neg(dot(row, v)))
             if t < k:
-                v = tuple(
-                    _dot(ctx, srow, v) for srow in sub_rows
-                )
-        new = []
-        for i in range(k + 1):
-            acc = zero
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                sv = s[i - j]
-                cv = coeffs[j]
-                if sv != zero and cv != zero:
-                    acc = add(acc, mul(sv, cv))
-            new.append(acc)
-        coeffs = new
+                v = tuple(dot(srow, v) for srow in sub_rows)
+        # new[i] = sum of coeffs[j] * s[i - j] over j <= min(i, k - 1),
+        # with rs[k - i + j] = s[i - j]
+        rs = s[::-1]
+        coeffs = [dot(coeffs[: i + 1], rs[k - i :]) for i in range(k + 1)]
     return polys.Poly(ctx, tuple(reversed(coeffs)))
-
-
-def _dot(ctx, xs: Sequence, ys: Sequence):
-    zero = ctx.zero
-    acc = zero
-    for x, y in zip(xs, ys):
-        if x != zero and y != zero:
-            acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
 
 
 def companion_matrix(f: polys.Poly) -> Matrix:

@@ -258,11 +258,25 @@ def is_irreducible(f: Poly) -> bool:
     x = Poly.x(ctx)
     if pow_mod(x, q**k, f) != x:
         return False
-    for r in integers.factorize(k):
+    for r in _prime_divisors(k):
         h = pow_mod(x, q ** (k // r), f) - x
         if h.is_zero or gcd(h, f).degree != 0:
             return False
     return True
+
+
+def _prime_divisors(k: int) -> list[int]:
+    """Prime divisors of a degree k by plain trial division: at most
+    sqrt(k) steps, so no scan bound applies."""
+    out = []
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return out + [k] if k > 1 else out
 
 
 def is_primitive(f: Poly) -> bool:

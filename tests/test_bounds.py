@@ -113,6 +113,15 @@ def test_factor_never_starts_the_scan_over_the_bound(monkeypatch):
     assert scanned == []
 
 
+def test_build_field_does_not_depend_on_the_scan_bound(monkeypatch):
+    """Rabin's test finds the prime divisors of the degree by plain trial
+    division, so the canonical-modulus search never reads the bound."""
+    default = {pe: build_field(*pe) for pe in ((2, 25), (3, 25))}
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "3")
+    for pe, ref in default.items():
+        assert build_field(*pe) == ref
+
+
 # every F_{p^e} with e > 1 and p**e <= 4096
 SMALL_EXTENSIONS = [(p, e) for p in range(2, 64) if integers.is_prime(p)
                     for e in range(2, 13) if p**e <= 4096]

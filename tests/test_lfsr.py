@@ -36,7 +36,7 @@ from splitlab import (
     step,
     vec_mat,
 )
-from splitlab import linalg
+from splitlab import linalg, polys
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -207,6 +207,27 @@ def test_singer_census_fixtures():
     assert census_singer(2, 2, 2) == 16
     for m, n, q in ((1, 2, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3)):
         assert census_singer(m, n, q) == pvrc_formula(m, n, q)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2)])
+def test_singer_census_tests_each_characteristic_polynomial_once(monkeypatch, q, m, n):
+    seen, tested = set(), []
+    char_poly, is_primitive = linalg.char_poly, polys.is_primitive
+
+    def recording_char_poly(mat):
+        f = char_poly(mat)
+        seen.add(f)
+        return f
+
+    def counting_is_primitive(f):
+        tested.append(f)
+        return is_primitive(f)
+
+    monkeypatch.setattr(linalg, "char_poly", recording_char_poly)
+    monkeypatch.setattr(polys, "is_primitive", counting_is_primitive)
+    assert census_singer(m, n, q) == pvrc_formula(m, n, q)
+    assert 0 < len(tested) <= len(seen)
+    assert len(set(tested)) == len(tested)
 
 
 def test_pvrc_formula_fixtures():
