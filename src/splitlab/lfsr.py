@@ -14,9 +14,17 @@ initial state cycles through all q**(mn) - 1 of them.
 Primitivity is tested as maximal multiplicative order of the block
 companion matrix, and the period of one trajectory comes from Brent's
 cycle finder.  The censuses count primitive recurrences, either by
-scanning all coefficient tuples or by closed form.  The companions with
+scanning coefficient tuples or by closed form.  The companions with
 one characteristic polynomial form a fiber: fiber_histogram sizes all
 fibers in one scan, fiber_count an irreducible one by the bridge.
+
+Conjugating every C_j by one P in GL_m(F_q) conjugates the block
+companion by diag(P, ..., P), which keeps its characteristic polynomial
+and its order.  So fiber_histogram and the PVRC census scan up to
+conjugation (enumerate_class_recurrences): C_0 runs over one
+representative per conjugacy class of M_m(F_q), weighted by the class
+size, and C_1, ..., C_{n-1} stay free.  census_singer keeps the full
+scan of all q**(m*m*n) tuples (enumerate_recurrences).
 """
 
 from __future__ import annotations
@@ -61,6 +69,17 @@ class BlockRecurrence:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", len(C))
         object.__setattr__(self, "C", C)
+
+    @classmethod
+    def _unchecked(cls, ctx, m: int, C: tuple) -> BlockRecurrence:
+        """A recurrence from coefficients the caller built as m x m
+        matrices over ctx: the scans' constructor, without the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", len(C))
+        object.__setattr__(self, "C", C)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockRecurrence is immutable")
@@ -218,22 +237,46 @@ def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
     order of the concatenated coefficient codes C_0, C_1, ..."""
     splitting._check_params(ctx.size, m, n)
     config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
-    return _recurrence_gen(ctx, m, n)
+    heads = [(C0, 1) for C0 in linalg.enumerate_matrices(ctx, m, m)]
+    return (rec for rec, _ in _recurrence_gen(ctx, m, n, heads))
 
 
-def _recurrence_gen(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
-    scalars = linalg.raw_scalars(ctx)
-    mm = m * m
-    for flat in itertools.product(scalars, repeat=mm * n):
-        mats = [
-            linalg.Matrix(
-                ctx,
-                [flat[k * mm + i * m : k * mm + (i + 1) * m] for i in range(m)],
-                m,
-            )
-            for k in range(n)
-        ]
-        yield BlockRecurrence(ctx, m, mats)
+def enumerate_class_recurrences(
+    ctx, m: int, n: int, invertible: bool = False
+) -> Iterator[tuple[BlockRecurrence, int]]:
+    """The recurrences of shape (m, n) up to simultaneous conjugation:
+    (rec, weight) with C_0 one representative of each conjugacy class of
+    M_m(F_q), weight its class size, and C_1, ..., C_{n-1} free.
+
+    Conjugating every C_j by one P in GL_m(F_q) conjugates the block
+    companion by diag(P, ..., P), so its characteristic polynomial and
+    its order stay.  Summing such an invariant times the weight over
+    these (#classes) * q**(m*m*(n-1)) recurrences gives its sum over all
+    q**(m*m*n).  With invertible, only the classes with invertible C_0
+    (the periodic recurrences) are visited.  Both the class pass and
+    the recurrence pass are checked against the scan bound first.
+    """
+    splitting._check_params(ctx.size, m, n)
+    heads = [
+        (linalg.Matrix(ctx, rows, m), size) for rows, size in linalg.conjugacy_classes(ctx, m)
+    ]
+    if invertible:
+        heads = [(C0, size) for C0, size in heads if C0.det() != ctx.zero]
+    config.check_scan(
+        len(heads) * ctx.size ** (m * m * (n - 1)), "recurrence scan up to conjugation"
+    )
+    return _recurrence_gen(ctx, m, n, heads)
+
+
+def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
+    """(rec, weight) for every (C_0, weight) in heads and every C_1, ...,
+    C_{n-1}: the m x m matrices are built once per scan, and each
+    recurrence skips the constructor's checks."""
+    mats = list(linalg.enumerate_matrices(ctx, m, m))
+    new = BlockRecurrence._unchecked
+    for C0, weight in heads:
+        for tail in itertools.product(mats, repeat=n - 1):
+            yield new(ctx, m, (C0, *tail)), weight
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:
@@ -266,7 +309,8 @@ def census_singer(m: int, n: int, q: int) -> int:
     """Number of (m, n) block companion matrices over F_q of maximal
     multiplicative order, i.e. with primitive characteristic polynomial,
     by scanning every coefficient tuple.  Its closed form is
-    pvrc_formula."""
+    pvrc_formula.  It keeps the full scan, not the one up to conjugation,
+    so CHAIN checks that reduction against it at every point."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
     primitive: dict[polys.Poly, bool] = {}  # one test per distinct polynomial
@@ -293,12 +337,14 @@ def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
 
 
 def fiber_histogram(ctx, m: int, n: int) -> Counter:
-    """Every fiber's size from one scan of the q**(m*m*n) recurrences:
-    each block companion's characteristic polynomial maps to how many
-    share it, and a polynomial that never occurs reads as 0."""
-    return Counter(
-        linalg.char_poly(block_companion(rec)) for rec in enumerate_recurrences(ctx, m, n)
-    )
+    """Every fiber's size from one scan up to conjugation: each block
+    companion's characteristic polynomial maps to how many of the
+    q**(m*m*n) share it, each class representative counting its class
+    size, and a polynomial that never occurs reads as 0."""
+    hist: Counter = Counter()
+    for rec, weight in enumerate_class_recurrences(ctx, m, n):
+        hist[linalg.char_poly(block_companion(rec))] += weight
+    return hist
 
 
 def fiber_count(f: polys.Poly, m: int, n: int) -> int:

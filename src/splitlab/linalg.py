@@ -11,10 +11,15 @@ of the splitting scan is tested against it.  rref gives the rank.
 Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
 by pivot profile visits every subspace exactly once.
+
+conjugacy_classes splits M_m(F_q) into its classes under conjugation by
+GL_m(F_q), one representative and class size each, for the recurrence
+scans up to conjugation.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +32,7 @@ from .errors import (
     NotSquare,
     ShapeMismatch,
     Singular,
+    SplitLabError,
 )
 
 
@@ -398,6 +404,100 @@ def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:
     for flat in itertools.product(scalars, repeat=nrows * ncols):
         rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
         yield Matrix(ctx, rows, ncols)
+
+
+def conjugacy_classes(ctx, m: int) -> list[tuple[tuple[tuple, ...], int]]:
+    """The conjugacy classes of M_m(F_q) under A -> P A P^-1, P in
+    GL_m(F_q): one (representative rows, class size) per class.  The
+    representative is the class's first matrix in enumerate_matrices
+    order, and classes come in the order of their representatives.
+
+    Union-find over the q**(m*m) matrices joins each A with its conjugate
+    by every generator of GL_m(F_q): the transvections I + E_ij (i != j)
+    and, for q > 2, diag(g, 1, ..., 1) with g primitive.  Conjugating
+    I + E_0j by that diagonal gives I + g E_0j, which reaches the
+    transvections with every coefficient; the unit transvections alone
+    generate a proper subgroup over F_4 or F_8.  Matrices are indexed by
+    their base-q digit string, first entry most significant.
+    """
+    if m < 1:
+        raise BadArgs(f"matrix size must be >= 1, got {m}")
+    q = ctx.size
+    mm = m * m
+    config.check_scan(q**mm, "conjugacy class scan")
+    scalars = raw_scalars(ctx)
+    rank = {x: i for i, x in enumerate(scalars)}
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+
+    def transvection(i: int, j: int):
+        # row i += row j, then column j -= column i: (I + E_ij) A (I - E_ij)
+        def conj(A: list) -> list:
+            for c in range(m):
+                A[i * m + c] = add(A[i * m + c], A[j * m + c])
+            for r in range(m):
+                A[r * m + j] = sub(A[r * m + j], A[r * m + i])
+            return A
+
+        return conj
+
+    def scaling(g):
+        # row 0 times g, then column 0 times g^-1
+        g_inv = ctx.inv(g)
+
+        def conj(A: list) -> list:
+            for c in range(1, m):
+                A[c] = mul(g, A[c])
+            for r in range(1, m):
+                A[r * m] = mul(g_inv, A[r * m])
+            return A
+
+        return conj
+
+    gens = [transvection(i, j) for i in range(m) for j in range(m) if i != j]
+    if q > 2:
+        gens.append(scaling(_primitive_scalar(ctx)))
+
+    parent = array.array("q", range(q**mm))  # 8 bytes a matrix
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for a, flat in enumerate(itertools.product(scalars, repeat=mm)):
+        for conj in gens:
+            b = 0
+            for x in conj(list(flat)):
+                b = b * q + rank[x]
+            ra, rb = find(a), find(b)
+            if ra != rb:  # the smaller index stays the root
+                parent[max(ra, rb)] = min(ra, rb)
+    sizes: dict[int, int] = {}
+    for a in range(q**mm):
+        r = find(a)
+        sizes[r] = sizes.get(r, 0) + 1
+    out = []
+    for r in sorted(sizes):
+        digits = integers.to_digits(r, q, mm)[::-1]
+        flat = [scalars[d] for d in digits]
+        out.append((tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m)), sizes[r]))
+    return out
+
+
+def _primitive_scalar(ctx):
+    """The first raw scalar in rank order whose powers run through all
+    q - 1 units."""
+    one, units = ctx.one, ctx.size - 1
+    for g in raw_scalars(ctx):
+        if g == ctx.zero:
+            continue
+        x, order = g, 1
+        while x != one:
+            x = ctx.mul(x, g)
+            order += 1
+        if order == units:
+            return g
+    raise SplitLabError("internal: no primitive element found")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -16,8 +16,9 @@ The scan route is one kernel: _splitter prepares, once per scan, the
 test of a basis and its translates for independence, and _splitting_scan
 runs it over every m-dimensional subspace.  Over F_2 it is packed: rows
 are int bitmasks and translates XORs of row images.  Elsewhere it stacks
-vec_mat images for linalg.rows_are_independent, the generic path the
-tests check the packed one against.  is_alpha_splitting, is_T_splitting,
+the images under columns of the powers taken once per scan for
+linalg.rows_are_independent, the generic path the tests check the
+packed one against.  is_alpha_splitting, is_T_splitting,
 count_pointed and the direct ordered-basis scan call _splitter;
 count_splitting, pointed_consistency, count_T_splitting and
 weak_ssc_check count through _splitting_scan.
@@ -165,14 +166,17 @@ def _splitter(ctx, powers):
     bitmasks (e_j T^k from bit k*width), so a row's n translates are one
     XOR of the images at its nonzero coordinates, each inserted into an
     int echelon basis (pivots[h] has leading bit h - 1) until one is
-    dependent.  Elsewhere it stacks vec_mat images for
-    linalg.rows_are_independent."""
+    dependent.  Elsewhere it stacks the images w * T^k for
+    linalg.rows_are_independent, each entry one ctx.dot of w with a
+    column of T^k; the columns are taken once per scan."""
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
+        dot = ctx.dot
+        columns = [tuple(zip(*P.rows)) for P in powers[1:]]
 
         def splits(rows) -> bool:
             stacked = list(rows)
-            for P in powers[1:]:
-                stacked.extend(linalg.vec_mat(w, P) for w in rows)
+            for cols in columns:
+                stacked.extend(tuple(dot(w, col) for col in cols) for w in rows)
             return linalg.rows_are_independent(ctx, stacked)
 
         return splits

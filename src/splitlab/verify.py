@@ -230,13 +230,13 @@ def _h_pvrc(point):
     q, m, n = _point_qmn(point)
     ctx = fields.field_from_order(q)
     brute = sum(
-        1
-        for rec in lfsr.enumerate_recurrences(ctx, m, n)
+        size
+        for rec, size in lfsr.enumerate_class_recurrences(ctx, m, n, invertible=True)
         if lfsr.is_primitive_recurrence(rec)
     )
     closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, "primitive recurrences by matrix order"
+    return brute, closed, verdict, "primitive recurrences by matrix order, C_0 up to conjugation"
 
 
 def _h_bcscc(point):
@@ -249,10 +249,10 @@ def _h_bcscc(point):
 
 def fiber_rows(ctx, members, m: int, n: int):
     """Yield (f, scan, bridge) for every polynomial f of degree m*n over
-    ctx in members: its fiber counted by the one recurrence scan,
-    lfsr.fiber_histogram, run after every member is checked, and by the
-    ordered-basis bridge.  bridge is None when f is reducible, which
-    the bridge route itself reports."""
+    ctx in members: its fiber counted by the one recurrence scan up to
+    conjugation, lfsr.fiber_histogram, run after every member is
+    checked, and by the ordered-basis bridge.  bridge is None when f is
+    reducible, which the bridge route itself reports."""
     members = list(members)
     for f in members:
         lfsr._check_fiber_poly(f, m, n)
@@ -279,7 +279,10 @@ def _fiber_family(point, kind: str):
     closed = len(members) * per_fiber
     verdict = "match" if all_equal and total == closed else "mismatch"
     label = "primitive" if kind == "primitive_only" else "irreducible"
-    note = f"{len(members)} {label} polynomials; scan vs closed form vs bridge per fiber"
+    note = (
+        f"{len(members)} {label} polynomials; scan up to conjugation vs closed form "
+        "vs bridge per fiber"
+    )
     return total, closed, verdict, note
 
 
@@ -312,7 +315,10 @@ def _h_chain(point):
         ok = False
     closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if ok and census == closed else "mismatch"
-    note = "fibers vs ordered bases per polynomial, census vs primitive fibers"
+    note = (
+        "fibers up to conjugation vs ordered bases per polynomial, "
+        "full census vs primitive fibers"
+    )
     return census, closed, verdict, note
 
 

@@ -15,11 +15,13 @@ from splitlab import (
     build_field,
     census_singer,
     config,
+    conjugacy_classes,
     coprime_pair_count,
     count_nilpotent,
     count_pointed,
     count_splitting,
     count_splitting_bases,
+    enumerate_class_recurrences,
     fiber_histogram,
     field_from_order,
     fields,
@@ -66,8 +68,16 @@ CASES = (
      ScanBoundExceeded, (linalg, "enumerate_matrices")),
     ("census_singer", lambda: census_singer(2, 2, 2), 255,
      ScanBoundExceeded, (lfsr, "block_companion")),
-    ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 255,
+    # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96
+    ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 95,
      ScanBoundExceeded, (linalg, "char_poly")),
+    # 3 invertible classes times 2**4 free C_1 = 48
+    ("enumerate_class_recurrences",
+     lambda: list(enumerate_class_recurrences(F2, 2, 2, invertible=True)), 47,
+     ScanBoundExceeded, (lfsr, "_recurrence_gen")),
+    # 2**9 matrices of M_3(F_2)
+    ("conjugacy_classes", lambda: conjugacy_classes(F2, 3), 511,
+     ScanBoundExceeded, (linalg, "raw_scalars")),
     # the golden sequence from (0, 1) has period 3; Brent's method takes
     # 6 steps to find it and 3 more to measure the preperiod
     ("period_preperiod", lambda: period_preperiod(FIB, ((0,), (1,))), 8,

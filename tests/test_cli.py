@@ -267,19 +267,23 @@ def test_fiber_census_all_primitive(capsys):
 
 def test_fiber_census_scans_the_recurrences_once(capsys, monkeypatch):
     calls = []
-    scan = lfsr.enumerate_recurrences
-    monkeypatch.setattr(lfsr, "enumerate_recurrences", lambda *a: calls.append(a) or scan(*a))
+    for name in ("enumerate_recurrences", "enumerate_class_recurrences"):
+        scan = getattr(lfsr, name)
+        monkeypatch.setattr(
+            lfsr, name, lambda *a, _name=name, _scan=scan, **k: calls.append(_name) or _scan(*a, **k)
+        )
     code, _, _ = run(
         capsys, "fiber-census", "--q", "2", "--m", "2", "--n", "2",
         "--all-irreducible",
     )
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["enumerate_class_recurrences"]
 
 
 def test_fiber_census_checks_the_poly_before_the_scan(capsys, monkeypatch):
-    # both recurrence scans need more than 100 candidates
-    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "100")
+    # both recurrence scans up to conjugation need more than 95 candidates:
+    # 6 classes times 2**4 tails = 96 at (2,2,2), 12 * 3**4 at (3,2,2)
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "95")
     for argv, message in (
         (("--q", "2", "--m", "2", "--n", "2", "--poly", "1,1,1"),
          "error: f has degree 2, expected m*n = 4\n"),

@@ -1,24 +1,28 @@
 """The log/antilog (Zech) tables of F_{p^e} under the generic splitting
 scan: SSC counts over GF(4), GF(8) and GF(9), with random moduli and
 generators, equal the closed form, and the scan never calls the private
-tower the tables were built from."""
+tower the tables were built from.  The generic splitting kernel these
+scans run matches the vec_mat stacking it replaced."""
 
 import random
 
 import pytest
 
 from splitlab import (
+    Matrix,
     Poly,
     SplitInstance,
     build_extension,
     build_field,
     count_splitting,
+    enumerate_subspaces,
     generates,
     integers,
     is_irreducible,
     ssc_formula,
+    vec_mat,
 )
-from splitlab import fields
+from splitlab import fields, linalg, splitting
 
 
 def random_base(q, rng):
@@ -77,3 +81,36 @@ def test_table_scans_match_the_formula_without_the_tower(monkeypatch, q, m, n):
     # the counter sees the tower where it does run: the tables come from it
     base._build_tables()
     assert calls["mul"] > 0
+
+
+def vec_mat_splits(ctx, powers, rows):
+    """The stacking the generic kernel replaced: one vec_mat per row
+    and power, each transposing the power again."""
+    stacked = list(rows)
+    for P in powers[1:]:
+        stacked.extend(vec_mat(w, P) for w in rows)
+    return linalg.rows_are_independent(ctx, stacked)
+
+
+@pytest.mark.parametrize("m, n", ((1, 2), (2, 2), (1, 3)))
+@pytest.mark.parametrize("q", (3, 4, 9))
+def test_generic_splitter_matches_vec_mat_stacking(q, m, n):
+    """On every subspace, for α-splitting over random moduli and for a
+    random endomorphism, and on random ordered row tuples."""
+    rng = random.Random(f"splitter/{q},{m},{n}")
+    base = random_base(q, rng) if q > 3 else build_field(q)
+    size = m * n
+    T = Matrix(base, [[rng.randrange(q) for _ in range(size)] for _ in range(size)])
+    alpha = random_instance(base, m, n, rng).mats
+    for powers in (alpha, splitting._powers(T, m, n)):
+        splits = splitting._splitter(base, powers)
+        accepted = 0
+        for W in enumerate_subspaces(base, size, m):
+            expect = vec_mat_splits(base, powers, W.rows)
+            assert splits(W.rows) == expect, (powers, W.rows)
+            accepted += expect
+        if powers is alpha:
+            assert accepted == ssc_formula(q, m, n)
+        for _ in range(50):
+            rows = [tuple(rng.randrange(q) for _ in range(size)) for _ in range(m)]
+            assert splits(rows) == vec_mat_splits(base, powers, rows), (powers, rows)

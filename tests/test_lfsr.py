@@ -290,14 +290,15 @@ def test_fiber_partition():
     assert total == 3**4
 
 
-# every shape whose recurrence scan has at most 4096 candidates
+# every shape whose full recurrence scan has at most 4096 candidates,
+# and GF(9) at m = 2
 HISTOGRAM_SHAPES = [
     (q, m, n)
-    for q in (2, 3, 4)
+    for q in (2, 3, 4, 5, 7, 8, 9)
     for m in (1, 2, 3)
     for n in range(1, 13)
     if q ** (m * m * n) <= 4096
-]
+] + [(9, 2, 1)]
 
 
 def per_polynomial_fibers(ctx, m, n):

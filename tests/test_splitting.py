@@ -355,13 +355,17 @@ SCAN_ROUTE = {
     "enumerate_subspaces",
     "rows_are_independent",
     "vec_mat",
+    "enumerate_recurrences",
+    "enumerate_class_recurrences",
+    "conjugacy_classes",
 }
 
 
 @pytest.mark.parametrize("func", CLOSED_FORMS, ids=lambda f: f.__qualname__)
 def test_closed_forms_never_name_the_scan_route(func):
     """The two routes of an identity never share code: no closed form
-    names the splitting kernel or the scan primitives beneath it."""
+    names the splitting kernel, the recurrence scans, the class
+    enumerator or the scan primitives beneath them."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
     names = set()
     for node in ast.walk(tree):

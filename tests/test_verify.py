@@ -177,16 +177,24 @@ def test_endo_point_shape():
     assert point.brute == 3  # x^2 + x + 1 over F_2
 
 
-@pytest.mark.parametrize("statement, scans", (("PFC", 1), ("IFC", 1), ("CHAIN", 2)))
+@pytest.mark.parametrize(
+    "statement, scans", (("PFC", 1), ("IFC", 1), ("CHAIN", 2), ("PVRC", 1))
+)
 def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, statement, scans):
-    """One histogram serves every fiber of a point; CHAIN's census keeps
-    its own scan."""
+    """One histogram, scanned up to conjugation, serves every fiber of a
+    point; CHAIN's census keeps its own full scan.  PVRC scans up to
+    conjugation too."""
     calls = []
-    scan = lfsr.enumerate_recurrences
-    monkeypatch.setattr(lfsr, "enumerate_recurrences", lambda *a: calls.append(a) or scan(*a))
+    for name in ("enumerate_recurrences", "enumerate_class_recurrences"):
+        scan = getattr(lfsr, name)
+        monkeypatch.setattr(
+            lfsr, name, lambda *a, _name=name, _scan=scan, **k: calls.append(_name) or _scan(*a, **k)
+        )
     for point in default_grid(statement):
         calls.clear()
         (result,) = run(VerificationJob(statement, grid=(point,))).points
         assert result.verdict == "match", point
         assert len(calls) == scans, point
+        assert calls.count("enumerate_class_recurrences") == 1, point
+        assert calls.count("enumerate_recurrences") == scans - 1, point
 
