@@ -25,11 +25,19 @@ conjugation (enumerate_class_recurrences): C_0 runs over one
 representative per conjugacy class of M_m(F_q), weighted by the class
 size, and C_1, ..., C_{n-1} stay free.  census_singer keeps the full
 scan of all q**(m*m*n) tuples (enumerate_recurrences).
+
+Both censuses take the characteristic polynomial of each block
+companion from one kernel, _char_polys: over F_p it is the determinant
+det(x**n I - C_{n-1} x**(n-1) - ... - C_0) of an m x m polynomial
+matrix, by Kronecker substitution into Python ints, and over F_{p^e}
+with e > 1 char_poly of the whole block companion, which is also its
+test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -313,17 +321,79 @@ def census_singer(m: int, n: int, q: int) -> int:
     so CHAIN checks that reduction against it at every point."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
-    primitive: dict[polys.Poly, bool] = {}  # one test per distinct polynomial
+    recs = enumerate_recurrences(ctx, m, n)
+
+    def periodic():
+        # the scan repeats each C_0 over q**(m*m*(n-1)) consecutive tuples;
+        # a singular C_0 gives f(0) = 0, never primitive
+        last = invertible = None
+        for rec in recs:
+            C0 = rec.C[0]
+            if C0 is not last:
+                last, invertible = C0, C0.det() != ctx.zero
+            if invertible:
+                yield rec, 1
+
+    primitive: dict[tuple, bool] = {}  # one test per distinct polynomial
     count = 0
-    for rec in enumerate_recurrences(ctx, m, n):
-        if rec.C[0].det() == ctx.zero:
-            continue
-        f = linalg.char_poly(block_companion(rec))
-        verdict = primitive.get(f)
+    for coeffs, _ in _char_polys(ctx, m, n, periodic()):
+        verdict = primitive.get(coeffs)
         if verdict is None:
-            verdict = primitive[f] = polys.is_primitive(f)
+            verdict = primitive[coeffs] = polys.is_primitive(polys.Poly(ctx, coeffs))
         count += verdict
     return count
+
+
+def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
+    """(coefficients of char_poly(block_companion(rec)), weight) for each
+    (rec, weight) of a stream of (m, n) recurrences over ctx.
+
+    The characteristic polynomial of the block companion is
+    det(x**n I - C_{n-1} x**(n-1) - ... - C_0), the determinant of an
+    m x m polynomial matrix.  Over F_p it is taken by Kronecker
+    substitution: each entry is one int whose w-bit slots hold its
+    coefficients in [0, p), the m! products of the Leibniz expansion are
+    summed once per sign, and each slot of the two sums is unpacked once
+    and reduced modulo p.  A product slot is at most
+    (n + 1)**(m - 1) * (p - 1)**m and a sum adds at most m! products,
+    which fixes w.  Each coefficient matrix is packed once per scan: the
+    cache holds it by identity, and the scans build every C_j once.
+    Over F_{p^e} with e > 1 it is char_poly(block_companion(rec)).
+    """
+    if ctx.e > 1:
+        for rec, weight in stream:
+            yield linalg.char_poly(block_companion(rec)).coeffs, weight
+        return
+    p = ctx.p
+    w = (math.factorial(m) * (n + 1) ** (m - 1) * (p - 1) ** m).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, (m * n + 1) * w, w)
+    signed: tuple[list, list] = ([], [])  # flat entry indices of the even, odd terms
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        signed[inversions % 2].append(tuple(r * m + c for r, c in enumerate(perm)))
+    even, odd = signed
+    top = tuple(1 << n * w if r == c else 0 for r in range(m) for c in range(m))
+    # per position j: id(C_j) -> (C_j, its entries negated at slot j); holding
+    # C_j keeps its id from passing to another matrix during the scan
+    packed: list[dict] = [{} for _ in range(n)]
+    prod = math.prod
+    for rec, weight in stream:
+        terms = [top]
+        for j, mat in enumerate(rec.C):
+            hit = packed[j].get(id(mat))
+            if hit is None:
+                shift = j * w
+                hit = packed[j][id(mat)] = (
+                    mat,
+                    tuple(-x % p << shift for row in mat.rows for x in row),
+                )
+            terms.append(hit[1])
+        entries = tuple(map(sum, zip(*terms)))
+        get = entries.__getitem__
+        plus = sum([prod(map(get, term)) for term in even])
+        minus = sum([prod(map(get, term)) for term in odd])
+        yield tuple([((plus >> s & mask) - (minus >> s & mask)) % p for s in shifts]), weight
 
 
 def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
@@ -341,10 +411,10 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
     companion's characteristic polynomial maps to how many of the
     q**(m*m*n) share it, each class representative counting its class
     size, and a polynomial that never occurs reads as 0."""
-    hist: Counter = Counter()
-    for rec, weight in enumerate_class_recurrences(ctx, m, n):
-        hist[linalg.char_poly(block_companion(rec))] += weight
-    return hist
+    sizes: dict[tuple, int] = {}
+    for coeffs, weight in _char_polys(ctx, m, n, enumerate_class_recurrences(ctx, m, n)):
+        sizes[coeffs] = sizes.get(coeffs, 0) + weight
+    return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})
 
 
 def fiber_count(f: polys.Poly, m: int, n: int) -> int:

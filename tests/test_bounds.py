@@ -67,10 +67,10 @@ CASES = (
     ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,
      ScanBoundExceeded, (linalg, "enumerate_matrices")),
     ("census_singer", lambda: census_singer(2, 2, 2), 255,
-     ScanBoundExceeded, (lfsr, "block_companion")),
+     ScanBoundExceeded, (lfsr, "_char_polys")),
     # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96
     ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 95,
-     ScanBoundExceeded, (linalg, "char_poly")),
+     ScanBoundExceeded, (lfsr, "_char_polys")),
     # 3 invertible classes times 2**4 free C_1 = 48
     ("enumerate_class_recurrences",
      lambda: list(enumerate_class_recurrences(F2, 2, 2, invertible=True)), 47,

@@ -1,0 +1,116 @@
+"""The characteristic-polynomial kernel of the recurrence censuses
+against the path it replaces: char_poly of the whole block companion."""
+
+import random
+
+import pytest
+
+from splitlab import (
+    BlockRecurrence,
+    Matrix,
+    Poly,
+    block_companion,
+    char_poly,
+    enumerate_recurrences,
+    field_from_order,
+    fields,
+    integers,
+    is_irreducible,
+    lfsr,
+)
+
+
+def oracle(rec):
+    return char_poly(block_companion(rec)).coeffs
+
+
+def check(ctx, m, n, recs):
+    recs = list(recs)
+    weights = list(range(1, len(recs) + 1))
+    got = list(lfsr._char_polys(ctx, m, n, zip(recs, weights)))
+    assert [w for _, w in got] == weights
+    for rec, (coeffs, _) in zip(recs, got):
+        assert coeffs == oracle(rec), rec
+
+
+def random_recs(ctx, m, n, count, rng):
+    return [
+        BlockRecurrence(
+            ctx,
+            m,
+            tuple(
+                Matrix(ctx, [[rng.randrange(ctx.size) for _ in range(m)] for _ in range(m)])
+                for _ in range(n)
+            ),
+        )
+        for _ in range(count)
+    ]
+
+
+def random_base(q, rng):
+    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
+    p, e = integers.prime_power_split(q)
+    prime = fields.build_field(p)
+    while True:
+        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+        if is_irreducible(Poly(prime, modulus)):
+            return fields.FieldCtx(p, e, modulus)
+
+
+# every prime-field shape whose full scan has at most 4096 tuples
+SMALL_SHAPES = [
+    (q, m, n)
+    for q in (2, 3, 5, 7)
+    for m in (1, 2, 3)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
+]
+
+
+@pytest.mark.parametrize("q, m, n", SMALL_SHAPES)
+def test_kernel_matches_char_poly_on_every_small_scan(q, m, n):
+    ctx = field_from_order(q)
+    check(ctx, m, n, enumerate_recurrences(ctx, m, n))
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 3, 2), (3, 2, 3), (2, 2, 4), (7, 3, 1), (5, 4, 1)])
+def test_kernel_matches_char_poly_on_random_recurrences(q, m, n):
+    ctx = field_from_order(q)
+    rng = random.Random(f"char_polys/{q},{m},{n}")
+    check(ctx, m, n, random_recs(ctx, m, n, 200, rng))
+
+
+@pytest.mark.parametrize("q", (4, 8, 9))
+def test_kernel_over_random_extension_moduli(q):
+    rng = random.Random(f"char_polys/ext/{q}")
+    ctx = random_base(q, rng)
+    check(ctx, 2, 1, enumerate_recurrences(ctx, 2, 1))
+    for m, n in ((1, 3), (2, 2), (3, 1)):
+        check(ctx, m, n, random_recs(ctx, m, n, 30, rng))
+
+
+@pytest.mark.parametrize("q, m, n", [(7, 3, 2), (5, 4, 1)])
+def test_kernel_at_the_largest_slot_values(q, m, n):
+    """Every C_j entry 1 puts p - 1 in every packed slot of -C_j, the
+    largest sums the slot width has to hold.  That matrix is symmetric
+    under every permutation, so the two signed sums carry alike; every
+    C_j = I leaves the odd sum 0, and an overflow of the even sum shows."""
+    ctx = field_from_order(q)
+    ones = Matrix(ctx, [[1] * m] * m)
+    ident = Matrix.identity(ctx, m)
+    check(ctx, m, n, [BlockRecurrence(ctx, m, (ones,) * n), BlockRecurrence(ctx, m, (ident,) * n)])
+
+
+def test_kernel_packs_each_coefficient_matrix_by_identity():
+    """Equal matrices built apart, and one matrix at two positions, each
+    give the polynomial of their own recurrence."""
+    ctx = field_from_order(3)
+    a = Matrix(ctx, ((1, 2), (0, 1)))
+    b = Matrix(ctx, ((0, 1), (1, 1)))
+    recs = [
+        BlockRecurrence(ctx, 2, (a, b)),
+        BlockRecurrence(ctx, 2, (b, a)),
+        BlockRecurrence(ctx, 2, (Matrix(ctx, a.rows), a)),
+        BlockRecurrence(ctx, 2, (b, b)),
+    ]
+    check(ctx, 2, 2, recs)

@@ -211,23 +211,38 @@ def test_singer_census_fixtures():
 
 @pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2)])
 def test_singer_census_tests_each_characteristic_polynomial_once(monkeypatch, q, m, n):
-    seen, tested = set(), []
-    char_poly, is_primitive = linalg.char_poly, polys.is_primitive
-
-    def recording_char_poly(mat):
-        f = char_poly(mat)
-        seen.add(f)
-        return f
+    ctx = field_from_order(q)
+    seen = {
+        char_poly(block_companion(rec))
+        for rec in enumerate_recurrences(ctx, m, n)
+        if rec.C[0].det() != ctx.zero
+    }
+    tested = []
+    is_primitive = polys.is_primitive
 
     def counting_is_primitive(f):
         tested.append(f)
         return is_primitive(f)
 
-    monkeypatch.setattr(linalg, "char_poly", recording_char_poly)
     monkeypatch.setattr(polys, "is_primitive", counting_is_primitive)
     assert census_singer(m, n, q) == pvrc_formula(m, n, q)
     assert 0 < len(tested) <= len(seen)
     assert len(set(tested)) == len(tested)
+
+
+def test_singer_census_tests_each_leading_block_once(monkeypatch):
+    """The scan repeats each C_0 over q**(m*m*(n-1)) tuples; its
+    invertibility is tested once per C_0, q**(m*m) times in all."""
+    det = Matrix.det
+    tested = []
+
+    def counting_det(mat):
+        tested.append(mat.rows)
+        return det(mat)
+
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    assert census_singer(2, 3, 2) == pvrc_formula(2, 3, 2)
+    assert len(tested) == len(set(tested)) == 2**4
 
 
 def test_pvrc_formula_fixtures():

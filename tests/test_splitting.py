@@ -358,6 +358,7 @@ SCAN_ROUTE = {
     "enumerate_recurrences",
     "enumerate_class_recurrences",
     "conjugacy_classes",
+    "_char_polys",
 }
 
 
