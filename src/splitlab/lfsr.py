@@ -26,8 +26,11 @@ representative per conjugacy class of M_m(F_q), weighted by the class
 size, and C_1, ..., C_{n-1} stay free.  census_singer keeps the full
 scan of all q**(m*m*n) tuples (enumerate_recurrences).
 
-Both censuses take the characteristic polynomial of each block
-companion from one kernel, _char_polys: over F_p it is the determinant
+census_singer and fiber_histogram read only the coefficient tuples
+(C_0, ..., C_{n-1}) of those scans, so they stream them bare
+(_coefficient_gen) and build no BlockRecurrence.  Both take the
+characteristic polynomial of each block companion from one kernel,
+_char_polys: over F_p it is the determinant
 det(x**n I - C_{n-1} x**(n-1) - ... - C_0) of an m x m polynomial
 matrix, by Kronecker substitution into Python ints, and over F_{p^e}
 with e > 1 char_poly of the whole block companion, which is also its
@@ -243,10 +246,7 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
 def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
     """All q**(m*m*n) block recurrences of shape (m, n), in lexicographic
     order of the concatenated coefficient codes C_0, C_1, ..."""
-    splitting._check_params(ctx.size, m, n)
-    config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
-    heads = [(C0, 1) for C0 in linalg.enumerate_matrices(ctx, m, m)]
-    return (rec for rec, _ in _recurrence_gen(ctx, m, n, heads))
+    return (rec for rec, _ in _recurrence_gen(ctx, m, n, _all_heads(ctx, m, n)))
 
 
 def enumerate_class_recurrences(
@@ -264,6 +264,21 @@ def enumerate_class_recurrences(
     (the periodic recurrences) are visited.  Both the class pass and
     the recurrence pass are checked against the scan bound first.
     """
+    return _recurrence_gen(ctx, m, n, _class_heads(ctx, m, n, invertible))
+
+
+def _all_heads(ctx, m: int, n: int) -> list:
+    """(C_0, 1) for every m x m matrix C_0, once the full scan of
+    q**(m*m*n) tuples is within the scan bound."""
+    splitting._check_params(ctx.size, m, n)
+    config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
+    return [(C0, 1) for C0 in linalg.enumerate_matrices(ctx, m, m)]
+
+
+def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
+    """(C_0, class size) for one C_0 per conjugacy class of M_m(F_q),
+    or per invertible class with invertible, once the scan up to
+    conjugation is within the scan bound."""
     splitting._check_params(ctx.size, m, n)
     heads = [
         (linalg.Matrix(ctx, rows, m), size) for rows, size in linalg.conjugacy_classes(ctx, m)
@@ -273,18 +288,25 @@ def enumerate_class_recurrences(
     config.check_scan(
         len(heads) * ctx.size ** (m * m * (n - 1)), "recurrence scan up to conjugation"
     )
-    return _recurrence_gen(ctx, m, n, heads)
+    return heads
 
 
 def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
-    """(rec, weight) for every (C_0, weight) in heads and every C_1, ...,
-    C_{n-1}: the m x m matrices are built once per scan, and each
-    recurrence skips the constructor's checks."""
-    mats = list(linalg.enumerate_matrices(ctx, m, m))
+    """(rec, weight) for each (C, weight) of _coefficient_gen, each
+    recurrence built without the constructor's checks."""
     new = BlockRecurrence._unchecked
+    for C, weight in _coefficient_gen(ctx, m, n, heads):
+        yield new(ctx, m, C), weight
+
+
+def _coefficient_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[tuple, int]]:
+    """(C, weight) with C = (C_0, ..., C_{n-1}) for every (C_0, weight)
+    in heads and every C_1, ..., C_{n-1}, last fastest: the m x m
+    matrices are built once per scan and shared by every tuple."""
+    mats = list(linalg.enumerate_matrices(ctx, m, m))
     for C0, weight in heads:
-        for tail in itertools.product(mats, repeat=n - 1):
-            yield new(ctx, m, (C0, *tail)), weight
+        for C in itertools.product((C0,), *(mats,) * (n - 1)):
+            yield C, weight
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:
@@ -321,18 +343,18 @@ def census_singer(m: int, n: int, q: int) -> int:
     so CHAIN checks that reduction against it at every point."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
-    recs = enumerate_recurrences(ctx, m, n)
+    stream = _coefficient_gen(ctx, m, n, _all_heads(ctx, m, n))
 
     def periodic():
         # the scan repeats each C_0 over q**(m*m*(n-1)) consecutive tuples;
         # a singular C_0 gives f(0) = 0, never primitive
         last = invertible = None
-        for rec in recs:
-            C0 = rec.C[0]
+        for C, weight in stream:
+            C0 = C[0]
             if C0 is not last:
                 last, invertible = C0, C0.det() != ctx.zero
             if invertible:
-                yield rec, 1
+                yield C, weight
 
     primitive: dict[tuple, bool] = {}  # one test per distinct polynomial
     count = 0
@@ -346,7 +368,8 @@ def census_singer(m: int, n: int, q: int) -> int:
 
 def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
     """(coefficients of char_poly(block_companion(rec)), weight) for each
-    (rec, weight) of a stream of (m, n) recurrences over ctx.
+    (C, weight) of a stream of the coefficient tuples C = (C_0, ...,
+    C_{n-1}) of (m, n) recurrences rec over ctx.
 
     The characteristic polynomial of the block companion is
     det(x**n I - C_{n-1} x**(n-1) - ... - C_0), the determinant of an
@@ -361,8 +384,9 @@ def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
     Over F_{p^e} with e > 1 it is char_poly(block_companion(rec)).
     """
     if ctx.e > 1:
-        for rec, weight in stream:
-            yield linalg.char_poly(block_companion(rec)).coeffs, weight
+        new = BlockRecurrence._unchecked
+        for C, weight in stream:
+            yield linalg.char_poly(block_companion(new(ctx, m, C))).coeffs, weight
         return
     p = ctx.p
     w = (math.factorial(m) * (n + 1) ** (m - 1) * (p - 1) ** m).bit_length()
@@ -378,9 +402,9 @@ def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
     # C_j keeps its id from passing to another matrix during the scan
     packed: list[dict] = [{} for _ in range(n)]
     prod = math.prod
-    for rec, weight in stream:
+    for C, weight in stream:
         terms = [top]
-        for j, mat in enumerate(rec.C):
+        for j, mat in enumerate(C):
             hit = packed[j].get(id(mat))
             if hit is None:
                 shift = j * w
@@ -412,7 +436,8 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
     q**(m*m*n) share it, each class representative counting its class
     size, and a polynomial that never occurs reads as 0."""
     sizes: dict[tuple, int] = {}
-    for coeffs, weight in _char_polys(ctx, m, n, enumerate_class_recurrences(ctx, m, n)):
+    stream = _coefficient_gen(ctx, m, n, _class_heads(ctx, m, n))
+    for coeffs, weight in _char_polys(ctx, m, n, stream):
         sizes[coeffs] = sizes.get(coeffs, 0) + weight
     return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})
 

@@ -5,8 +5,11 @@ mapped to v * M.  Products, vec_mat and char_poly take every entry as
 one ctx.dot; powers square and multiply raw rows, packed into ints over
 F_2.  The independence test takes bare sequences of
 coordinate tuples so that hot scanning loops can avoid Matrix objects.
-It is the generic elimination over every field; the packed F_2 kernel
-of the splitting scan is tested against it.  rref gives the rank.
+It runs on _echelon_insert, which extends an echelon basis by more rows
+without changing it, so the splitting scan can extend one basis by each
+of several candidate rows.  That is the generic elimination over every
+field; the packed F_2 kernel of the splitting scan is tested against
+it.  rref gives the rank.
 
 Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
@@ -282,8 +285,16 @@ def _rref_rows(ctx, rows: Iterable[Sequence], ncols: int | None = None):
 def rows_are_independent(ctx, rows: Iterable[Sequence]) -> bool:
     """Whether the given row vectors are linearly independent.  Stops at
     the first dependent row."""
+    return _echelon_insert(ctx, (), rows) is not None
+
+
+def _echelon_insert(ctx, echelon: Sequence[tuple[int, list]], rows: Iterable[Sequence]):
+    """The echelon basis of independent rows, extended by more rows: a
+    new list of (leading column, row scaled to lead 1), or None at the
+    first row that depends on those before it.  The given echelon is
+    left as it is, so a caller can extend one basis several ways."""
     zero = ctx.zero
-    echelon: list[tuple[int, list]] = []
+    echelon = list(echelon)
     for r in rows:
         v = list(r)
         for col, prow in echelon:
@@ -292,10 +303,10 @@ def rows_are_independent(ctx, rows: Iterable[Sequence]) -> bool:
                 v = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(v, prow)]
         lead = next((j for j, x in enumerate(v) if x != zero), None)
         if lead is None:
-            return False
+            return None
         pinv = ctx.inv(v[lead])
         echelon.append((lead, [ctx.mul(pinv, x) for x in v]))
-    return True
+    return echelon
 
 
 class SubspaceBasis:

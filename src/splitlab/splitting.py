@@ -14,14 +14,20 @@ each.
 
 The scan route is one kernel: _splitter prepares, once per scan, the
 test of a basis and its translates for independence, and _splitting_scan
-runs it over every m-dimensional subspace.  Over F_2 it is packed: rows
-are int bitmasks and translates XORs of row images.  Elsewhere it stacks
-the images under columns of the powers taken once per scan for
-linalg.rows_are_independent, the generic path the tests check the
-packed one against.  is_alpha_splitting, is_T_splitting,
-count_pointed and the direct ordered-basis scan call _splitter;
-count_splitting, pointed_consistency, count_T_splitting and
-weak_ssc_check count through _splitting_scan.
+runs it over every m-dimensional subspace.  The scans yield candidates
+in product order over shared rows, so consecutive candidates mostly
+differ only in their last row: the splitter keeps the echelon state
+after each prefix of its previous call's rows (_prefix_splitter) and
+inserts only the translates of the rows that changed, rejecting at once
+a candidate whose shared prefix is already dependent.  Every candidate
+is still tested.  Over F_2 the insert step is packed: rows are int
+bitmasks and translates XORs of row images.  Elsewhere it stacks the
+images under columns of the powers taken once per scan for
+linalg._echelon_insert, the generic elimination the tests check the
+packed one against.  is_alpha_splitting and is_T_splitting build a fresh
+splitter per call; count_pointed and the direct ordered-basis scan keep
+one per scan; count_splitting, pointed_consistency, count_T_splitting
+and weak_ssc_check count through _splitting_scan.
 The closed forms never call either.
 
 Scan results are exact.  Closed forms carry a status flag saying whether
@@ -162,24 +168,32 @@ def _splitter(ctx, powers):
     """The test splits(rows) -> bool: whether the rows and their images
     rows * T^k under powers = (T^0, ..., T^(n-1)) are independent, built
     once per scan.  The one place the scan route stacks translates.
-    Over F_2 it is packed: images[j] stacks e_j T^0, ..., e_j T^(n-1) as
-    bitmasks (e_j T^k from bit k*width), so a row's n translates are one
-    XOR of the images at its nonzero coordinates, each inserted into an
-    int echelon basis (pivots[h] has leading bit h - 1) until one is
-    dependent.  Elsewhere it stacks the images w * T^k for
-    linalg.rows_are_independent, each entry one ctx.dot of w with a
-    column of T^k; the columns are taken once per scan."""
+
+    A row's step inserts its n translates into an echelon basis, and
+    _prefix_splitter keeps the basis after each prefix of the previous
+    call's rows, so a call redoes only the rows after the prefix it
+    shares with the one before.  Rows are immutable tuples of raw
+    scalars, as every scan passes them; the splitter keeps its own
+    tuple of them and compares them by value.
+
+    Over F_2 the step is packed: images[j] stacks e_j T^0, ...,
+    e_j T^(n-1) as bitmasks (e_j T^k from bit k*width), so a row's n
+    translates are one XOR of the images at its nonzero coordinates,
+    each inserted into an int echelon basis (pivots[h] has leading bit
+    h - 1) until one is dependent.  Elsewhere it stacks the images
+    w * T^k, each entry one ctx.dot of w with a column of T^k taken once
+    per scan, for linalg._echelon_insert, the generic elimination the
+    tests check the packed one against."""
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
         columns = [tuple(zip(*P.rows)) for P in powers[1:]]
 
-        def splits(rows) -> bool:
-            stacked = list(rows)
-            for cols in columns:
-                stacked.extend(tuple(dot(w, col) for col in cols) for w in rows)
-            return linalg.rows_are_independent(ctx, stacked)
+        def insert_generic(echelon, w):
+            stacked = [w]
+            stacked.extend(tuple(dot(w, col) for col in cols) for cols in columns)
+            return linalg._echelon_insert(ctx, echelon, stacked)
 
-        return splits
+        return _prefix_splitter(insert_generic, ())
     width, n = powers[0].nrows, len(powers)
     images = tuple(
         sum(x << (k * width + i) for k, P in enumerate(powers) for i, x in enumerate(P.rows[j]))
@@ -187,22 +201,59 @@ def _splitter(ctx, powers):
     )
     mask = (1 << width) - 1
 
+    def insert_packed(pivots, row):
+        pivots = pivots[:]
+        stack = reduce(xor, compress(images, row), 0)
+        for _ in range(n):
+            v = stack & mask
+            stack >>= width
+            while v:
+                h = v.bit_length()
+                b = pivots[h]
+                if not b:
+                    pivots[h] = v
+                    break
+                v ^= b
+            else:
+                return None
+        return pivots
+
+    return _prefix_splitter(insert_packed, [0] * (width + 1))
+
+
+def _prefix_splitter(insert, empty):
+    """splits(rows) -> bool from one step insert(state, row), which
+    returns the echelon state extended by the row's translates (leaving
+    its argument as it is) or None when they make it dependent.
+
+    The splitter remembers the rows of its previous call, prefix, and
+    states[k], the state after prefix[:k].  When prefix is dead (its
+    last row made the state dependent) states is one shorter than
+    prefix.  A call finds the longest run of leading rows equal to
+    prefix: if that run is the whole dead prefix it rejects at once,
+    otherwise it inserts only the rows after the run."""
+    prefix: tuple = ()
+    states = [empty]
+
     def splits(rows) -> bool:
-        pivots = [0] * (width + 1)
-        for row in rows:
-            stack = reduce(xor, compress(images, row), 0)
-            for _ in range(n):
-                v = stack & mask
-                stack >>= width
-                while v:
-                    h = v.bit_length()
-                    b = pivots[h]
-                    if not b:
-                        pivots[h] = v
-                        break
-                    v ^= b
-                else:
-                    return False
+        nonlocal prefix
+        rows = tuple(rows)
+        k = 0
+        for a, b in zip(rows, prefix):
+            if a != b:
+                break
+            k += 1
+        if k == len(states):
+            return False
+        del states[k + 1 :]
+        state = states[k]
+        for row in rows[k:]:
+            state = insert(state, row)
+            if state is None:
+                prefix = rows[: len(states)]
+                return False
+            states.append(state)
+        prefix = rows
         return True
 
     return splits

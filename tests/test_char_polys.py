@@ -27,7 +27,7 @@ def oracle(rec):
 def check(ctx, m, n, recs):
     recs = list(recs)
     weights = list(range(1, len(recs) + 1))
-    got = list(lfsr._char_polys(ctx, m, n, zip(recs, weights)))
+    got = list(lfsr._char_polys(ctx, m, n, zip((rec.C for rec in recs), weights)))
     assert [w for _, w in got] == weights
     for rec, (coeffs, _) in zip(recs, got):
         assert coeffs == oracle(rec), rec

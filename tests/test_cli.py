@@ -266,18 +266,20 @@ def test_fiber_census_all_primitive(capsys):
 
 
 def test_fiber_census_scans_the_recurrences_once(capsys, monkeypatch):
+    # every recurrence scan builds its leading blocks once: all of M_m(F_q)
+    # for the full scan, one per conjugacy class for the scan up to conjugation
     calls = []
-    for name in ("enumerate_recurrences", "enumerate_class_recurrences"):
-        scan = getattr(lfsr, name)
+    for name in ("_all_heads", "_class_heads"):
+        heads = getattr(lfsr, name)
         monkeypatch.setattr(
-            lfsr, name, lambda *a, _name=name, _scan=scan, **k: calls.append(_name) or _scan(*a, **k)
+            lfsr, name, lambda *a, _name=name, _heads=heads, **k: calls.append(_name) or _heads(*a, **k)
         )
     code, _, _ = run(
         capsys, "fiber-census", "--q", "2", "--m", "2", "--n", "2",
         "--all-irreducible",
     )
     assert code == 0
-    assert calls == ["enumerate_class_recurrences"]
+    assert calls == ["_class_heads"]
 
 
 def test_fiber_census_checks_the_poly_before_the_scan(capsys, monkeypatch):

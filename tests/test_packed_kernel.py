@@ -136,6 +136,7 @@ def test_f2_scans_never_reach_the_generic_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "vec_mat", generic)
     monkeypatch.setattr(linalg, "rows_are_independent", generic)
+    monkeypatch.setattr(linalg, "_echelon_insert", generic)
     inst = split_instance(2, 2, 3)
     assert count_splitting(inst).verdict == "match"
     assert pointed_consistency(inst).verdict == "match"

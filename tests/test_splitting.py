@@ -350,13 +350,16 @@ CLOSED_FORMS = (
 )
 SCAN_ROUTE = {
     "_splitter",
+    "_prefix_splitter",
     "_splitting_scan",
     "_count_scan",
     "enumerate_subspaces",
     "rows_are_independent",
+    "_echelon_insert",
     "vec_mat",
     "enumerate_recurrences",
     "enumerate_class_recurrences",
+    "_coefficient_gen",
     "conjugacy_classes",
     "_char_polys",
 }

@@ -183,18 +183,20 @@ def test_endo_point_shape():
 def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, statement, scans):
     """One histogram, scanned up to conjugation, serves every fiber of a
     point; CHAIN's census keeps its own full scan.  PVRC scans up to
-    conjugation too."""
+    conjugation too.  Every recurrence scan, through the public
+    enumerators or the bare coefficient stream, starts by building its
+    leading blocks once: all of M_m(F_q), or one per conjugacy class."""
     calls = []
-    for name in ("enumerate_recurrences", "enumerate_class_recurrences"):
-        scan = getattr(lfsr, name)
+    for name in ("_all_heads", "_class_heads"):
+        heads = getattr(lfsr, name)
         monkeypatch.setattr(
-            lfsr, name, lambda *a, _name=name, _scan=scan, **k: calls.append(_name) or _scan(*a, **k)
+            lfsr, name, lambda *a, _name=name, _heads=heads, **k: calls.append(_name) or _heads(*a, **k)
         )
     for point in default_grid(statement):
         calls.clear()
         (result,) = run(VerificationJob(statement, grid=(point,))).points
         assert result.verdict == "match", point
         assert len(calls) == scans, point
-        assert calls.count("enumerate_class_recurrences") == 1, point
-        assert calls.count("enumerate_recurrences") == scans - 1, point
+        assert calls.count("_class_heads") == 1, point
+        assert calls.count("_all_heads") == scans - 1, point
 
