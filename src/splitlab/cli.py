@@ -10,9 +10,9 @@ Literal formats shared by the subcommands:
 * state: words separated by ";", codes by ","
 * grid: parameter tuples separated by ";", components by ","
 
-Exit codes: 0 when every comparison matched (or was skipped), 1 when a
-proved statement mismatched, 2 when only conjectural points mismatched,
-3 for operational errors (bad arguments, exceeded bounds, IO).
+Exit codes: 0 when every comparison matched (or was skipped), 1 when
+any comparison mismatched, 3 for operational errors (bad arguments,
+exceeded bounds, IO).
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ def _parse_grid(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_ints(part, "grid point") for part in text.split(";"))
 
 
-def _mismatch_exit(status: str) -> int:
-    return 1 if status == "proved" else 2
-
-
 def _cmd_count_splitting(args: argparse.Namespace) -> int:
     base = _parse_field(args.q)
     q = base.size
@@ -112,9 +108,7 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         lines = [f"{key}={value}" for key, value in doc.items()]
         write_report("\n".join(lines) + "\n", args.out)
     verdicts = [rep.verdict] + [doc.get("pointed_verdict", "match")]
-    if "mismatch" in verdicts:
-        return _mismatch_exit(rep.status)
-    return 0
+    return 1 if "mismatch" in verdicts else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -233,9 +227,7 @@ def _cmd_fiber_census(args: argparse.Namespace) -> int:
         else:
             print(f"poly={literal} scan={scan}")
     print(f"total {total} over {len(members)} polynomials")
-    if any_mismatch:
-        return _mismatch_exit(splitting.conjecture_status(args.m, args.n))
-    return 0
+    return 1 if any_mismatch else 0
 
 
 def _add_qmn(sub: argparse.ArgumentParser) -> None:
@@ -357,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse has printed usage and its error; its exit 2 would read
-        # as a conjectural mismatch here.  --help exits 0.
+        # argparse has printed usage and its error; bad arguments exit 3
+        # like every other operational error.  --help exits 0.
         return 3 if exc.code else 0
     try:
         return args.func(args)

@@ -22,7 +22,9 @@ Two kinds of context, both immutable after construction:
 FieldElement pairs a context with a raw scalar and provides operator
 sugar; all arithmetic ultimately runs on raw scalars through the context
 methods add/sub/mul/neg/inv/div/power/frobenius.  The matrix kernels of
-linalg run on dot, one fused sum of products per call.
+linalg run on dot, one fused sum of products per call.  generates asks
+linalg's row reduction whether 1, beta, ..., beta**(d-1) are
+independent over the base field.
 
 Default defining polynomials are canonical: the lexicographically least
 monic irreducible of the requested degree, comparing coefficient tuples
@@ -646,9 +648,15 @@ def build_extension(
 
 def generates(tower: TowerCtx, beta: FieldElement) -> bool:
     """True iff beta generates the tower over its base field, i.e. its
-    minimal polynomial has full degree."""
+    minimal polynomial has full degree d: 1, beta, ..., beta**(d-1) are
+    independent over the base field."""
+    from . import linalg  # linalg imports this module
+
     if not isinstance(tower, TowerCtx):
         raise BadArgs("generates applies to tower extensions")
     if beta.ctx != tower:
         raise ContextMismatch("element does not belong to the given tower")
-    return polys.minimal_polynomial(tower, beta).degree == tower.d
+    powers = itertools.accumulate(
+        itertools.repeat(beta.raw, tower.d - 1), tower.mul, initial=tower.one
+    )
+    return linalg.rows_are_independent(tower.base, powers)

@@ -26,15 +26,16 @@ representative per conjugacy class of M_m(F_q), weighted by the class
 size, and C_1, ..., C_{n-1} stay free.  census_singer keeps the full
 scan of all q**(m*m*n) tuples (enumerate_recurrences).
 
-census_singer and fiber_histogram read only the coefficient tuples
-(C_0, ..., C_{n-1}) of those scans, so they stream them bare
-(_coefficient_gen) and build no BlockRecurrence.  Both take the
-characteristic polynomial of each block companion from one kernel,
-_char_polys: over F_p it is the determinant
-det(x**n I - C_{n-1} x**(n-1) - ... - C_0) of an m x m polynomial
-matrix, by Kronecker substitution into Python ints, and over F_{p^e}
-with e > 1 char_poly of the whole block companion, which is also its
-test oracle.
+census_singer and fiber_histogram read only the characteristic
+polynomial of each block companion, so they build no BlockRecurrence.
+Both hand their heads, (C_0, weight) pairs, and the matrices of each
+position 1, ..., n - 1 to one kernel, _char_polys, which packs each
+matrix once and walks the product of the positions itself: over F_p
+the polynomial is the determinant det(x**n I - C_{n-1} x**(n-1) - ...
+- C_0) of an m x m polynomial matrix, by Kronecker substitution into
+Python ints, and over F_{p^e} with e > 1 char_poly of the whole block
+companion, which is also its test oracle.  census_singer keeps only the
+heads with invertible C_0, one det per C_0.
 """
 
 from __future__ import annotations
@@ -292,21 +293,15 @@ def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
 
 
 def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
-    """(rec, weight) for each (C, weight) of _coefficient_gen, each
-    recurrence built without the constructor's checks."""
-    new = BlockRecurrence._unchecked
-    for C, weight in _coefficient_gen(ctx, m, n, heads):
-        yield new(ctx, m, C), weight
-
-
-def _coefficient_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[tuple, int]]:
-    """(C, weight) with C = (C_0, ..., C_{n-1}) for every (C_0, weight)
-    in heads and every C_1, ..., C_{n-1}, last fastest: the m x m
-    matrices are built once per scan and shared by every tuple."""
+    """(rec, weight) for every (C_0, weight) in heads and every C_1, ...,
+    C_{n-1}, last fastest: the m x m matrices are built once per scan and
+    shared by every recurrence, each built without the constructor's
+    checks."""
     mats = list(linalg.enumerate_matrices(ctx, m, m))
+    new = BlockRecurrence._unchecked
     for C0, weight in heads:
         for C in itertools.product((C0,), *(mats,) * (n - 1)):
-            yield C, weight
+            yield new(ctx, m, C), weight
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:
@@ -343,22 +338,12 @@ def census_singer(m: int, n: int, q: int) -> int:
     so CHAIN checks that reduction against it at every point."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
-    stream = _coefficient_gen(ctx, m, n, _all_heads(ctx, m, n))
-
-    def periodic():
-        # the scan repeats each C_0 over q**(m*m*(n-1)) consecutive tuples;
-        # a singular C_0 gives f(0) = 0, never primitive
-        last = invertible = None
-        for C, weight in stream:
-            C0 = C[0]
-            if C0 is not last:
-                last, invertible = C0, C0.det() != ctx.zero
-            if invertible:
-                yield C, weight
-
+    mats = [C0 for C0, _ in _all_heads(ctx, m, n)]
+    # a singular C_0 gives f(0) = 0, never primitive
+    heads = [(C0, 1) for C0 in mats if C0.det() != ctx.zero]
     primitive: dict[tuple, bool] = {}  # one test per distinct polynomial
     count = 0
-    for coeffs, _ in _char_polys(ctx, m, n, periodic()):
+    for coeffs, _ in _char_polys(ctx, m, heads, [mats] * (n - 1)):
         verdict = primitive.get(coeffs)
         if verdict is None:
             verdict = primitive[coeffs] = polys.is_primitive(polys.Poly(ctx, coeffs))
@@ -366,10 +351,11 @@ def census_singer(m: int, n: int, q: int) -> int:
     return count
 
 
-def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
-    """(coefficients of char_poly(block_companion(rec)), weight) for each
-    (C, weight) of a stream of the coefficient tuples C = (C_0, ...,
-    C_{n-1}) of (m, n) recurrences rec over ctx.
+def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
+    """(coefficients of char_poly(block_companion(rec)), weight) for the
+    (m, n) recurrences rec over ctx with C_0 and weight from each
+    (C_0, weight) in heads and C_j from tails[j - 1] for j = 1, ...,
+    n - 1, in product order, last fastest.
 
     The characteristic polynomial of the block companion is
     det(x**n I - C_{n-1} x**(n-1) - ... - C_0), the determinant of an
@@ -379,14 +365,16 @@ def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
     summed once per sign, and each slot of the two sums is unpacked once
     and reduced modulo p.  A product slot is at most
     (n + 1)**(m - 1) * (p - 1)**m and a sum adds at most m! products,
-    which fixes w.  Each coefficient matrix is packed once per scan: the
-    cache holds it by identity, and the scans build every C_j once.
-    Over F_{p^e} with e > 1 it is char_poly(block_companion(rec)).
+    which fixes w.  Each head is packed once, with x**n I, and each tail
+    matrix once per position.  Over F_{p^e} with e > 1 it is
+    char_poly(block_companion(rec)).
     """
+    n = len(tails) + 1
     if ctx.e > 1:
         new = BlockRecurrence._unchecked
-        for C, weight in stream:
-            yield linalg.char_poly(block_companion(new(ctx, m, C))).coeffs, weight
+        for C0, weight in heads:
+            for C in itertools.product((C0,), *tails):
+                yield linalg.char_poly(block_companion(new(ctx, m, C))).coeffs, weight
         return
     p = ctx.p
     w = (math.factorial(m) * (n + 1) ** (m - 1) * (p - 1) ** m).bit_length()
@@ -397,27 +385,21 @@ def _char_polys(ctx, m: int, n: int, stream) -> Iterator[tuple[tuple, int]]:
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         signed[inversions % 2].append(tuple(r * m + c for r, c in enumerate(perm)))
     even, odd = signed
+
+    def pack(mat, j: int) -> tuple:
+        # the entries of -C_j at slot j
+        return tuple(-x % p << j * w for row in mat.rows for x in row)
+
     top = tuple(1 << n * w if r == c else 0 for r in range(m) for c in range(m))
-    # per position j: id(C_j) -> (C_j, its entries negated at slot j); holding
-    # C_j keeps its id from passing to another matrix during the scan
-    packed: list[dict] = [{} for _ in range(n)]
+    packed_tails = [[pack(mat, j) for mat in mats] for j, mats in enumerate(tails, 1)]
     prod = math.prod
-    for C, weight in stream:
-        terms = [top]
-        for j, mat in enumerate(C):
-            hit = packed[j].get(id(mat))
-            if hit is None:
-                shift = j * w
-                hit = packed[j][id(mat)] = (
-                    mat,
-                    tuple(-x % p << shift for row in mat.rows for x in row),
-                )
-            terms.append(hit[1])
-        entries = tuple(map(sum, zip(*terms)))
-        get = entries.__getitem__
-        plus = sum([prod(map(get, term)) for term in even])
-        minus = sum([prod(map(get, term)) for term in odd])
-        yield tuple([((plus >> s & mask) - (minus >> s & mask)) % p for s in shifts]), weight
+    for C0, weight in heads:
+        head = tuple(map(sum, zip(top, pack(C0, 0))))
+        for terms in itertools.product(*packed_tails):
+            get = tuple(map(sum, zip(head, *terms))).__getitem__
+            plus = sum([prod(map(get, term)) for term in even])
+            minus = sum([prod(map(get, term)) for term in odd])
+            yield tuple([((plus >> s & mask) - (minus >> s & mask)) % p for s in shifts]), weight
 
 
 def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
@@ -436,8 +418,9 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
     q**(m*m*n) share it, each class representative counting its class
     size, and a polynomial that never occurs reads as 0."""
     sizes: dict[tuple, int] = {}
-    stream = _coefficient_gen(ctx, m, n, _class_heads(ctx, m, n))
-    for coeffs, weight in _char_polys(ctx, m, n, stream):
+    heads = _class_heads(ctx, m, n)
+    tails = [list(linalg.enumerate_matrices(ctx, m, m))] * (n - 1)
+    for coeffs, weight in _char_polys(ctx, m, heads, tails):
         sizes[coeffs] = sizes.get(coeffs, 0) + weight
     return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})
 

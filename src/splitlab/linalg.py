@@ -3,13 +3,18 @@
 Matrices hold raw context scalars and act on row vectors: a vector v is
 mapped to v * M.  Products, vec_mat and char_poly take every entry as
 one ctx.dot; powers square and multiply raw rows, packed into ints over
-F_2.  The independence test takes bare sequences of
-coordinate tuples so that hot scanning loops can avoid Matrix objects.
-It runs on _echelon_insert, which extends an echelon basis by more rows
-without changing it, so the splitting scan can extend one basis by each
-of several candidate rows.  That is the generic elimination over every
-field; the packed F_2 kernel of the splitting scan is tested against
-it.  rref gives the rank.
+F_2.
+
+Row reduction has one step, _echelon_insert, which extends an echelon
+basis by more rows without changing it, so the splitting scan can
+extend one basis by each of several candidate rows.  That is the
+generic elimination over every field; the packed F_2 kernel of the
+splitting scan is tested against it.  rows_are_independent runs on it,
+taking bare sequences of coordinate tuples so that hot scanning loops
+can avoid Matrix objects, and so does _rref_rows, under rref (which
+gives the rank), Matrix.inverse and subspace_from_rows.  Matrix.det and
+SubspaceBasis.contains keep their own loops, which run faster than the
+insert step would.
 
 Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
@@ -180,7 +185,7 @@ class Matrix:
             tuple(row) + tuple(o if i == j else z for j in range(n))
             for i, row in enumerate(self.rows)
         ]
-        reduced, pivots = _rref_rows(self.ctx, aug, 2 * n)
+        reduced, pivots = _rref_rows(self.ctx, aug)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise Singular("matrix is not invertible")
         return Matrix(self.ctx, [r[n:] for r in reduced], n)
@@ -243,43 +248,35 @@ def rref(mat: Matrix) -> tuple[Matrix, int]:
     The result has the same shape as the input; rows of zeros sink to
     the bottom.
     """
-    reduced, pivots = _rref_rows(mat.ctx, mat.rows, mat.ncols)
+    reduced, pivots = _rref_rows(mat.ctx, mat.rows)
     rank = len(pivots)
     zero_row = (mat.ctx.zero,) * mat.ncols
     rows = reduced + (zero_row,) * (mat.nrows - rank)
     return Matrix(mat.ctx, rows, mat.ncols), rank
 
 
-def _rref_rows(ctx, rows: Iterable[Sequence], ncols: int | None = None):
-    """Row-level reduced echelon form.  Returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    if ncols is None:
-        if not work:
-            raise BadArgs("cannot infer width of an empty row list")
-        ncols = len(work[0])
+def _rref_rows(ctx, rows: Iterable[Sequence]):
+    """Row-level reduced echelon form.  Returns (nonzero rows, pivot columns).
+
+    Each row is inserted into an echelon basis by _echelon_insert, and a
+    row that depends on those before it is skipped.  Sorted by leading
+    column, every row is zero left of its pivot; clearing each pivot
+    column from the rows above, last pivot first, makes the form reduced.
+    """
+    echelon: list = []
+    for r in rows:
+        extended = _echelon_insert(ctx, echelon, (r,))
+        if extended is not None:
+            echelon = extended
+    echelon.sort(key=lambda entry: entry[0])
     zero = ctx.zero
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        piv = next((r for r in range(top, len(work)) if work[r][col] != zero), None)
-        if piv is None:
-            continue
-        work[top], work[piv] = work[piv], work[top]
-        pinv = ctx.inv(work[top][col])
-        work[top] = [ctx.mul(pinv, x) for x in work[top]]
-        prow = work[top]
-        for r in range(len(work)):
-            if r == top:
-                continue
-            f = work[r][col]
-            if f == zero:
-                continue
-            work[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[r], prow)]
-        pivots.append(col)
-        top += 1
-        if top == len(work):
-            break
-    return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
+    for k in range(len(echelon) - 1, 0, -1):
+        col, prow = echelon[k]
+        for i, (lead, row) in enumerate(echelon[:k]):
+            c = row[col]
+            if c != zero:
+                echelon[i] = lead, [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(row, prow)]
+    return tuple(tuple(r) for _, r in echelon), tuple(col for col, _ in echelon)
 
 
 def rows_are_independent(ctx, rows: Iterable[Sequence]) -> bool:
@@ -376,9 +373,7 @@ def subspace_from_rows(ctx, ambient: int, rows: Iterable[Sequence]) -> SubspaceB
     for r in rows:
         if len(r) != ambient:
             raise DimensionMismatch(f"row of length {len(r)} in ambient {ambient}")
-    if not rows:
-        return SubspaceBasis(ctx, ambient, (), ())
-    reduced, pivots = _rref_rows(ctx, rows, ambient)
+    reduced, pivots = _rref_rows(ctx, rows)
     return SubspaceBasis(ctx, ambient, reduced, pivots)
 
 

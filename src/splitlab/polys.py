@@ -16,7 +16,7 @@ coordinate tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import config, integers
 from .errors import (
@@ -30,9 +30,6 @@ from .errors import (
     NotMonic,
     ScanBoundExceeded,
 )
-
-if TYPE_CHECKING:
-    from .fields import FieldElement, TowerCtx
 
 NEG_DEGREE = float("-inf")
 
@@ -303,42 +300,6 @@ def is_primitive(f: Poly) -> bool:
     return True
 
 
-def minimal_polynomial(tower: TowerCtx, beta: FieldElement) -> Poly:
-    """Monic minimal polynomial of a tower element over the base field.
-
-    Found as the first linear dependency among the coordinate vectors of
-    1, beta, beta**2, ...; the dependency coefficients are tracked
-    alongside the elimination, so the result is monic by construction.
-    """
-    if beta.ctx != tower:
-        raise ContextMismatch("element does not belong to the given tower")
-    base = tower.base
-    d = tower.d
-    zero = base.zero
-    echelon: list[tuple[int, list, list]] = []
-    power = tower.one
-    for k in range(d + 1):
-        vec = list(power)
-        combo = [zero] * k + [base.one]
-        for piv, pvec, pcombo in echelon:
-            c = vec[piv]
-            if c == zero:
-                continue
-            for i in range(d):
-                vec[i] = base.sub(vec[i], base.mul(c, pvec[i]))
-            for i in range(len(pcombo)):
-                combo[i] = base.sub(combo[i], base.mul(c, pcombo[i]))
-        piv = next((i for i in range(d) if vec[i] != zero), None)
-        if piv is None:
-            return Poly(base, combo)
-        inv = base.inv(vec[piv])
-        vec = [base.mul(inv, v) for v in vec]
-        combo = [base.mul(inv, v) for v in combo]
-        echelon.append((piv, vec, combo))
-        power = tower.mul(power, beta.raw)
-    raise AssertionError("unreachable: d+1 vectors in dimension d")
-
-
 def polys_of_degree_below(ctx, bound: int) -> Iterator[Poly]:
     """All q**bound polynomials of degree < bound, by ascending code."""
     q = ctx.size
@@ -368,22 +329,18 @@ def _irreducible_scan(ctx, k: int) -> tuple[Poly, ...]:
 def find_irreducibles(ctx, k: int, kind: str = "all") -> list[Poly]:
     """Monic irreducible polynomials of degree k over a field context.
 
-    kind selects "all" irreducibles, "primitive_only", or
-    "irreducible_nonprimitive".  Candidates are scanned by ascending code
-    (the integer whose base-q digits are the non-leading coefficients), so
-    the output order is deterministic.
+    kind selects "all" irreducibles or "primitive_only".  Candidates are
+    scanned by ascending code (the integer whose base-q digits are the
+    non-leading coefficients), so the output order is deterministic.
     """
     if k < 1:
         raise BadArgs("degree must be >= 1")
-    if kind not in ("all", "primitive_only", "irreducible_nonprimitive"):
+    if kind not in ("all", "primitive_only"):
         raise BadArgs(f"unknown filter {kind!r}")
     irr = _irreducibles(ctx, k)
     if kind == "all":
         return list(irr)
-    flags = [is_primitive(f) for f in irr]
-    if kind == "primitive_only":
-        return [f for f, keep in zip(irr, flags) if keep]
-    return [f for f, keep in zip(irr, flags) if not keep]
+    return [f for f in irr if is_primitive(f)]
 
 
 def factor(f: Poly) -> list[tuple[Poly, int]]:

@@ -222,7 +222,9 @@ def test_criterion_12_property_suites():
 
 
 def test_evidence_run_for_the_open_case():
-    """The m = 3 case has no proof; the run must complete and report a verdict.
+    """The m = 3 case, open in the source paper, was proved by Chen and
+    Tseng (2013); the run must complete, report it proved and give a
+    verdict.
 
     The outcome is informational and deliberately not part of the gate.
     """
@@ -232,5 +234,5 @@ def test_evidence_run_for_the_open_case():
         f"status={rep.status} verdict={rep.verdict}",
         flush=True,
     )
-    assert rep.status == "conjectural"
+    assert rep.status == "proved"
     assert rep.verdict in ("match", "mismatch")

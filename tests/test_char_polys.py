@@ -1,6 +1,7 @@
 """The characteristic-polynomial kernel of the recurrence censuses
 against the path it replaces: char_poly of the whole block companion."""
 
+import itertools
 import random
 
 import pytest
@@ -25,12 +26,9 @@ def oracle(rec):
 
 
 def check(ctx, m, n, recs):
-    recs = list(recs)
-    weights = list(range(1, len(recs) + 1))
-    got = list(lfsr._char_polys(ctx, m, n, zip((rec.C for rec in recs), weights)))
-    assert [w for _, w in got] == weights
-    for rec, (coeffs, _) in zip(recs, got):
-        assert coeffs == oracle(rec), rec
+    for weight, rec in enumerate(recs, 1):
+        got = list(lfsr._char_polys(ctx, m, [(rec.C[0], weight)], [[C] for C in rec.C[1:]]))
+        assert got == [(oracle(rec), weight)], rec
 
 
 def random_recs(ctx, m, n, count, rng):
@@ -114,3 +112,25 @@ def test_kernel_packs_each_coefficient_matrix_by_identity():
         BlockRecurrence(ctx, 2, (b, b)),
     ]
     check(ctx, 2, 2, recs)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2), (5, 1, 4), (4, 2, 2), (9, 1, 3)])
+def test_kernel_walks_several_heads_and_tails_in_product_order(q, m, n):
+    """Several heads and several matrices per position: the kernel yields
+    one polynomial per tuple, heads outermost and the last position
+    fastest, each with its head's weight."""
+    rng = random.Random(f"char_polys/product/{q},{m},{n}")
+    ctx = random_base(q, rng) if q in (4, 9) else field_from_order(q)
+
+    def matrix():
+        return Matrix(ctx, [[rng.randrange(q) for _ in range(m)] for _ in range(m)])
+
+    heads = [(matrix(), rng.randrange(1, 100)) for _ in range(3)]
+    tails = [[matrix() for _ in range(j + 1)] for j in range(1, n)]
+    got = list(lfsr._char_polys(ctx, m, heads, tails))
+    want = [
+        (oracle(BlockRecurrence(ctx, m, (C0,) + C)), weight)
+        for C0, weight in heads
+        for C in itertools.product(*tails)
+    ]
+    assert got == want

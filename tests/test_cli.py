@@ -2,7 +2,7 @@
 
 import json
 
-from splitlab import lfsr
+from splitlab import lfsr, splitting
 from splitlab.cli import main
 
 
@@ -81,7 +81,7 @@ def test_count_splitting_formula_only(capsys):
     payload = json.loads(out)
     assert payload["brute"] is None
     assert payload["formula"] == 576
-    assert payload["status"] == "conjectural"
+    assert payload["status"] == "proved"
 
 
 def test_verify_csv(capsys):
@@ -183,6 +183,24 @@ def test_singer_census_mismatch_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert out.splitlines() == ["scan 16", "formula 0", "verdict mismatch"]
+
+
+def test_m3_mismatch_exits_1(capsys, monkeypatch):
+    """A mismatch at m = 3 exits 1 like any other: no status is
+    conjectural, so no run exits 2."""
+    monkeypatch.setattr(splitting, "ssc_formula", lambda q, m, n: 0)
+    code, out, _ = run(
+        capsys, "verify", "--statement", "SSC", "--grid", "2,3,2", "--no-timing",
+    )
+    assert code == 1
+    point = json.loads(out)["points"][0]
+    assert (point["brute"], point["formula"]) == (576, 0)
+    assert (point["status"], point["verdict"]) == ("proved", "mismatch")
+    code, out, _ = run(
+        capsys, "count-splitting", "--q", "2", "--m", "3", "--n", "2", "--no-timing",
+    )
+    assert code == 1
+    assert json.loads(out)["verdict"] == "mismatch"
 
 
 def test_lfsr_simulate(capsys):
@@ -334,7 +352,8 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
 
 
 def test_usage_errors_exit_3(capsys):
-    # argparse's own exit status 2 would read as a conjectural mismatch
+    # argparse's own exit status is 2; bad arguments exit 3 like every
+    # other operational error
     for argv in (
         ("verify", "--statement", "SSC", "--format", "xml"),
         ("count-splitting", "--q", "2", "--m", "x", "--n", "2"),

@@ -272,6 +272,33 @@ def test_generates():
         generates(F2, F2.element(1))
 
 
+def random_modulus(ctx, d, rng):
+    while True:
+        f = Poly(ctx, tuple(rng.randrange(ctx.size) for _ in range(d)) + (ctx.one,))
+        if polys.is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("q, d", [(2, 4), (3, 2), (4, 2), (8, 2)])
+def test_generates_matches_the_frobenius_orbit(q, d):
+    """beta generates F_{q^d} over F_q exactly when beta**(q**k) != beta
+    for every proper divisor k of d, over random moduli of base and
+    tower."""
+    rng = random.Random(f"generates/{q},{d}")
+    p, e = integers.prime_power_split(q)
+    prime = build_field(p)
+    base = fields.FieldCtx(p, e, random_modulus(prime, e, rng).coeffs) if e > 1 else prime
+    tower = build_extension(base, d, random_modulus(base, d, rng))
+    divisors = [k for k in range(1, d) if d % k == 0]
+    gens = 0
+    for beta in tower.elements():
+        orbit = all(tower.power(beta.raw, q**k) != beta.raw for k in divisors)
+        assert generates(tower, beta) == orbit, beta.coords
+        gens += orbit
+    # d is 2 or 4, so the non-generators are the subfield F_{q^(d/2)}
+    assert gens == q**d - q ** (d // 2)
+
+
 def test_coords_roundtrip():
     tower = build_extension(build_field(2, 2), 2)
     for beta in tower.elements():

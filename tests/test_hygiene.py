@@ -1,5 +1,6 @@
-"""Import hygiene without a linter: no module of the package or of its
-tests imports a name it never uses."""
+"""Hygiene without a linter: no module of the package or of its tests
+imports a name it never uses, and the package keeps only the top-level
+functions and classes it runs, apart from a short list kept on purpose."""
 
 import ast
 import pathlib
@@ -49,3 +50,59 @@ def test_detector_sees_unused_and_used_imports():
 def test_module_uses_every_import(module):
     source = MODULES[module].read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, as module.name, that no module
+    refers to by a Name, an attribute or a `from ... import` in a module
+    other than __init__ (whose re-exports are not uses).  A definition's
+    references to its own name do not count."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined[f"{module}.{own}"] = own
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and module != "__init__":
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != own)
+    return sorted(qual for qual, name in defined.items() if name not in used)
+
+
+# top-level names that no module of the package runs, and why each stays
+KEPT = {
+    "lfsr.enumerate_recurrences": "a benchmark target (bench_trace) and the full-scan test oracle",
+    "linalg.rref": "public algebra kept for test oracles",
+    "splitting.bases_formula": "public algebra kept for test oracles",
+    "splitting.is_T_splitting": "public algebra kept for test oracles",
+    "splitting.is_alpha_splitting": "public algebra kept for test oracles",
+    "splitting.transform_subspace": "public algebra kept for test oracles",
+    "verify.default_grid": "a benchmark target: bench_workloads reads the default grids",
+}
+
+
+def test_detector_sees_unreferenced_definitions():
+    sources = {
+        "__init__": "from .a import unused\n",
+        "a": (
+            "def used():\n    pass\n"
+            "def unused():\n    return unused\n"
+            "class Kept:\n    pass\n"
+        ),
+        "b": "from . import a\nfrom .a import used as alias\nx = a.Kept\n",
+    }
+    assert unreferenced(sources) == ["a.unused"]
+
+
+def test_package_keeps_only_what_it_runs():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced(sources) == sorted(KEPT)

@@ -1,6 +1,7 @@
 """Exact linear algebra over finite fields."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,11 +21,12 @@ from splitlab import (
     field_from_order,
     gaussian_binomial,
     gl_order,
+    is_irreducible,
     rref,
     subspace_from_rows,
     vec_mat,
 )
-from splitlab import linalg
+from splitlab import fields, integers, linalg
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -130,6 +132,92 @@ def test_rref_is_idempotent_and_canonical():
         by_space.setdefault(space, set()).add(r.rows)
         assert rank == len([row for row in r.rows if any(row)])
     assert all(len(forms) == 1 for forms in by_space.values())
+
+
+def reference_rref_rows(ctx, rows, ncols):
+    """The Gauss-Jordan loop _rref_rows ran before it inserted rows
+    through _echelon_insert: column by column, swap a pivot row up,
+    scale it to lead 1 and clear its column from every other row."""
+    work = [list(r) for r in rows]
+    zero = ctx.zero
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(work)) if work[r][col] != zero), None)
+        if piv is None:
+            continue
+        work[top], work[piv] = work[piv], work[top]
+        pinv = ctx.inv(work[top][col])
+        work[top] = [ctx.mul(pinv, x) for x in work[top]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if r != top and f != zero:
+                work[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[r], work[top])]
+        pivots.append(col)
+    return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
+
+
+def random_base(q, rng):
+    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
+    p, e = integers.prime_power_split(q)
+    prime = build_field(p)
+    while True:
+        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+        if is_irreducible(Poly(prime, modulus)):
+            return fields.FieldCtx(p, e, modulus)
+
+
+def random_tower(base, d, rng):
+    while True:
+        f = Poly(base, tuple(rng.randrange(base.size) for _ in range(d)) + (base.one,))
+        if is_irreducible(f):
+            return build_extension(base, d, f)
+
+
+def rref_cases(ctx, rng):
+    """Row lists over ctx: empty, zero, rank-deficient (combinations of
+    fewer rows than the matrix has), wide, tall and square random ones."""
+    scalars = linalg.raw_scalars(ctx)
+
+    def rand_rows(nrows, ncols):
+        return [tuple(rng.choice(scalars) for _ in range(ncols)) for _ in range(nrows)]
+
+    def combinations(nrows, ncols, rank):
+        basis = rand_rows(rank, ncols)
+        out = []
+        for _ in range(nrows):
+            v = [ctx.zero] * ncols
+            for row in basis:
+                c = rng.choice(scalars)
+                v = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row)]
+            out.append(tuple(v))
+        return out
+
+    yield [], 3
+    yield [(ctx.zero,) * 4] * 3, 4
+    for _ in range(6):
+        yield combinations(5, 4, rng.randrange(1, 4)), 4
+        yield rand_rows(3, 7), 7
+        yield rand_rows(7, 3), 3
+        yield rand_rows(4, 4), 4
+
+
+@pytest.mark.parametrize("kind", ["F2", "F3", "GF4", "GF9", "tower"])
+def test_rref_rows_matches_the_gauss_jordan_loop(kind):
+    rng = random.Random(f"rref/{kind}")
+    ctx = {
+        "F2": lambda: F2,
+        "F3": lambda: F3,
+        "GF4": lambda: random_base(4, rng),
+        "GF9": lambda: random_base(9, rng),
+        "tower": lambda: random_tower(random_base(4, rng), 2, rng),
+    }[kind]()
+    for rows, ncols in rref_cases(ctx, rng):
+        want = reference_rref_rows(ctx, rows, ncols)
+        assert linalg._rref_rows(ctx, rows) == want, rows
+        if rows:
+            reduced, rank = rref(Matrix(ctx, rows))
+            assert reduced.rows[:rank] == want[0] and rank == len(want[1])
 
 
 def test_rank_matches_span_oracle():

@@ -21,7 +21,6 @@ from splitlab import (
     build_extension,
     build_field,
     companion_matrix,
-    conjecture_status,
     count_T_splitting,
     count_pointed,
     count_splitting,
@@ -51,12 +50,12 @@ F2 = build_field(2)
 
 
 def test_conjecture_status():
-    assert conjecture_status(1, 7) == "proved"
-    assert conjecture_status(2, 2) == "proved"
-    assert conjecture_status(2, 9) == "proved"
-    assert conjecture_status(5, 1) == "proved"
-    assert conjecture_status(3, 2) == "conjectural"
-    assert conjecture_status(4, 3) == "conjectural"
+    """Chen and Tseng proved the splitting subspace count for every
+    (q, m, n), so a report says "proved" whatever the shape, m >= 3
+    included."""
+    for m, n in ((1, 7), (2, 2), (2, 9), (5, 1), (3, 2), (4, 3)):
+        rep = count_splitting(split_instance(2, m, n), formula_only=True)
+        assert rep.status == "proved", (m, n)
 
 
 def test_ssc_formula_fixtures():
@@ -151,7 +150,7 @@ def test_formula_only_skips_the_scan():
     assert rep.brute is None
     assert rep.formula == 576
     assert rep.verdict == "skipped"
-    assert rep.status == "conjectural"
+    assert rep.status == "proved"
 
 
 def test_count_splitting_respects_scan_bound(monkeypatch):
@@ -359,7 +358,6 @@ SCAN_ROUTE = {
     "vec_mat",
     "enumerate_recurrences",
     "enumerate_class_recurrences",
-    "_coefficient_gen",
     "conjugacy_classes",
     "_char_polys",
 }
@@ -440,8 +438,9 @@ def test_weak_ssc_rejects_out_of_range_codes():
 
 
 def test_conjectural_point_verifies():
-    """m = 3 has no proof yet; the scan still agrees with the closed form."""
+    """m = 3, conjectural in the source paper and proved since, verifies:
+    the scan agrees with the closed form."""
     rep = count_splitting(split_instance(2, 3, 2))
-    assert rep.status == "conjectural"
+    assert rep.status == "proved"
     assert rep.brute == rep.formula == 576
     assert rep.verdict == "match"

@@ -76,13 +76,13 @@ def test_malformed_point_is_rejected():
 
 def test_exit_codes():
     ok = PointResult((2, 2, 2), 20, 20, "proved", "match", None)
-    bad_proved = PointResult((2, 2, 2), 19, 20, "proved", "mismatch", None)
-    bad_conj = PointResult((2, 3, 2), 1, 2, "conjectural", "mismatch", None)
+    bad = PointResult((2, 2, 2), 19, 20, "proved", "mismatch", None)
+    bad_m3 = PointResult((2, 3, 2), 1, 2, "proved", "mismatch", None)
     skip = PointResult((2, 2, 2), None, None, "proved", "skipped", None)
     assert Verdict("SSC", 0, (ok, skip), 0.0).exit_code() == 0
-    assert Verdict("SSC", 0, (ok, bad_proved), 0.0).exit_code() == 1
-    assert Verdict("SSC", 0, (ok, bad_conj), 0.0).exit_code() == 2
-    assert Verdict("SSC", 0, (bad_conj, bad_proved), 0.0).exit_code() == 1
+    assert Verdict("SSC", 0, (ok, bad), 0.0).exit_code() == 1
+    assert Verdict("SSC", 0, (ok, bad_m3), 0.0).exit_code() == 1
+    assert Verdict("SSC", 0, (bad_m3, bad), 0.0).exit_code() == 1
 
 
 def test_seed_is_echoed():
@@ -154,10 +154,10 @@ def test_emit_bad_destination():
         emit(verdict, "json", dest="/no/such/dir/out.json")
 
 
-def test_conjectural_grid_point_is_reported_but_not_proved():
+def test_m3_grid_point_is_reported_as_proved():
     verdict = run(VerificationJob("SSC", grid=((2, 3, 2),)))
     point = verdict.points[0]
-    assert point.status == "conjectural"
+    assert point.status == "proved"
     assert point.verdict == "match"
     assert point.brute == point.formula == 576
     assert verdict.exit_code() == 0
