@@ -12,7 +12,9 @@ generic elimination over every field; the packed F_2 kernel of the
 splitting scan is tested against it.  rows_are_independent runs on it,
 taking bare sequences of coordinate tuples so that hot scanning loops
 can avoid Matrix objects, and so does _rref_rows, under rref (which
-gives the rank), Matrix.inverse and subspace_from_rows.  Matrix.det and
+gives the rank), Matrix.inverse and subspace_from_rows.  Its last part,
+_reduced_echelon, also serves the splitting scan, which reduces an
+echelon basis it already holds.  Matrix.det and
 SubspaceBasis.contains keep their own loops, which run faster than the
 insert step would.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import array
 import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from . import config, fields, integers, polys
@@ -259,23 +262,31 @@ def _rref_rows(ctx, rows: Iterable[Sequence]):
     """Row-level reduced echelon form.  Returns (nonzero rows, pivot columns).
 
     Each row is inserted into an echelon basis by _echelon_insert, and a
-    row that depends on those before it is skipped.  Sorted by leading
-    column, every row is zero left of its pivot; clearing each pivot
-    column from the rows above, last pivot first, makes the form reduced.
+    row that depends on those before it is skipped; _reduced_echelon
+    turns the basis into the reduced form.
     """
     echelon: list = []
     for r in rows:
         extended = _echelon_insert(ctx, echelon, (r,))
         if extended is not None:
             echelon = extended
-    echelon.sort(key=lambda entry: entry[0])
-    zero = ctx.zero
+    return _reduced_echelon(ctx, echelon)
+
+
+def _reduced_echelon(ctx, echelon: Sequence[tuple[int, list]]):
+    """(rows, pivot columns) of the reduced echelon form of the span of
+    an echelon basis as _echelon_insert builds it, which is left as it
+    is.  Sorted by leading column, every row is zero left of its pivot;
+    clearing each pivot column from the rows above, last pivot first,
+    makes the form reduced."""
+    echelon = sorted(echelon, key=lambda entry: entry[0])
+    zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
     for k in range(len(echelon) - 1, 0, -1):
         col, prow = echelon[k]
         for i, (lead, row) in enumerate(echelon[:k]):
             c = row[col]
             if c != zero:
-                echelon[i] = lead, [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(row, prow)]
+                echelon[i] = lead, [sub(x, mul(c, y)) for x, y in zip(row, prow)]
     return tuple(tuple(r) for _, r in echelon), tuple(col for col, _ in echelon)
 
 
@@ -290,37 +301,48 @@ def _echelon_insert(ctx, echelon: Sequence[tuple[int, list]], rows: Iterable[Seq
     new list of (leading column, row scaled to lead 1), or None at the
     first row that depends on those before it.  The given echelon is
     left as it is, so a caller can extend one basis several ways."""
-    zero = ctx.zero
+    zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
     echelon = list(echelon)
-    for r in rows:
-        v = list(r)
+    for v in rows:
         for col, prow in echelon:
             c = v[col]
             if c != zero:
-                v = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(v, prow)]
-        lead = next((j for j, x in enumerate(v) if x != zero), None)
-        if lead is None:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, prow)]
+        for lead, x in enumerate(v):
+            if x != zero:
+                break
+        else:
             return None
-        pinv = ctx.inv(v[lead])
-        echelon.append((lead, [ctx.mul(pinv, x) for x in v]))
+        pinv = ctx.inv(x)
+        echelon.append((lead, [mul(pinv, y) for y in v]))
     return echelon
 
 
-class SubspaceBasis:
+class SubspaceBasis(tuple):
     """A subspace of the coordinate space ctx^ambient, held as its
     reduced row echelon basis.  Two SubspaceBasis objects are equal
-    exactly when they describe the same subspace."""
+    exactly when they describe the same subspace.
 
-    __slots__ = ("ctx", "ambient", "rows", "pivots")
+    Underneath it is the tuple (ctx, ambient, rows, pivots), so a scan
+    builds each candidate with one allocation.  Iterating it and `in`
+    raise TypeError (W.contains tests membership), and it never equals
+    a plain tuple."""
 
-    def __init__(self, ctx, ambient: int, rows, pivots):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceBasis is immutable")
+    ctx = property(operator.itemgetter(0))
+    ambient = property(operator.itemgetter(1))
+    rows = property(operator.itemgetter(2))
+    pivots = property(operator.itemgetter(3))
+
+    def __new__(cls, ctx, ambient: int, rows, pivots):
+        return tuple.__new__(cls, (ctx, ambient, rows, pivots))
+
+    def __iter__(self):
+        raise TypeError("SubspaceBasis is not iterable; use .rows or .vectors()")
+
+    def __contains__(self, vec):
+        raise TypeError("use SubspaceBasis.contains(vec) to test membership")
 
     @property
     def dim(self) -> int:
@@ -360,6 +382,9 @@ class SubspaceBasis:
             and self.rows == other.rows
         )
 
+    def __ne__(self, other) -> bool:
+        return not self == other
+
     def __hash__(self) -> int:
         return hash((self.ctx, self.ambient, self.rows))
 
@@ -386,6 +411,7 @@ def enumerate_subspaces(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
 
 
 def _subspace_gen(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
+    new = tuple.__new__
     zero, one = ctx.zero, ctx.one
     scalars = raw_scalars(ctx)
     for pivots in itertools.combinations(range(ambient), dim):
@@ -401,7 +427,7 @@ def _subspace_gen(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
                 options.append(tuple(row))
             choices.append(options)
         for rows in itertools.product(*choices):
-            yield SubspaceBasis(ctx, ambient, rows, pivots)
+            yield new(SubspaceBasis, (ctx, ambient, rows, pivots))
 
 
 def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:

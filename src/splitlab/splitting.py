@@ -24,11 +24,15 @@ is still tested.  Over F_2 the insert step is packed: rows are int
 bitmasks and translates XORs of row images.  Elsewhere it stacks the
 images under columns of the powers taken once per scan for
 linalg._echelon_insert, the generic elimination the tests check the
-packed one against.  is_alpha_splitting and is_T_splitting build a fresh
-splitter per call; count_pointed and the direct ordered-basis scan keep
-one per scan; count_splitting, pointed_consistency, count_T_splitting
-and weak_ssc_check count through _splitting_scan.
-The closed forms never call either.
+packed one against, except for the last row that can fit: once the rows
+before it have translates spanning U of dimension mn - n, a row splits
+exactly when its n translates are independent in the n-dimensional
+quotient F_q^{mn}/U, an n x n elimination against columns built once
+per such prefix (_quotient_columns).  is_alpha_splitting and
+is_T_splitting build a fresh splitter per call; count_pointed and the
+direct ordered-basis scan keep one per scan; count_splitting,
+pointed_consistency, count_T_splitting and weak_ssc_check count through
+_splitting_scan.  The closed forms never call either.
 
 Scan results are exact.  Every report carries the status "proved": the
 splitting subspace count ssc_formula holds for all (q, m, n) (Chen and
@@ -176,21 +180,43 @@ def _splitter(ctx, powers):
     e_j T^(n-1) as bitmasks (e_j T^k from bit k*width), so a row's n
     translates are one XOR of the images at its nonzero coordinates,
     each inserted into an int echelon basis (pivots[h] has leading bit
-    h - 1) until one is dependent.  Elsewhere it stacks the images
-    w * T^k, each entry one ctx.dot of w with a column of T^k taken once
-    per scan, for linalg._echelon_insert, the generic elimination the
-    tests check the packed one against."""
+    h - 1) until one is dependent.
+
+    Elsewhere a state is (echelon, quotient).  A row inserted into a
+    basis of fewer than width - n rows stacks its images w * T^k, each
+    entry one ctx.dot of w with a column of T^k taken once per scan, for
+    linalg._echelon_insert, the generic elimination the tests check the
+    packed one against.  A row inserted into a basis of exactly
+    width - n rows, spanning U, is the last one that can fit: its
+    translates are independent of U exactly when their images in the
+    n-dimensional quotient F_q^width / U are.  quotient holds, built
+    the first time a last row arrives and kept for every later one,
+    the columns _quotient_columns gives for U, so the last row costs an
+    n x n elimination of the entries ctx.dot(w, col), one row of them
+    per translate, stopping at the first dependent one.  It leaves the
+    state full, into which no row fits."""
+    width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
         columns = [tuple(zip(*P.rows)) for P in powers[1:]]
+        last = width - n  # basis rows before the last row that can fit
+        full = None, None  # the state after it, spanning everything
 
-        def insert_generic(echelon, w):
-            stacked = [w]
-            stacked.extend(tuple(dot(w, col) for col in cols) for cols in columns)
-            return linalg._echelon_insert(ctx, echelon, stacked)
+        def insert_generic(state, w):
+            if state is full:
+                return None
+            echelon, quotient = state
+            if len(echelon) != last:
+                stacked = [w]
+                stacked.extend([dot(w, col) for col in cols] for cols in columns)
+                echelon = linalg._echelon_insert(ctx, echelon, stacked)
+                return None if echelon is None else (echelon, [])
+            if not quotient:
+                quotient.append(_quotient_columns(ctx, powers, echelon))
+            images = ([dot(w, col) for col in cols] for cols in quotient[0])
+            return full if linalg.rows_are_independent(ctx, images) else None
 
-        return _prefix_splitter(insert_generic, ())
-    width, n = powers[0].nrows, len(powers)
+        return _prefix_splitter(insert_generic, ((), []))
     images = tuple(
         sum(x << (k * width + i) for k, P in enumerate(powers) for i, x in enumerate(P.rows[j]))
         for j in range(width)
@@ -215,6 +241,31 @@ def _splitter(ctx, powers):
         return pivots
 
     return _prefix_splitter(insert_packed, [0] * (width + 1))
+
+
+def _quotient_columns(ctx, powers, echelon):
+    """cols[k][l] for the subspace U spanned by an echelon basis (as
+    linalg._echelon_insert builds it) and each column l without a pivot:
+    the column whose ctx.dot with w is coordinate l of w * T^k reduced
+    modulo U, powers = (T^0, ..., T^(n-1)).
+
+    With U's basis in reduced form, v reduced modulo U is v - sum of
+    v[lead] * row, and its coordinate l is ctx.dot(v, r_l) for r_l with
+    1 at l and -row[l] at each row's lead.  cols[k][l] is T^k r_l."""
+    zero, one, neg, dot = ctx.zero, ctx.one, ctx.neg, ctx.dot
+    rows, leads = linalg._reduced_echelon(ctx, echelon)
+    width = powers[0].nrows
+    reducers = []
+    for l in range(width):
+        if l not in leads:
+            r = [zero] * width
+            r[l] = one
+            for lead, row in zip(leads, rows):
+                r[lead] = neg(row[l])
+            reducers.append(tuple(r))
+    cols = [reducers]
+    cols.extend([[dot(row, r) for row in P.rows] for r in reducers] for P in powers[1:])
+    return cols
 
 
 def _prefix_splitter(insert, empty):

@@ -368,12 +368,34 @@ def test_usage_errors_exit_3(capsys):
 
 
 def test_factoring_over_the_bound_exits_3(capsys, monkeypatch):
-    # q**3 - 1 for q = 2**61 - 1 leaves a 121-bit cofactor past 10**5, too
-    # large for is_prime to prove prime, so the formula refuses
+    # q**3 - 1 for q = 2**31 - 1 leaves a composite cofactor of q**2 + q + 1
+    # past 10**5 with no prime factor below it, so the formula refuses
     monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**5))
     code, out, err = run(
-        capsys, "singer-census", "--q", "2305843009213693951", "--m", "1", "--n", "3",
+        capsys, "singer-census", "--q", "2147483647", "--m", "1", "--n", "3",
         "--method", "formula",
     )
     assert (code, out) == (3, "")
     assert err.startswith("error: trial division") and "SPLITLAB_SCAN_BOUND" in err
+
+
+def test_a_prime_cofactor_past_the_exact_primality_bound_is_kept(capsys, monkeypatch):
+    # q**3 - 1 for q = 2**61 - 1 leaves a 121-bit cofactor past the default
+    # bound, above 3.3e24 where Miller-Rabin alone is not proved exact; it
+    # passes Baillie-PSW, so the formula answers
+    monkeypatch.delenv("SPLITLAB_SCAN_BOUND", raising=False)
+    q = 2305843009213693951
+    code, out, err = run(
+        capsys, "singer-census", "--q", str(q), "--m", "1", "--n", "3", "--method", "formula",
+    )
+    assert (code, err) == (0, "")
+    # m = 1: the primitive cubics, phi(q**3 - 1) / 3; the prime factors of
+    # q**3 - 1 are below 1400 but for the one cofactor
+    cofactor = phi = q**3 - 1
+    for p in range(2, 1400):
+        if cofactor % p == 0:
+            phi -= phi // p
+            while cofactor % p == 0:
+                cofactor //= p
+    phi -= phi // cofactor
+    assert int(out) == phi // 3

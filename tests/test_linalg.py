@@ -256,6 +256,32 @@ def test_subspace_from_rows():
     )
 
 
+def test_subspace_basis_is_an_immutable_value():
+    """Fields read back, assignment fails, equality and hashing follow
+    the subspace, and a SubspaceBasis never equals the plain tuple it
+    is built on, from either side."""
+    rows, pivots = ((1, 0, 2, 0), (0, 1, 1, 0)), (0, 1)
+    W = linalg.SubspaceBasis(F3, 4, rows, pivots)
+    (U,) = [U for U in enumerate_subspaces(F3, 4, 2) if U.rows == rows]
+    assert (W.ctx, W.ambient, W.rows, W.pivots, W.dim) == (F3, 4, rows, pivots, 2)
+    assert W == U and not W != U and hash(W) == hash(U)
+    assert W == subspace_from_rows(F3, 4, [(1, 1, 0, 0), (0, 1, 1, 0)])
+    assert W != linalg.SubspaceBasis(F3, 4, rows[:1], pivots[:1])
+    assert W != linalg.SubspaceBasis(F2, 4, ((1, 0, 0, 0), (0, 1, 1, 0)), pivots)
+    assert repr(W) == "SubspaceBasis(dim 2 of GF(3)^4)"
+    for name in ("ctx", "ambient", "rows", "pivots", "other"):
+        with pytest.raises(AttributeError):
+            setattr(W, name, None)
+    plain = (F3, 4, rows, pivots)
+    assert not W == plain and not plain == W
+    assert W != plain and plain != W
+    assert len({W, U, plain}) == 2
+    for misuse in (lambda: list(W), lambda: rows[0] in W):
+        with pytest.raises(TypeError):
+            misuse()
+    assert W.contains(rows[0])
+
+
 def test_enumerate_subspaces_counts():
     for q, ctx in ((2, F2), (3, F3)):
         for ambient in range(5):

@@ -355,6 +355,7 @@ SCAN_ROUTE = {
     "enumerate_subspaces",
     "rows_are_independent",
     "_echelon_insert",
+    "_quotient_columns",
     "vec_mat",
     "enumerate_recurrences",
     "enumerate_class_recurrences",
