@@ -115,11 +115,12 @@ def _jacobi(a: int, n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Factor n by trial division, returning {prime: multiplicity}.
 
-    Trial divisors stop at the process scan bound.  A cofactor left
-    beyond it is the last prime factor when is_prime accepts it (proved
-    below _MR_EXACT_BELOW, BPSW-probable above); otherwise
-    FactorBoundExceeded is raised.  For n = 1 the result is the empty
-    dict.
+    Trial division stops once the cofactor is 1 or passes is_prime
+    (proved below _MR_EXACT_BELOW, BPSW-probable above), tested after
+    every factor divided out: that cofactor is the last prime factor.
+    Trial divisors stop at the process scan bound, past which a cofactor
+    still composite raises FactorBoundExceeded.  For n = 1 the result is
+    the empty dict.
     """
     if n < 1:
         raise BadArgs(f"cannot factor {n}")
@@ -129,12 +130,11 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # Wheel over 6k +- 1.
+    # Wheel over 6k +- 1, until the cofactor is prime.
     d = 5
-    while d * d <= n:
+    prime = is_prime(n)
+    while not prime and d * d <= n:
         if d > limit:
-            if is_prime(n):
-                break
             raise FactorBoundExceeded(
                 f"trial division needs a divisor above {limit} "
                 "(raise it via SPLITLAB_SCAN_BOUND)"
@@ -143,6 +143,7 @@ def factorize(n: int) -> dict[int, int]:
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 n //= p
+                prime = is_prime(n)
         d += 6
     if n > 1:
         factors[n] = factors.get(n, 0) + 1

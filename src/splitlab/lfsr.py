@@ -16,7 +16,8 @@ companion matrix, and the period of one trajectory comes from Brent's
 cycle finder.  The censuses count primitive recurrences, either by
 scanning coefficient tuples or by closed form.  The companions with
 one characteristic polynomial form a fiber: fiber_histogram sizes all
-fibers in one scan, fiber_count an irreducible one by the bridge.
+fibers in one scan, fiber_count an irreducible one by the bridge through
+the splitting subspaces of the tower f defines (splitting's product route).
 
 Conjugating every C_j by one P in GL_m(F_q) conjugates the block
 companion by diag(P, ..., P), which keeps its characteristic polynomial
@@ -51,7 +52,6 @@ from .errors import (
     BadArgs,
     ContextMismatch,
     IterationBoundExceeded,
-    NotIrreducible,
     NotMonic,
     ShapeMismatch,
     SplitLabError,
@@ -428,16 +428,16 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
 def fiber_count(f: polys.Poly, m: int, n: int) -> int:
     """Number of (m, n) block companion matrices whose characteristic
     polynomial is the monic irreducible degree-mn polynomial f, by the
-    bridge: the ordered splitting-basis count of the tower defined by f
-    over the number of nonzero tower elements.  fiber_histogram scans
-    every fiber; nofiber_formula is the closed form for irreducible f."""
+    bridge: the ordered splitting-basis count of the tower defined by f,
+    by the product route (its subspaces scanned, never its tuples), over
+    the number of nonzero tower elements; building that tower rejects a
+    reducible f.  fiber_histogram scans every fiber; nofiber_formula is
+    the closed form for irreducible f."""
     _check_fiber_poly(f, m, n)
-    if not polys.is_irreducible(f):
-        raise NotIrreducible("the bridge route needs an irreducible polynomial")
     q = f.ctx.size
     tower = fields.build_extension(f.ctx, m * n, f)
     inst = splitting.SplitInstance(tower, m, n)
-    bases = splitting.count_splitting_bases(inst, "auto")
+    bases = splitting.count_splitting_bases(inst, "product")
     units = q ** (m * n) - 1
     if bases % units:
         raise SplitLabError(

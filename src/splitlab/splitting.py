@@ -29,10 +29,11 @@ before it have translates spanning U of dimension mn - n, a row splits
 exactly when its n translates are independent in the n-dimensional
 quotient F_q^{mn}/U, an n x n elimination against columns built once
 per such prefix (_quotient_columns).  is_alpha_splitting and
-is_T_splitting build a fresh splitter per call; count_pointed and the
-direct ordered-basis scan keep one per scan; count_splitting,
-pointed_consistency, count_T_splitting and weak_ssc_check count through
-_splitting_scan.  The closed forms never call either.
+is_T_splitting build a fresh splitter per call; the direct ordered-basis
+scan keeps one per scan; count_splitting, count_pointed,
+pointed_consistency, count_T_splitting, weak_ssc_check and the product
+ordered-basis route, the fiber bridge's, count through _splitting_scan.
+The closed forms never call either.
 
 Scan results are exact.  Every report carries the status "proved": the
 splitting subspace count ssc_formula holds for all (q, m, n) (Chen and
@@ -477,10 +478,7 @@ def count_pointed(inst: SplitInstance, x: fields.FieldElement) -> int:
     if x.is_zero:
         raise ZeroBasePoint("the base point must be nonzero")
     coords = x.coords
-    base = inst.base
-    candidates = linalg.enumerate_subspaces(base, inst.m * inst.n, inst.m)
-    splits = _splitter(base, inst.mats)
-    return sum(1 for W in candidates if W.contains(coords) and splits(W.rows))
+    return sum(1 for W in _splitting_scan(inst.base, inst.mats, inst.m) if W.contains(coords))
 
 
 @dataclass(frozen=True)
@@ -533,24 +531,22 @@ def pointed_consistency(inst: SplitInstance) -> PointedReport:
     )
 
 
-def count_splitting_bases(inst: SplitInstance, method: str = "auto") -> int:
+def count_splitting_bases(inst: SplitInstance, method: str) -> int:
     """Number of ordered m-tuples (v_1, ..., v_m) of tower elements whose
     stacked power-translates form a basis of the coordinate space.
 
-    The direct route scans all q**(m*n*m) tuples; the product route
+    The direct route scans all q**(m*n*m) tuples, the reference of
+    SPLITANDBASES and NOBASES; the product route, the fiber bridge's,
     multiplies the scanned subspace count by |GL_m| (each splitting
-    subspace contributes one tuple per ordered basis).  "auto" picks
-    direct when it fits the process scan bound.
+    subspace contributes one tuple per ordered basis).  The scan bound
+    refuses a route, it never picks one.
     """
-    if method not in {"direct", "product", "auto"}:
+    if method not in {"direct", "product"}:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
-    tuples = (q ** (m * n)) ** m
-    if method == "auto":
-        method = "direct" if tuples <= config.scan_bound() else "product"
     if method == "product":
         return _count_scan(inst) * linalg.gl_order(m, q)
-    config.check_scan(tuples, "ordered basis scan")
+    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")
     splits = _splitter(inst.base, inst.mats)
     vecs = [e.raw for e in inst.tower.elements()]
     return sum(1 for combo in itertools.product(vecs, repeat=m) if splits(combo))

@@ -62,6 +62,9 @@ CASES = (
      ScanBoundExceeded, (splitting, "_splitter")),
     ("count_pointed", lambda: count_pointed(INST, INST.tower.alpha), 34,
      ScanBoundExceeded, (splitting, "_splitter")),
+    # the bridge scans the 35 subspaces of the tower x**4 + x + 1 defines
+    ("fiber_count", lambda: lfsr.fiber_count(X4, 2, 2), 34,
+     ScanBoundExceeded, (splitting, "_splitter")),
     ("q_totient", lambda: q_totient(X4, "brute"), 15,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,

@@ -1,6 +1,7 @@
 """Hygiene without a linter: no module of the package or of its tests
-imports a name it never uses, and the package keeps only the top-level
-functions and classes it runs, apart from a short list kept on purpose."""
+imports a name it never uses, the package keeps only the top-level
+functions and classes it runs, apart from a short list kept on purpose,
+and only the refusals read the scan bound."""
 
 import ast
 import pathlib
@@ -106,3 +107,28 @@ def test_detector_sees_unreferenced_definitions():
 def test_package_keeps_only_what_it_runs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced(sources) == sorted(KEPT)
+
+
+def scan_bound_callers(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, as module.name, whose body calls
+    scan_bound, by its bare name or as an attribute."""
+    callers = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "scan_bound":
+                        callers.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(callers)
+
+
+def test_the_scan_bound_never_picks_a_route():
+    """The bound only refuses work: check_scan compares a scan's need with
+    it, factorize stops trial division at it and period_preperiod stops
+    its walk at it.  Nothing else reads it, so no route depends on it."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert scan_bound_callers(sources) == [
+        "config.check_scan", "integers.factorize", "lfsr.period_preperiod",
+    ]

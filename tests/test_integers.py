@@ -1,9 +1,15 @@
 """Integer helpers: primality, factoring, totient, prime powers."""
 
+import ast
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import splitlab
 from splitlab import (
     BadArgs,
     FactorBoundExceeded,
@@ -144,6 +150,25 @@ def test_factorize_keeps_a_prime_cofactor_past_the_exact_bound(monkeypatch):
     assert math.prod(p**e for p, e in factors.items()) == q**3 - 1
     assert all(is_prime(p) for p in factors)
     assert max(factors) > integers._MR_EXACT_BELOW
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    """Past 1,321, the largest small factor of q**3 - 1 for q = 2**61 - 1,
+    the cofactor is prime, so no trial divisor beyond it is tried: under
+    a bound of 10**12 the walk to the bound would take hours.  A child
+    process keeps a hang from stalling the suite."""
+    q = 2**61 - 1
+    env = dict(os.environ, SPLITLAB_SCAN_BOUND=str(10**12),
+               PYTHONPATH=str(pathlib.Path(splitlab.__file__).parents[1]))
+    code = f"from splitlab import factorize; print(sorted(factorize({q}**3 - 1).items()))"
+    try:
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("factorize kept trial-dividing after the cofactor was prime")
+    factors = dict(ast.literal_eval(done.stdout))
+    assert math.prod(p**e for p, e in factors.items()) == q**3 - 1
+    assert all(is_prime(p) for p in factors)
 
 
 def test_euler_phi_matches_gcd_count():

@@ -16,17 +16,21 @@ from splitlab import (
     Poly,
     ScanBoundExceeded,
     ShapeMismatch,
+    SplitInstance,
     bases_formula,
     block_companion,
+    build_extension,
     build_field,
     census_singer,
     char_poly,
+    count_splitting_bases,
     enumerate_recurrences,
     euler_phi,
     field_from_order,
     fiber_count,
     fiber_histogram,
     find_irreducibles,
+    gaussian_binomial,
     is_primitive_recurrence,
     nofiber_formula,
     period_preperiod,
@@ -36,7 +40,7 @@ from splitlab import (
     step,
     vec_mat,
 )
-from splitlab import linalg, polys
+from splitlab import fields, linalg, polys
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -283,6 +287,31 @@ def test_fiber_count_fixtures():
     for f in find_irreducibles(F2, 4):
         assert hist[f] == 8, f
         assert fiber_count(f, 2, 2) == 8, f
+    # the bridge takes the product route; the direct scan of every
+    # ordered tuple on the tower of f, and the recurrence scan, agree
+    for q, m, n in ((2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (4, 1, 2), (4, 2, 1)):
+        ctx = field_from_order(q)
+        hist = fiber_histogram(ctx, m, n)
+        units = q ** (m * n) - 1
+        for f in find_irreducibles(ctx, m * n):
+            inst = SplitInstance(build_extension(ctx, m * n, f), m, n)
+            bridge = fiber_count(f, m, n)
+            assert bridge * units == count_splitting_bases(inst, "direct"), (q, m, n, f)
+            assert bridge == hist[f], (q, m, n, f)
+
+
+def test_fiber_count_never_enumerates_tuples(monkeypatch):
+    """Whatever the scan bound, the bridge scans subspaces, never the
+    q**(m*mn) ordered tuples of tower elements.  [4, 2]_2 = 35 subspaces
+    is all the bound must allow."""
+    def no_tuples(self):
+        raise AssertionError("the bridge enumerated tower elements")
+
+    monkeypatch.setattr(fields.TowerCtx, "elements", no_tuples)
+    f = Poly(F2, (1, 1, 0, 0, 1))  # x**4 + x + 1
+    assert fiber_count(f, 2, 2) == 8
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(gaussian_binomial(4, 2, 2)))
+    assert fiber_count(f, 2, 2) == 8
 
 
 def test_fiber_bridge_is_bases_over_units():

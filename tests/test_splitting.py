@@ -27,10 +27,12 @@ from splitlab import (
     count_splitting_bases,
     endo_formula,
     enumerate_subspaces,
+    field_from_order,
     gaussian_binomial,
     generates,
     gl_order,
     is_alpha_splitting,
+    is_irreducible,
     is_T_splitting,
     m2_subtraction,
     multiplication_matrix,
@@ -229,6 +231,17 @@ def test_pointed_counts_are_uniform():
         if x.is_zero:
             continue
         assert count_pointed(inst, x) == 4
+    # a seeded random modulus over F_3 and over F_4, a few points each
+    for q in (3, 4):
+        rng = random.Random(f"pointed/{q}")
+        base = field_from_order(q)
+        while True:
+            f = Poly(base, tuple(rng.randrange(q) for _ in range(4)) + (1,))
+            if is_irreducible(f):
+                break
+        inst = split_instance(q, 2, 2, defining_poly=f)
+        for x in rng.sample([x for x in inst.tower.elements() if not x.is_zero], 3):
+            assert count_pointed(inst, x) == pointed_formula(q, 2, 2), (f, x)
     assert pointed_formula(2, 2, 2) == 4
     assert pointed_formula(3, 2, 2) == 9
     assert pointed_formula(2, 3, 2) == 64
