@@ -31,18 +31,19 @@ census_singer and fiber_histogram read only the characteristic
 polynomial of each block companion, so they build no BlockRecurrence.
 Both hand their heads, (C_0, weight) pairs, and the matrices of each
 position 1, ..., n - 1 to one kernel, _char_polys, which packs each
-matrix once and walks the product of the positions itself: over F_p
-the polynomial is the determinant det(x**n I - C_{n-1} x**(n-1) - ...
-- C_0) of an m x m polynomial matrix, by Kronecker substitution into
-Python ints, and over F_{p^e} with e > 1 char_poly of the whole block
-companion, which is also its test oracle.  census_singer keeps only the
-heads with invertible C_0, one det per C_0.
+matrix once and walks the product of the positions itself.  Over every
+F_{p^e} the polynomial is the determinant det(x**n I - C_{n-1} x**(n-1)
+- ... - C_0) of an m x m polynomial matrix, by Kronecker substitution
+into Python ints in x and in y, the variable of the field's digits;
+char_poly of the whole block companion is its test oracle.
+census_singer keeps only the heads with invertible C_0, one det per C_0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -81,17 +82,6 @@ class BlockRecurrence:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", len(C))
         object.__setattr__(self, "C", C)
-
-    @classmethod
-    def _unchecked(cls, ctx, m: int, C: tuple) -> BlockRecurrence:
-        """A recurrence from coefficients the caller built as m x m
-        matrices over ctx: the scans' constructor, without the checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", len(C))
-        object.__setattr__(self, "C", C)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockRecurrence is immutable")
@@ -295,13 +285,11 @@ def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
 def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
     """(rec, weight) for every (C_0, weight) in heads and every C_1, ...,
     C_{n-1}, last fastest: the m x m matrices are built once per scan and
-    shared by every recurrence, each built without the constructor's
-    checks."""
+    shared by every recurrence."""
     mats = list(linalg.enumerate_matrices(ctx, m, m))
-    new = BlockRecurrence._unchecked
     for C0, weight in heads:
         for C in itertools.product((C0,), *(mats,) * (n - 1)):
-            yield new(ctx, m, C), weight
+            yield BlockRecurrence(ctx, m, C), weight
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:
@@ -357,40 +345,49 @@ def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
     (C_0, weight) in heads and C_j from tails[j - 1] for j = 1, ...,
     n - 1, in product order, last fastest.
 
-    The characteristic polynomial of the block companion is
-    det(x**n I - C_{n-1} x**(n-1) - ... - C_0), the determinant of an
-    m x m polynomial matrix.  Over F_p it is taken by Kronecker
-    substitution: each entry is one int whose w-bit slots hold its
-    coefficients in [0, p), the m! products of the Leibniz expansion are
-    summed once per sign, and each slot of the two sums is unpacked once
-    and reduced modulo p.  A product slot is at most
-    (n + 1)**(m - 1) * (p - 1)**m and a sum adds at most m! products,
-    which fixes w.  Each head is packed once, with x**n I, and each tail
-    matrix once per position.  Over F_{p^e} with e > 1 it is
-    char_poly(block_companion(rec)).
+    The polynomial is det(x**n I - C_{n-1} x**(n-1) - ... - C_0), an
+    m x m polynomial determinant, by Kronecker substitution in x and in
+    y, the variable of a code's base-p digits.  Each entry is one int:
+    x-slot j holds its x**j coefficient as m(e - 1) + 1 y-subslots of w
+    bits.  The m! Leibniz products are summed once per sign; a product
+    subslot is at most (n + 1)**(m - 1) * e**(m - 1) * (p - 1)**m and a
+    sum adds at most m! of them, which fixes w.  Each subslot of the two
+    sums is unpacked once and reduced mod p, and each x-slot folds its
+    subslots k >= e in through the digits of y**k mod the field modulus
+    into a code (over F_p there is one subslot and no fold).  Each head
+    is packed once, with x**n I, and each tail matrix once per position.
     """
     n = len(tails) + 1
-    if ctx.e > 1:
-        new = BlockRecurrence._unchecked
-        for C0, weight in heads:
-            for C in itertools.product((C0,), *tails):
-                yield linalg.char_poly(block_companion(new(ctx, m, C))).coeffs, weight
-        return
-    p = ctx.p
-    w = (math.factorial(m) * (n + 1) ** (m - 1) * (p - 1) ** m).bit_length()
+    p, e = ctx.p, ctx.e
+    span = m * (e - 1) + 1  # y-subslots per x-slot
+    w = (math.factorial(m) * (n + 1) ** (m - 1) * e ** (m - 1) * (p - 1) ** m).bit_length()
     mask = (1 << w) - 1
-    shifts = range(0, (m * n + 1) * w, w)
+    shifts = range(0, (m * n + 1) * span * w, w)
     signed: tuple[list, list] = ([], [])  # flat entry indices of the even, odd terms
     for perm in itertools.permutations(range(m)):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         signed[inversions % 2].append(tuple(r * m + c for r, c in enumerate(perm)))
     even, odd = signed
+    rows, power = [], [0] * (e - 1) + [1]  # rows: the digits of y**k mod the modulus, k >= e
+    for _ in range(e, span):
+        power = [(d - power[-1] * c) % p for d, c in zip([0] + power[:-1], ctx.modulus)]
+        rows.append(power)
+    powers = [p**i for i in range(e)]
+    negs = [0] * ctx.size  # the digits of -c, packed in subslots
+    for c in range(1, ctx.size):
+        negs[c] = -c % p + (negs[c // p] << w)
 
     def pack(mat, j: int) -> tuple:
-        # the entries of -C_j at slot j
-        return tuple(-x % p << j * w for row in mat.rows for x in row)
+        # the entries of -C_j at x-slot j
+        return tuple(negs[x] << j * span * w for row in mat.rows for x in row)
 
-    top = tuple(1 << n * w if r == c else 0 for r in range(m) for c in range(m))
+    def fold(slot) -> int:
+        # the code of one x-slot: subslot k >= e adds its value times y**k
+        for c, row in zip(slot[e:], rows):
+            slot = [(d + c * r) % p for d, r in zip(slot, row)]
+        return sum(map(operator.mul, slot, powers))
+
+    top = tuple(1 << n * span * w if r == c else 0 for r in range(m) for c in range(m))
     packed_tails = [[pack(mat, j) for mat in mats] for j, mats in enumerate(tails, 1)]
     prod = math.prod
     for C0, weight in heads:
@@ -399,7 +396,10 @@ def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
             get = tuple(map(sum, zip(head, *terms))).__getitem__
             plus = sum([prod(map(get, term)) for term in even])
             minus = sum([prod(map(get, term)) for term in odd])
-            yield tuple([((plus >> s & mask) - (minus >> s & mask)) % p for s in shifts]), weight
+            subs = [((plus >> s & mask) - (minus >> s & mask)) % p for s in shifts]
+            if e > 1:
+                subs = [fold(subs[i : i + span]) for i in range(0, len(subs), span)]
+            yield tuple(subs), weight
 
 
 def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
@@ -419,7 +419,7 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
     size, and a polynomial that never occurs reads as 0."""
     sizes: dict[tuple, int] = {}
     heads = _class_heads(ctx, m, n)
-    tails = [list(linalg.enumerate_matrices(ctx, m, m))] * (n - 1)
+    tails = [list(linalg.enumerate_matrices(ctx, m, m))] * (n - 1) if n > 1 else []
     for coeffs, weight in _char_polys(ctx, m, heads, tails):
         sizes[coeffs] = sizes.get(coeffs, 0) + weight
     return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})

@@ -1,5 +1,5 @@
 """The characteristic-polynomial kernel of the recurrence censuses
-against the path it replaces: char_poly of the whole block companion."""
+against its oracle: char_poly of the whole block companion."""
 
 import itertools
 import random
@@ -18,6 +18,7 @@ from splitlab import (
     integers,
     is_irreducible,
     lfsr,
+    linalg,
 )
 
 
@@ -55,10 +56,11 @@ def random_base(q, rng):
             return fields.FieldCtx(p, e, modulus)
 
 
-# every prime-field shape whose full scan has at most 4096 tuples
+# every shape whose full scan has at most 4096 tuples, over the prime
+# fields and over F_4, F_8 and F_9
 SMALL_SHAPES = [
     (q, m, n)
-    for q in (2, 3, 5, 7)
+    for q in (2, 3, 4, 5, 7, 8, 9)
     for m in (1, 2, 3)
     for n in range(1, 13)
     if q ** (m * m * n) <= 4096
@@ -68,6 +70,12 @@ SMALL_SHAPES = [
 @pytest.mark.parametrize("q, m, n", SMALL_SHAPES)
 def test_kernel_matches_char_poly_on_every_small_scan(q, m, n):
     ctx = field_from_order(q)
+    check(ctx, m, n, enumerate_recurrences(ctx, m, n))
+
+
+@pytest.mark.parametrize("q, m, n", [shape for shape in SMALL_SHAPES if shape[0] in (4, 8, 9)])
+def test_kernel_matches_char_poly_on_every_small_scan_over_a_random_modulus(q, m, n):
+    ctx = random_base(q, random.Random(f"char_polys/small/{q},{m},{n}"))
     check(ctx, m, n, enumerate_recurrences(ctx, m, n))
 
 
@@ -87,16 +95,54 @@ def test_kernel_over_random_extension_moduli(q):
         check(ctx, m, n, random_recs(ctx, m, n, 30, rng))
 
 
-@pytest.mark.parametrize("q, m, n", [(7, 3, 2), (5, 4, 1)])
+@pytest.mark.parametrize(
+    "q, m, n",
+    [(7, 3, 2), (5, 4, 1), (4, 3, 2), (8, 3, 1), (9, 3, 1), (16, 2, 2), (25, 2, 2), (256, 2, 1)],
+)
 def test_kernel_at_the_largest_slot_values(q, m, n):
-    """Every C_j entry 1 puts p - 1 in every packed slot of -C_j, the
-    largest sums the slot width has to hold.  That matrix is symmetric
-    under every permutation, so the two signed sums carry alike; every
-    C_j = I leaves the odd sum 0, and an overflow of the even sum shows."""
+    """Every C_j entry the code whose base-p digits are all 1 puts p - 1
+    in every packed subslot of -C_j, the largest sums the slot width has
+    to hold.  That matrix is symmetric under every permutation, so the
+    two signed sums carry alike; every C_j that scalar times I leaves
+    the odd sum 0, and an overflow of the even sum shows.  Every entry
+    q - 1, whose digits are all p - 1, and every C_j = I come along.
+    At (16, 2, 2) and (256, 2, 1) a slot width without the factor
+    e**(m - 1) overflows."""
     ctx = field_from_order(q)
-    ones = Matrix(ctx, [[1] * m] * m)
-    ident = Matrix.identity(ctx, m)
-    check(ctx, m, n, [BlockRecurrence(ctx, m, (ones,) * n), BlockRecurrence(ctx, m, (ident,) * n)])
+    ones = (q - 1) // (ctx.p - 1)
+    mats = [
+        Matrix(ctx, [[ones] * m] * m),
+        Matrix(ctx, [[ones if r == c else 0 for c in range(m)] for r in range(m)]),
+        Matrix(ctx, [[q - 1] * m] * m),
+        Matrix.identity(ctx, m),
+    ]
+    check(ctx, m, n, [BlockRecurrence(ctx, m, (mat,) * n) for mat in mats])
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 1), (2, 2)])
+def test_kernel_over_a_field_past_the_tables(m, n):
+    """GF(2**17) has no log tables: every oracle op runs in the tower,
+    while the kernel reads only the codes' digits."""
+    ctx = field_from_order(2**17)
+    check(ctx, m, n, random_recs(ctx, m, n, 3, random.Random(f"char_polys/tower/{m},{n}")))
+
+
+def test_census_routes_never_build_a_block_companion(monkeypatch):
+    """BCSCC and the fiber histogram take every characteristic
+    polynomial from the kernel, over F_{p^e} with e > 1 too."""
+
+    def refuse(*args):
+        raise AssertionError("a census route built a block companion")
+
+    monkeypatch.setattr(linalg, "char_poly", refuse)
+    monkeypatch.setattr(lfsr, "block_companion", refuse)
+    assert lfsr.census_singer(2, 1, 4) == lfsr.pvrc_formula(2, 1, 4)
+    ctx = field_from_order(9)
+    hist = lfsr.fiber_histogram(ctx, 2, 1)
+    assert sum(hist.values()) == 9**4
+    irreducible = [f for f in hist if is_irreducible(f)]
+    assert len(irreducible) == (9**2 - 9) // 2
+    assert {hist[f] for f in irreducible} == {lfsr.nofiber_formula(2, 1, 9)}
 
 
 def test_kernel_packs_each_coefficient_matrix_by_identity():

@@ -82,6 +82,7 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
 # top-level names that no module of the package runs, and why each stays
 KEPT = {
     "lfsr.enumerate_recurrences": "a benchmark target (bench_trace) and the full-scan test oracle",
+    "linalg.char_poly": "a benchmark target (bench_trace) and the census kernel's test oracle",
     "linalg.rref": "public algebra kept for test oracles",
     "splitting.bases_formula": "public algebra kept for test oracles",
     "splitting.is_T_splitting": "public algebra kept for test oracles",
