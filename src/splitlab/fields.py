@@ -400,6 +400,8 @@ class FieldCtx:
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, FieldCtx)
             and self.p == other.p
@@ -562,6 +564,8 @@ class TowerCtx:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, TowerCtx)
             and self.base == other.base

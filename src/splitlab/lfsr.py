@@ -12,8 +12,9 @@ is invertible, and the recurrence is primitive when every nonzero
 initial state cycles through all q**(mn) - 1 of them.
 
 Primitivity is tested as maximal multiplicative order of the block
-companion matrix, and the period of one trajectory comes from Brent's
-cycle finder.  The censuses count primitive recurrences, either by
+companion matrix, on the period of one state over one chain of
+squarings, and the period of one trajectory comes from Brent's cycle
+finder.  The censuses count primitive recurrences, either by
 scanning coefficient tuples or by closed form.  The companions with
 one characteristic polynomial form a fiber: fiber_histogram sizes all
 fibers in one scan, fiber_count an irreducible one by the bridge through
@@ -21,11 +22,14 @@ the splitting subspaces of the tower f defines (splitting's product route).
 
 Conjugating every C_j by one P in GL_m(F_q) conjugates the block
 companion by diag(P, ..., P), which keeps its characteristic polynomial
-and its order.  So fiber_histogram and the PVRC census scan up to
-conjugation (enumerate_class_recurrences): C_0 runs over one
-representative per conjugacy class of M_m(F_q), weighted by the class
-size, and C_1, ..., C_{n-1} stay free.  census_singer keeps the full
-scan of all q**(m*m*n) tuples (enumerate_recurrences).
+and its order.  So fiber_histogram scans C_0 up to conjugation: one
+representative per conjugacy class of M_m(F_q) (_class_heads), weighted
+by the class size, with C_1, ..., C_{n-1} free.  The PVRC census takes
+whole tuples up to conjugation (enumerate_class_recurrences): below
+those heads a stabilizer chain takes C_1 up to the centralizer of C_0,
+C_2 up to the stabilizer of (C_0, C_1), and so on, each leaf weighted by
+its orbit size.  census_singer keeps the full scan of all q**(m*m*n)
+tuples (enumerate_recurrences).
 
 census_singer and fiber_histogram read only the characteristic
 polynomial of each block companion, so they build no BlockRecurrence.
@@ -41,6 +45,7 @@ census_singer keeps only the heads with invertible C_0, one det per C_0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -217,21 +222,53 @@ def block_companion(rec: BlockRecurrence) -> linalg.Matrix:
 
 def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     """Whether every nonzero initial state is purely periodic with the
-    full period q**(mn) - 1, i.e. whether the block companion matrix has
-    maximal multiplicative order."""
+    full period N = q**(mn) - 1, i.e. whether the block companion matrix
+    T has maximal multiplicative order.
+
+    The order is tested on the one state e_0 = (1, 0, ..., 0): T is
+    squared once, up to T**(2**k) with 2**k <= N, and e_0 T**N = e_0 and
+    e_0 T**(N/l) != e_0 for every prime l | N are vector products over
+    those squares.  That is exact: if e_0 has period N, its minimal
+    polynomial is primitive of degree mn, so it is the characteristic
+    polynomial of T and T has order N; if T has order N, every nonzero
+    state has period N.
+
+    Over F_{2**e} a state packs into one int, e bits a coordinate (the
+    bits of its code), and v -> vT is F_2-linear on it: row e*i + b of
+    the packed T is y**b times row i of T, y the class of the field's
+    variable, so products are XORs of rows (linalg._packed_product).
+    """
     ctx = rec.ctx
     mn = rec.m * rec.n
     N = ctx.size**mn - 1
     if rec.C[0].det() == ctx.zero:
         return False
     T = block_companion(rec)
-    ident = linalg.Matrix.identity(ctx, mn)
-    if T**N != ident:
+    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
+        e, mul = ctx.e, ctx.mul
+        rows = T.rows
+        if e > 1:
+            rows = [tuple(mul(1 << b, x) for x in row) for row in rows for b in range(e)]
+        times = linalg._packed_product
+        squares = [[sum(x << e * j for j, x in enumerate(row)) for row in rows]]
+        e0 = [1]
+    else:
+        times = functools.partial(linalg._product, ctx, ncols=mn)
+        squares = [T.rows]
+        e0 = [(ctx.one,) + (ctx.zero,) * (mn - 1)]
+    for _ in range(N.bit_length() - 1):
+        squares.append(times(squares[-1], squares[-1]))
+
+    def fixes_e0(k: int) -> bool:
+        v = e0
+        for i, square in enumerate(squares):
+            if k >> i & 1:
+                v = times(v, square)
+        return v == e0
+
+    if not fixes_e0(N):
         return False
-    for ell in integers.factorize(N):
-        if T ** (N // ell) == ident:
-            return False
-    return True
+    return not any(fixes_e0(N // ell) for ell in integers.factorize(N))
 
 
 def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
@@ -244,18 +281,23 @@ def enumerate_class_recurrences(
     ctx, m: int, n: int, invertible: bool = False
 ) -> Iterator[tuple[BlockRecurrence, int]]:
     """The recurrences of shape (m, n) up to simultaneous conjugation:
-    (rec, weight) with C_0 one representative of each conjugacy class of
-    M_m(F_q), weight its class size, and C_1, ..., C_{n-1} free.
+    one (rec, weight) per orbit of the tuple (C_0, ..., C_{n-1}) under
+    C_j -> P C_j P**-1 for every j at once, P in GL_m(F_q), weight the
+    orbit size |GL_m| / |stabilizer of the tuple|.
 
-    Conjugating every C_j by one P in GL_m(F_q) conjugates the block
-    companion by diag(P, ..., P), so its characteristic polynomial and
-    its order stay.  Summing such an invariant times the weight over
-    these (#classes) * q**(m*m*(n-1)) recurrences gives its sum over all
-    q**(m*m*n).  With invertible, only the classes with invertible C_0
-    (the periodic recurrences) are visited.  Both the class pass and
-    the recurrence pass are checked against the scan bound first.
+    Conjugating every C_j by P conjugates the block companion by
+    diag(P, ..., P), so its characteristic polynomial and its order
+    stay, and summing such an invariant times the weight over these
+    recurrences gives its sum over all q**(m*m*n).  C_0 runs over one
+    representative per conjugacy class of M_m(F_q), C_1 over one per
+    orbit of the centralizer of C_0, C_2 over one per orbit of the
+    stabilizer of (C_0, C_1), and so on (_orbit_walk).  With invertible,
+    only the classes with invertible C_0 (the periodic recurrences) are
+    visited.  The class pass is checked against the scan bound first, and
+    so is the count of (#classes) * q**(m*m*(n-1)) recurrences the walk
+    never exceeds.
     """
-    return _recurrence_gen(ctx, m, n, _class_heads(ctx, m, n, invertible))
+    return _orbit_walk(ctx, m, n, _class_heads(ctx, m, n, invertible))
 
 
 def _all_heads(ctx, m: int, n: int) -> list:
@@ -290,6 +332,121 @@ def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrenc
     for C0, weight in heads:
         for C in itertools.product((C0,), *(mats,) * (n - 1)):
             yield BlockRecurrence(ctx, m, C), weight
+
+
+def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
+    """(rec, weight) for one tuple per orbit under simultaneous
+    conjugation, with C_0 from each (C_0, class size) in heads, streamed.
+
+    A stabilizer chain: below a prefix (C_0, ..., C_{j-1}) with
+    stabilizer S, C_j runs over the least matrix (in enumerate_matrices
+    order) of each orbit of S on M_m(F_q), and S shrinks to that
+    matrix's stabilizer in S.  Groups are taken modulo the scalars, which
+    fix every tuple.  Once only the scalars fix a prefix, its tails lie
+    in distinct orbits and run free.  A leaf weighs |GL_m| / |S| for the
+    S that fixes it, and the orbits of each distinct S are found once.
+    """
+    if n == 1:
+        for C0, size in heads:
+            yield BlockRecurrence(ctx, m, (C0,)), size
+        return
+    mats = list(linalg.enumerate_matrices(ctx, m, m))
+    conj = _conjugations(ctx, m, mats)
+    order = len(conj)
+    orbits: dict[tuple, list] = {}
+    index = {X.rows: x for x, X in enumerate(mats)}
+    for C0, _ in heads:
+        x0 = index[C0.rows]
+        stack = [((C0,), tuple(g for g, image in enumerate(conj) if image(x0) == x0))]
+        while stack:  # depth first, children in orbit order
+            prefix, stab = stack.pop()
+            if len(stab) == 1 or len(prefix) == n:
+                weight = order // len(stab)
+                for tail in itertools.product(mats, repeat=n - len(prefix)):
+                    yield BlockRecurrence(ctx, m, prefix + tail), weight
+                continue
+            if stab not in orbits:
+                orbits[stab] = _orbits(conj, stab, len(mats))
+            stack += [(prefix + (mats[x],), sub) for x, sub in reversed(orbits[stab])]
+
+
+def _conjugations(ctx, m: int, mats: list) -> list:
+    """X -> P X P**-1 on the indices of mats (enumerate_matrices order)
+    for every P in GL_m(F_q) modulo the scalars: the P whose first
+    nonzero entry is 1.  Entry j = (i, s) of P X P**-1 is the sum over
+    the entries k = (r, c) of X of cols[j][k] * X[r][c], with
+    cols[j][k] = P[i][r] * P**-1[c][s].  Over F_{2**e} an index is the
+    e*m*m bits of the codes of X's entries and the map is F_2-linear on
+    it: the XOR of the images of its low and its high bits, each half
+    looked up in a table."""
+    one, zero, mul = ctx.one, ctx.zero, ctx.mul
+    group = [
+        P for P in mats
+        if next((x for row in P.rows for x in row if x != zero), zero) == one and P.det() != zero
+    ]
+    mm = m * m
+    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
+        e = ctx.e
+        half = e * mm // 2
+
+        def conjugation(cols: list):
+            # bit t of an index is y**b, b = t % e, at entry mm - 1 - t // e
+            bits = []
+            for t in range(e * mm):
+                b, k = t % e, mm - 1 - t // e
+                bits.append(sum(
+                    (mul(1 << b, col[k]) if b else col[k]) << e * (mm - 1 - j)
+                    for j, col in enumerate(cols)
+                ))
+            lo, hi = [0], [0]
+            for table, images in ((lo, bits[:half]), (hi, bits[half:])):
+                for image in images:
+                    table += [v ^ image for v in table]
+            mask = (1 << half) - 1
+            return lambda x: lo[x & mask] ^ hi[x >> half]
+
+    else:
+        rank = {x: i for i, x in enumerate(linalg.raw_scalars(ctx))}
+        q, dot = ctx.size, ctx.dot
+        flats = [sum(X.rows, ()) for X in mats]
+
+        def conjugation(cols: list):
+            def image(x: int) -> int:
+                y = 0
+                for col in cols:
+                    y = y * q + rank[dot(flats[x], col)]
+                return y
+
+            return image
+
+    out = []
+    for P in group:
+        P, P_inv = P.rows, P.inverse().rows
+        out.append(conjugation([
+            tuple(mul(P[i][r], P_inv[c][s]) for r in range(m) for c in range(m))
+            for i in range(m)
+            for s in range(m)
+        ]))
+    return out
+
+
+def _orbits(conj: list, stab: tuple, size: int) -> list[tuple[int, tuple]]:
+    """(x, stabilizer of x in stab) for each orbit of the group stab (its
+    indices into conj) on the matrix indices 0, ..., size - 1, x the
+    orbit's least index: the images of x under stab are its orbit."""
+    seen = bytearray(size)
+    out = []
+    for x in range(size):
+        if seen[x]:
+            continue
+        fixing = []
+        for g in stab:
+            y = conj[g](x)
+            seen[y] = 1
+            if y == x:
+                fixing.append(g)
+        out.append((x, tuple(fixing)))
+    return out
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:

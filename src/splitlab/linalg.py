@@ -450,7 +450,8 @@ def conjugacy_classes(ctx, m: int) -> list[tuple[tuple[tuple, ...], int]]:
     I + E_0j by that diagonal gives I + g E_0j, which reaches the
     transvections with every coefficient; the unit transvections alone
     generate a proper subgroup over F_4 or F_8.  Matrices are indexed by
-    their base-q digit string, first entry most significant.
+    their base-q digit string, first entry most significant.  At m = 1
+    every matrix is its own class, and no union-find runs.
     """
     if m < 1:
         raise BadArgs(f"matrix size must be >= 1, got {m}")
@@ -458,6 +459,8 @@ def conjugacy_classes(ctx, m: int) -> list[tuple[tuple[tuple, ...], int]]:
     mm = m * m
     config.check_scan(q**mm, "conjugacy class scan")
     scalars = raw_scalars(ctx)
+    if m == 1:  # a 1 x 1 matrix commutes with every P
+        return [(((c,),), 1) for c in scalars]
     rank = {x: i for i, x in enumerate(scalars)}
     add, sub, mul = ctx.add, ctx.sub, ctx.mul
 

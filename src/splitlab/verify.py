@@ -228,7 +228,7 @@ def _h_pvrc(point):
     )
     closed = lfsr.pvrc_formula(m, n, q)
     verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, "primitive recurrences by matrix order, C_0 up to conjugation"
+    return brute, closed, verdict, "primitive recurrences by matrix order, tuples up to conjugation"
 
 
 def _h_bcscc(point):

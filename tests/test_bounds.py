@@ -74,10 +74,11 @@ CASES = (
     # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96
     ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 95,
      ScanBoundExceeded, (lfsr, "_char_polys")),
-    # 3 invertible classes times 2**4 free C_1 = 48
+    # 3 invertible classes times 2**4 free C_1 = 48, a bound the orbit
+    # walk (24 recurrences) never exceeds
     ("enumerate_class_recurrences",
      lambda: list(enumerate_class_recurrences(F2, 2, 2, invertible=True)), 47,
-     ScanBoundExceeded, (lfsr, "_recurrence_gen")),
+     ScanBoundExceeded, (lfsr, "_orbit_walk")),
     # 2**9 matrices of M_3(F_2)
     ("conjugacy_classes", lambda: conjugacy_classes(F2, 3), 511,
      ScanBoundExceeded, (linalg, "raw_scalars")),

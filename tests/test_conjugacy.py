@@ -1,8 +1,12 @@
 """Conjugacy classes of M_m(F_q) and the recurrence scans up to
 simultaneous conjugation, against oracles that never call the class
 enumerator: the class counts of Feit–Fine and Kung, the orbits under all
-of GL_m(F_q) by brute force, and full scans of every coefficient tuple."""
+of GL_m(F_q) by brute force, Burnside's lemma over centralizers found by
+row reduction, and full scans of every coefficient tuple."""
 
+import array
+import functools
+import itertools
 import random
 from collections import Counter
 
@@ -25,9 +29,11 @@ from splitlab import (
     integers,
     is_irreducible,
     is_primitive_recurrence,
+    rref,
+    subspace_from_rows,
     verify,
 )
-from splitlab import fields
+from splitlab import fields, linalg
 
 # (q, m) of the class-count oracles
 COUNT_POINTS = [(q, 1) for q in (2, 3, 4)] + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [
@@ -64,6 +70,57 @@ def check_class_counts(ctx, m):
     invertible = [rows for rows, _ in classes if Matrix(ctx, rows, m).det() != ctx.zero]
     assert sum(sizes) == q ** (m * m)
     assert (len(classes), len(invertible)) == class_counts(q, m)
+
+
+@functools.lru_cache(maxsize=None)
+def centralizer_sizes(ctx, m):
+    """(|C(g)|, |C(g) ∩ GL_m|) for every g in GL_m(F_q), C(g) the m x m
+    matrices commuting with g: the left null space of X -> gX - Xg, read
+    off the row reduction of [L | I], its units counted by brute force
+    once per distinct null space."""
+    q, mm = ctx.size, m * m
+    basis = [
+        Matrix(ctx, [[ctx.one if r * m + c == k else ctx.zero for c in range(m)]
+                     for r in range(m)])
+        for k in range(mm)
+    ]
+    units = {}
+    out = []
+    for g in enumerate_matrices(ctx, m, m):
+        if g.det() == ctx.zero:
+            continue
+        rows = [
+            sum((g * E - E * g).rows, ()) + tuple(ctx.one if j == k else ctx.zero for j in range(mm))
+            for k, E in enumerate(basis)
+        ]
+        reduced, _ = rref(Matrix(ctx, rows))
+        kernel = [r[mm:] for r in reduced.rows if all(x == ctx.zero for x in r[:mm])]
+        space = subspace_from_rows(ctx, mm, kernel)
+        if space not in units:
+            units[space] = sum(
+                Matrix(ctx, [v[i * m : (i + 1) * m] for i in range(m)]).det() != ctx.zero
+                for v in space.vectors()
+            )
+        out.append((q ** len(kernel), units[space]))
+    return out
+
+
+def burnside(ctx, m, n, invertible=False):
+    """The orbits of GL_m(F_q) on n-tuples of m x m matrices (C_0
+    invertible with invertible) under simultaneous conjugation, by
+    Burnside's lemma: the tuples g fixes, averaged over g."""
+    fixed = sum(
+        (units if invertible else size) * size ** (n - 1)
+        for size, units in centralizer_sizes(ctx, m)
+    )
+    order = gl_order(m, ctx.size)
+    assert fixed % order == 0
+    return fixed // order
+
+
+def heads(recs):
+    """The distinct C_0 of a walk's recurrences, in walk order."""
+    return list(dict.fromkeys(rec.C[0].rows for rec, _ in recs))
 
 
 @pytest.mark.parametrize("q, m", COUNT_POINTS)
@@ -103,22 +160,21 @@ def test_class_scan_visits_one_head_per_class(q, m, n):
     classes = conjugacy_classes(ctx, m)
     tails = q ** (m * m * (n - 1))
     recs = list(enumerate_class_recurrences(ctx, m, n))
-    assert len(recs) == len(classes) * tails
+    assert len(recs) == burnside(ctx, m, n)
     assert sum(w for _, w in recs) == q ** (m * m * n)
-    assert [rec.C[0].rows for rec, _ in recs[::tails]] == [rows for rows, _ in classes]
+    assert heads(recs) == [rows for rows, _ in classes]
     periodic = list(enumerate_class_recurrences(ctx, m, n, invertible=True))
     assert all(rec.C[0].det() != ctx.zero for rec, _ in periodic)
     assert sum(w for _, w in periodic) == gl_order(m, q) * tails
 
 
-# every shape with q**(m*m*n) <= 4096 and m >= 2, where classes are not
-# single matrices, GF(9) at m = 2, and the scalar shapes up to 256 tuples
+# every shape with q**(m*m*n) <= 4096, and GF(9) at m = 2
 PVRC_SHAPES = [
     (q, m, n)
     for q in (2, 3, 4, 5, 7, 8, 9)
     for m in (1, 2, 3)
-    for n in range(1, 9)
-    if q ** (m * m * n) <= (4096 if m >= 2 else 256)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
 ] + [(9, 2, 1)]
 
 
@@ -144,3 +200,134 @@ def test_reduced_scans_equal_full_scans_over_random_moduli(q):
         if is_primitive_recurrence(rec)
     )
     assert primitive == sum(is_primitive_recurrence(rec) for rec in full)
+
+
+# every shape with q**(m*m*n) <= 4096, and four past it where the chain
+# runs deeper: three positions at (2,2,4), a group of order 168 at (2,3,2)
+WALK_SHAPES = [
+    (q, m, n)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for m in (1, 2, 3)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
+] + [(2, 2, 4), (3, 2, 2), (4, 2, 2), (2, 3, 2)]
+WALK_CASES = [(q, m, n, False) for q, m, n in WALK_SHAPES] + [
+    (q, m, n, True) for q, m, n in WALK_SHAPES if q in (4, 8, 9)
+]
+
+
+@pytest.mark.parametrize("q, m, n, random_modulus", WALK_CASES)
+def test_orbit_walk_visits_one_tuple_per_orbit(q, m, n, random_modulus):
+    """As many leaves as Burnside's lemma counts orbits, weights summing
+    to every tuple, and the conjugacy classes as the first level, with
+    and without a singular C_0."""
+    rng = random.Random(f"walk/{q},{m},{n}")
+    ctx = random_base(q, rng) if random_modulus else field_from_order(q)
+    classes = conjugacy_classes(ctx, m)
+    units = [rows for rows, _ in classes if Matrix(ctx, rows, m).det() != ctx.zero]
+    tails = q ** (m * m * (n - 1))
+    for invertible, total, first in (
+        (False, q ** (m * m * n), [rows for rows, _ in classes]),
+        (True, gl_order(m, q) * tails, units),
+    ):
+        recs = list(enumerate_class_recurrences(ctx, m, n, invertible))
+        assert len(recs) == burnside(ctx, m, n, invertible), invertible
+        assert sum(w for _, w in recs) == total, invertible
+        assert heads(recs) == first, invertible
+
+
+@pytest.mark.parametrize(
+    "q, m, n", [(q, m, n) for q, m, n, random_modulus in WALK_CASES
+                if random_modulus and q ** (m * m * n) <= 4096]
+)
+def test_weighted_pvrc_equals_the_full_scan_over_random_moduli(q, m, n):
+    """PVRC_SHAPES check the canonical fields through verify."""
+    ctx = random_base(q, random.Random(f"walk/{q},{m},{n}"))
+    primitive = sum(
+        w for rec, w in enumerate_class_recurrences(ctx, m, n, invertible=True)
+        if is_primitive_recurrence(rec)
+    )
+    assert primitive == sum(is_primitive_recurrence(rec) for rec in enumerate_recurrences(ctx, m, n))
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_walk_leaves_are_the_orbits_under_all_of_gl(q, m, n):
+    """Each leaf's weight is the size of its tuple's orbit under every
+    invertible P, and the orbits of the leaves partition all tuples."""
+    ctx = field_from_order(q)
+    group = [(P, P.inverse()) for P in enumerate_matrices(ctx, m, m) if P.det() != ctx.zero]
+    covered = set()
+    for rec, weight in enumerate_class_recurrences(ctx, m, n):
+        orbit = {tuple(P * C * P_inv for C in rec.C) for P, P_inv in group}
+        assert len(orbit) == weight, rec
+        assert not orbit & covered, rec
+        covered |= orbit
+    assert len(covered) == q ** (m * m * n)
+
+
+def classes_by_union_find(ctx, m):
+    """conjugacy_classes as it ran for every m before the m = 1 shortcut:
+    the union-find over all q**(m*m) matrices, kept as its oracle."""
+    q, mm = ctx.size, m * m
+    scalars = linalg.raw_scalars(ctx)
+    rank = {x: i for i, x in enumerate(scalars)}
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+
+    def transvection(i, j):
+        def conj(A):
+            for c in range(m):
+                A[i * m + c] = add(A[i * m + c], A[j * m + c])
+            for r in range(m):
+                A[r * m + j] = sub(A[r * m + j], A[r * m + i])
+            return A
+
+        return conj
+
+    def scaling(g):
+        g_inv = ctx.inv(g)
+
+        def conj(A):
+            for c in range(1, m):
+                A[c] = mul(g, A[c])
+            for r in range(1, m):
+                A[r * m] = mul(g_inv, A[r * m])
+            return A
+
+        return conj
+
+    gens = [transvection(i, j) for i in range(m) for j in range(m) if i != j]
+    if q > 2:
+        gens.append(scaling(linalg._primitive_scalar(ctx)))
+    parent = array.array("q", range(q**mm))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for a, flat in enumerate(itertools.product(scalars, repeat=mm)):
+        for conj in gens:
+            b = 0
+            for x in conj(list(flat)):
+                b = b * q + rank[x]
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    sizes = Counter(find(a) for a in range(q**mm))
+    out = []
+    for r in sorted(sizes):
+        flat = [scalars[d] for d in integers.to_digits(r, q, mm)[::-1]]
+        out.append((tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m)), sizes[r]))
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
+def test_scalar_classes_equal_the_union_find(q):
+    ctx = field_from_order(q)
+    assert conjugacy_classes(ctx, 1) == classes_by_union_find(ctx, 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_union_find_oracle_reproduces_the_classes_at_m_2(q):
+    ctx = field_from_order(q)
+    assert classes_by_union_find(ctx, 2) == conjugacy_classes(ctx, 2)

@@ -1,6 +1,8 @@
 """Word-oriented linear recurrences: periods, primitivity, fibers."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +33,8 @@ from splitlab import (
     fiber_histogram,
     find_irreducibles,
     gaussian_binomial,
+    gl_order,
+    is_irreducible,
     is_primitive_recurrence,
     nofiber_formula,
     period_preperiod,
@@ -40,7 +44,7 @@ from splitlab import (
     step,
     vec_mat,
 )
-from splitlab import fields, linalg, polys
+from splitlab import fields, integers, linalg, polys
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -194,6 +198,82 @@ def test_primitivity_routes_agree():
         assert by_order == by_periods, rec
         count += by_order
     assert count == 16
+
+
+def primitive_by_matrix_powers(rec):
+    """The order test before the one-vector test, kept as its oracle:
+    C_0 invertible, T**N = I and T**(N/l) != I for every prime l | N,
+    T the block companion and N = q**(mn) - 1."""
+    ctx = rec.ctx
+    mn = rec.m * rec.n
+    N = ctx.size**mn - 1
+    if rec.C[0].det() == ctx.zero:
+        return False
+    T = block_companion(rec)
+    ident = Matrix.identity(ctx, mn)
+    if T**N != ident:
+        return False
+    for ell in integers.factorize(N):
+        if T ** (N // ell) == ident:
+            return False
+    return True
+
+
+def other_base(q, rng):
+    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e
+    other than the canonical modulus."""
+    p, e = integers.prime_power_split(q)
+    prime = build_field(p)
+    canonical = field_from_order(q).modulus
+    while True:
+        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
+        if modulus != canonical and is_irreducible(Poly(prime, modulus)):
+            return fields.FieldCtx(p, e, modulus)
+
+
+# every shape with q**(m*m*n) <= 4096; F_8 and F_9 also over a random
+# other modulus (x**2 + x + 1 is the only modulus of F_4)
+ORDER_SHAPES = [
+    (q, m, n)
+    for q in (2, 3, 4, 5, 8, 9)
+    for m in (1, 2, 3)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
+]
+ORDER_CASES = [(q, m, n, False) for q, m, n in ORDER_SHAPES] + [
+    (q, m, n, True) for q, m, n in ORDER_SHAPES if q in (8, 9)
+]
+
+
+def order_field(q, m, n, random_modulus):
+    return other_base(q, random.Random(f"order/{q},{m},{n}")) if random_modulus else field_from_order(q)
+
+
+@pytest.mark.parametrize("q, m, n, random_modulus", ORDER_CASES)
+def test_order_on_one_vector_equals_matrix_powers(q, m, n, random_modulus):
+    """Every recurrence of the shape: singular C_0, periodic but not
+    primitive, and primitive, as many of each as the counts say."""
+    ctx = order_field(q, m, n, random_modulus)
+    kinds = Counter()
+    for rec in enumerate_recurrences(ctx, m, n):
+        verdict = is_primitive_recurrence(rec)
+        assert verdict == primitive_by_matrix_powers(rec), rec
+        kinds["singular" if rec.C[0].det() == ctx.zero else verdict] += 1
+    periodic = gl_order(m, q) * q ** (m * m * (n - 1))
+    assert kinds["singular"] == q ** (m * m * n) - periodic > 0
+    assert kinds[True] == pvrc_formula(m, n, q)
+    assert kinds[False] == periodic - kinds[True]
+    assert kinds[False] > 0 or (q, m, n) == (2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "q, m, n, random_modulus", [c for c in ORDER_CASES if c[0] ** (c[1] * c[2]) <= 16]
+)
+def test_order_on_one_vector_equals_every_period(q, m, n, random_modulus):
+    """Against the definition, on the shapes with at most 16 states."""
+    ctx = order_field(q, m, n, random_modulus)
+    for rec in enumerate_recurrences(ctx, m, n):
+        assert is_primitive_recurrence(rec) == primitive_by_periods(rec), rec
 
 
 def test_primitive_recurrence_has_maximal_periods():

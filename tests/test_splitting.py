@@ -372,6 +372,9 @@ SCAN_ROUTE = {
     "vec_mat",
     "enumerate_recurrences",
     "enumerate_class_recurrences",
+    "_orbit_walk",
+    "_conjugations",
+    "_orbits",
     "conjugacy_classes",
     "_char_polys",
 }
