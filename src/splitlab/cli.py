@@ -18,6 +18,7 @@ exceeded bounds, IO).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -91,7 +92,7 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         element=_parse_ints(args.alpha, "coordinates") if args.alpha else None,
     )
     rep = splitting.count_splitting(inst, formula_only=args.formula_only)
-    doc = rep.to_json()
+    doc = dataclasses.asdict(rep)
     if not args.timing:
         doc.pop("seconds")
     if args.pointed:
@@ -352,6 +353,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has printed usage and its error; bad arguments exit 3
         # like every other operational error.  --help exits 0.
         return 3 if exc.code else 0
+    # argparse drops a value of exactly "--" (as in --q=--) and stores an
+    # empty list in its place; no option here takes a list
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: --{empty[0]} needs a value", file=sys.stderr)
+        return 3
     try:
         return args.func(args)
     except SplitLabError as err:

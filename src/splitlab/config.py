@@ -37,7 +37,12 @@ def check_scan(candidates: int, what: str) -> None:
     """Raise ScanBoundExceeded if a scan over `candidates` items is too large."""
     bound = scan_bound()
     if candidates > bound:
+        # past 2**64 a count is given by its power of two: the decimal
+        # digits of q**(m*m*n) for large m, n exceed what str() converts
+        need = candidates
+        if candidates.bit_length() > 64:
+            need = f"at least 2**{candidates.bit_length() - 1}"
         raise ScanBoundExceeded(
-            f"{what} needs {candidates} candidates, bound is {bound} "
+            f"{what} needs {need} candidates, bound is {bound} "
             f"(raise it via {_ENV_SCAN_BOUND})"
         )

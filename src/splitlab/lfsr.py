@@ -29,7 +29,8 @@ whole tuples up to conjugation (enumerate_class_recurrences): below
 those heads a stabilizer chain takes C_1 up to the centralizer of C_0,
 C_2 up to the stabilizer of (C_0, C_1), and so on, each leaf weighted by
 its orbit size.  census_singer keeps the full scan of all q**(m*m*n)
-tuples (enumerate_recurrences).
+tuples, over the one list of m x m matrices (_all_matrices) that
+enumerate_recurrences takes at every position.
 
 census_singer and fiber_histogram read only the characteristic
 polynomial of each block companion, so they build no BlockRecurrence.
@@ -273,8 +274,10 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
 
 def enumerate_recurrences(ctx, m: int, n: int) -> Iterator[BlockRecurrence]:
     """All q**(m*m*n) block recurrences of shape (m, n), in lexicographic
-    order of the concatenated coefficient codes C_0, C_1, ..."""
-    return (rec for rec, _ in _recurrence_gen(ctx, m, n, _all_heads(ctx, m, n)))
+    order of the concatenated coefficient codes C_0, C_1, ...; the m x m
+    matrices are built once per scan and shared by every recurrence."""
+    mats = _all_matrices(ctx, m, n)
+    return (BlockRecurrence(ctx, m, C) for C in itertools.product(mats, repeat=n))
 
 
 def enumerate_class_recurrences(
@@ -300,12 +303,12 @@ def enumerate_class_recurrences(
     return _orbit_walk(ctx, m, n, _class_heads(ctx, m, n, invertible))
 
 
-def _all_heads(ctx, m: int, n: int) -> list:
-    """(C_0, 1) for every m x m matrix C_0, once the full scan of
-    q**(m*m*n) tuples is within the scan bound."""
+def _all_matrices(ctx, m: int, n: int) -> list:
+    """Every m x m matrix, in enumerate_matrices order, once the full
+    scan of q**(m*m*n) tuples is within the scan bound."""
     splitting._check_params(ctx.size, m, n)
     config.check_scan(ctx.size ** (m * m * n), "recurrence scan")
-    return [(C0, 1) for C0 in linalg.enumerate_matrices(ctx, m, m)]
+    return list(linalg.enumerate_matrices(ctx, m, m))
 
 
 def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
@@ -322,16 +325,6 @@ def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
         len(heads) * ctx.size ** (m * m * (n - 1)), "recurrence scan up to conjugation"
     )
     return heads
-
-
-def _recurrence_gen(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
-    """(rec, weight) for every (C_0, weight) in heads and every C_1, ...,
-    C_{n-1}, last fastest: the m x m matrices are built once per scan and
-    shared by every recurrence."""
-    mats = list(linalg.enumerate_matrices(ctx, m, m))
-    for C0, weight in heads:
-        for C in itertools.product((C0,), *(mats,) * (n - 1)):
-            yield BlockRecurrence(ctx, m, C), weight
 
 
 def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
@@ -483,7 +476,7 @@ def census_singer(m: int, n: int, q: int) -> int:
     so CHAIN checks that reduction against it at every point."""
     splitting._check_params(q, m, n)
     ctx = fields.field_from_order(q)
-    mats = [C0 for C0, _ in _all_heads(ctx, m, n)]
+    mats = _all_matrices(ctx, m, n)
     # a singular C_0 gives f(0) = 0, never primitive
     heads = [(C0, 1) for C0 in mats if C0.det() != ctx.zero]
     primitive: dict[tuple, bool] = {}  # one test per distinct polynomial

@@ -2,8 +2,9 @@
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
 mapped to v * M.  Products, vec_mat and char_poly take every entry as
-one ctx.dot; powers square and multiply raw rows, packed into ints over
-F_2.
+one ctx.dot; powers square and multiply raw rows.  _packed_product, the
+product over F_2 on rows packed into ints, serves the order test of
+lfsr.is_primitive_recurrence.
 
 Row reduction has one step, _echelon_insert, which extends an echelon
 basis by more rows without changing it, so the splitting scan can
@@ -125,21 +126,14 @@ class Matrix:
         return Matrix(self.ctx, rows, other.ncols)
 
     def __pow__(self, k: int) -> Matrix:
-        """Square-and-multiply on raw rows, one Matrix at the end.  Over
-        F_2 a row is packed into an int (bit j is column j), so a product
-        row is the XOR of the rows its bits select."""
+        """Square-and-multiply on raw rows, one Matrix at the end."""
         if not self.is_square:
             raise NotSquare("only square matrices have powers")
         if k < 0:
             return self.inverse() ** (-k)
         ctx, n = self.ctx, self.nrows
-        packed = isinstance(ctx, fields.FieldCtx) and ctx.size == 2
-        if packed:
-            base = [sum(x << j for j, x in enumerate(row)) for row in self.rows]
-            step = _packed_product
-        else:
-            base = self.rows
-            step = functools.partial(_product, ctx, ncols=n)
+        base = self.rows
+        step = functools.partial(_product, ctx, ncols=n)
         result = None
         while k:
             if k & 1:
@@ -149,8 +143,6 @@ class Matrix:
                 base = step(base, base)
         if result is None:
             return Matrix.identity(ctx, n)
-        if packed:
-            result = [tuple(row >> j & 1 for j in range(n)) for row in result]
         return Matrix(ctx, result, n)
 
     def det(self):

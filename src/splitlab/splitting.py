@@ -35,11 +35,11 @@ pointed_consistency, count_T_splitting, weak_ssc_check and the product
 ordered-basis route, the fiber bridge's, count through _splitting_scan.
 The closed forms never call either.
 
-Scan results are exact.  Every report carries the status "proved": the
-splitting subspace count ssc_formula holds for all (q, m, n) (Chen and
-Tseng, "The splitting subspace conjecture", Finite Fields Appl. 24,
-2013), and the other closed forms here follow from it or were proved
-before.
+Scan results are exact.  The splitting subspace count ssc_formula holds
+for all (q, m, n) (Chen and Tseng, "The splitting subspace conjecture",
+Finite Fields Appl. 24, 2013), and the other closed forms here follow
+from it or were proved before, so a report carries the two routes and
+their verdict only.
 """
 
 from __future__ import annotations
@@ -422,29 +422,12 @@ class SplitCountReport:
     defining_poly: str
     alpha: str
     brute: int | None
-    formula: int | None
-    status: str
+    formula: int
     verdict: str
     seconds: float
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "n": self.n,
-            "defining_poly": self.defining_poly,
-            "alpha": self.alpha,
-            "brute": self.brute,
-            "formula": self.formula,
-            "status": self.status,
-            "verdict": self.verdict,
-            "seconds": self.seconds,
-        }
 
-
-def _verdict(brute: int | None, formula: int | None) -> str:
-    if formula is None:
-        return "formula_unavailable"
+def _verdict(brute: int | None, formula: int) -> str:
     if brute is None:
         return "skipped"
     return "match" if brute == formula else "mismatch"
@@ -465,7 +448,6 @@ def count_splitting(inst: SplitInstance, *, formula_only: bool = False) -> Split
         alpha=inst.alpha_literal,
         brute=brute,
         formula=formula,
-        status="proved",
         verdict=_verdict(brute, formula),
         seconds=time.perf_counter() - start,
     )
@@ -495,7 +477,6 @@ class PointedReport:
     common: int | None
     identity_holds: bool
     formula: int
-    status: str
     verdict: str
 
 
@@ -526,7 +507,6 @@ def pointed_consistency(inst: SplitInstance) -> PointedReport:
         common=common,
         identity_holds=identity_holds,
         formula=formula,
-        status="proved",
         verdict=verdict,
     )
 
@@ -591,7 +571,6 @@ class MoebiusReport:
     beta: str
     left: int
     right: int
-    status: str
     verdict: str
 
 
@@ -637,6 +616,5 @@ def weak_ssc_check(
         beta=",".join(str(x) for x in beta.coords),
         left=left,
         right=right,
-        status="proved",
         verdict="match" if left == right else "mismatch",
     )

@@ -7,11 +7,12 @@ default grids are sized so a full run finishes in seconds; custom grids
 may hit the scan or factor bounds, in which case the affected points are
 recorded as skipped rather than failing the run.
 
-Every point has the status "proved": Chen and Tseng ("The splitting
-subspace conjecture", Finite Fields Appl. 24, 2013) proved the splitting
-subspace count for all (q, m, n), and through the equivalences of block
-companion Singer cycles and primitive sigma-LFSRs that settles PVRC,
-BCSCC and the fiber counts too.
+A point is its two route values and their verdict, and no point is
+conjectural: Chen and Tseng ("The splitting subspace conjecture", Finite
+Fields Appl. 24, 2013) proved the splitting subspace count for all
+(q, m, n), and through the equivalences of block companion Singer cycles
+and primitive sigma-LFSRs that settles PVRC, BCSCC and the fiber counts
+too.  JSON reports are schema "splitlab/2".
 
 Exit code convention (used by the command line): 0 when nothing
 mismatched, 1 when any point mismatched.
@@ -66,7 +67,6 @@ class PointResult:
     params: tuple[int, ...]
     brute: int | None
     formula: int | None
-    status: str
     verdict: str
     seconds: float
     note: str = ""
@@ -397,24 +397,12 @@ def verify(job: VerificationJob) -> Verdict:
         try:
             brute, formula, verdict, note = handler(point)
         except _BOUND_ERRORS as err:
-            results.append(
-                PointResult(
-                    params=point,
-                    brute=None,
-                    formula=None,
-                    status="proved",
-                    verdict="skipped",
-                    seconds=time.perf_counter() - t0,
-                    note=str(err),
-                )
-            )
-            continue
+            brute, formula, verdict, note = None, None, "skipped", str(err)
         results.append(
             PointResult(
                 params=point,
                 brute=brute,
                 formula=formula,
-                status="proved",
                 verdict=verdict,
                 seconds=time.perf_counter() - t0,
                 note=note,
@@ -444,7 +432,6 @@ def _render_json(verdict: Verdict, timing: bool) -> str:
             "params": list(p.params),
             "brute": p.brute,
             "formula": p.formula,
-            "status": p.status,
             "verdict": p.verdict,
             "note": p.note,
         }
@@ -452,7 +439,7 @@ def _render_json(verdict: Verdict, timing: bool) -> str:
             row["seconds"] = round(p.seconds, 6)
         rows.append(row)
     doc = {
-        "schema": "splitlab/1",
+        "schema": "splitlab/2",
         "statement": verdict.statement_id,
         "seed": verdict.seed,
         "summary": summary,
@@ -464,9 +451,7 @@ def _render_json(verdict: Verdict, timing: bool) -> str:
 def _render_csv(verdict: Verdict, timing: bool) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["statement", "params", "brute", "formula", "status", "verdict", "seconds"]
-    )
+    writer.writerow(["statement", "params", "brute", "formula", "verdict", "seconds"])
     for p in verdict.points:
         writer.writerow(
             [
@@ -474,7 +459,6 @@ def _render_csv(verdict: Verdict, timing: bool) -> str:
                 ",".join(str(x) for x in p.params),
                 "" if p.brute is None else p.brute,
                 "" if p.formula is None else p.formula,
-                p.status,
                 p.verdict,
                 f"{p.seconds:.6f}" if timing else "",
             ]
@@ -495,7 +479,7 @@ def _render_text(verdict: Verdict, timing: bool) -> str:
     for p in verdict.points:
         line = (
             f"  ({','.join(str(x) for x in p.params)}): "
-            f"brute={p.brute} formula={p.formula} {p.status} {p.verdict}"
+            f"brute={p.brute} formula={p.formula} {p.verdict}"
         )
         if timing:
             line += f" ({p.seconds:.3f}s)"

@@ -223,16 +223,14 @@ def test_criterion_12_property_suites():
 
 def test_evidence_run_for_the_open_case():
     """The m = 3 case, open in the source paper, was proved by Chen and
-    Tseng (2013); the run must complete, report it proved and give a
-    verdict.
+    Tseng (2013); the run must complete and give a verdict.
 
     The outcome is informational and deliberately not part of the gate.
     """
     rep = count_splitting(split_instance(2, 3, 2))
     print(
         f"INFO evidence (2,3,2): brute={rep.brute} formula={rep.formula} "
-        f"status={rep.status} verdict={rep.verdict}",
+        f"verdict={rep.verdict}",
         flush=True,
     )
-    assert rep.status == "proved"
     assert rep.verdict in ("match", "mismatch")

@@ -167,3 +167,15 @@ def test_field_tables_do_not_depend_on_the_scan_bound(monkeypatch):
     for (p, e), ref in default.items():
         ctx = fields.FieldCtx(p, e, ref.modulus)
         assert (ctx._exp, ctx._log, ctx._zech) == (ref._exp, ref._log, ref._zech)
+
+
+def test_a_count_past_two_to_the_64_is_named_by_its_power_of_two(monkeypatch):
+    # 2**(1000*1000*1000) has more decimal digits than str() converts;
+    # the refusal names it by its power of two instead of failing to print
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "1")
+    with pytest.raises(ScanBoundExceeded, match=r"needs at least 2\*\*1000000 candidates"):
+        conjugacy_classes(build_field(2), 1000)
+    with pytest.raises(ScanBoundExceeded, match=r"needs at least 2\*\*64 candidates"):
+        config.check_scan(2**64 + 1, "scan")
+    with pytest.raises(ScanBoundExceeded, match=f"needs {2**64 - 1} candidates"):
+        config.check_scan(2**64 - 1, "scan")

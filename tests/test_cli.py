@@ -2,8 +2,12 @@
 
 import json
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from splitlab import lfsr, splitting
 from splitlab.cli import main
+from splitlab.verify import statement_ids
 
 
 def run(capsys, *argv):
@@ -25,7 +29,6 @@ def test_count_splitting_json(capsys):
     assert payload["brute"] == 20
     assert payload["formula"] == 20
     assert payload["verdict"] == "match"
-    assert payload["status"] == "proved"
     assert "seconds" in payload
 
 
@@ -81,7 +84,7 @@ def test_count_splitting_formula_only(capsys):
     payload = json.loads(out)
     assert payload["brute"] is None
     assert payload["formula"] == 576
-    assert payload["status"] == "proved"
+    assert payload["verdict"] == "skipped"
 
 
 def test_verify_csv(capsys):
@@ -91,8 +94,8 @@ def test_verify_csv(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "statement,params,brute,formula,status,verdict,seconds"
-    assert lines[1] == 'SSC,"2,1,2",3,3,proved,match,'
+    assert lines[0] == "statement,params,brute,formula,verdict,seconds"
+    assert lines[1] == 'SSC,"2,1,2",3,3,match,'
 
 
 def test_verify_json_reproducible(capsys):
@@ -123,7 +126,7 @@ def test_verify_out_file(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(dest.read_text())
-    assert payload["schema"] == "splitlab/1"
+    assert payload["schema"] == "splitlab/2"
     assert payload["summary"]["mismatches"] == 0
 
 
@@ -186,7 +189,7 @@ def test_singer_census_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_m3_mismatch_exits_1(capsys, monkeypatch):
-    """A mismatch at m = 3 exits 1 like any other: no status is
+    """A mismatch at m = 3 exits 1 like any other: no point is
     conjectural, so no run exits 2."""
     monkeypatch.setattr(splitting, "ssc_formula", lambda q, m, n: 0)
     code, out, _ = run(
@@ -195,7 +198,7 @@ def test_m3_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     point = json.loads(out)["points"][0]
     assert (point["brute"], point["formula"]) == (576, 0)
-    assert (point["status"], point["verdict"]) == ("proved", "mismatch")
+    assert point["verdict"] == "mismatch"
     code, out, _ = run(
         capsys, "count-splitting", "--q", "2", "--m", "3", "--n", "2", "--no-timing",
     )
@@ -287,7 +290,7 @@ def test_fiber_census_scans_the_recurrences_once(capsys, monkeypatch):
     # every recurrence scan builds its leading blocks once: all of M_m(F_q)
     # for the full scan, one per conjugacy class for the scan up to conjugation
     calls = []
-    for name in ("_all_heads", "_class_heads"):
+    for name in ("_all_matrices", "_class_heads"):
         heads = getattr(lfsr, name)
         monkeypatch.setattr(
             lfsr, name, lambda *a, _name=name, _heads=heads, **k: calls.append(_name) or _heads(*a, **k)
@@ -399,3 +402,116 @@ def test_a_prime_cofactor_past_the_exact_primality_bound_is_kept(capsys, monkeyp
                 cofactor //= p
     phi -= phi // cofactor
     assert int(out) == phi // 3
+
+
+# -- report format splitlab/2: no field that is the same on every point ------
+
+_M3_GRID = ("verify", "--statement", "SSC", "--grid", "2,1,2;2,3,2", "--no-timing")
+
+
+def test_verify_json_is_splitlab_2_without_status(capsys):
+    code, out, _ = run(capsys, *_M3_GRID, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == "splitlab/2"
+    for point in payload["points"]:
+        assert list(point) == ["params", "brute", "formula", "verdict", "note"]
+        assert point["verdict"] == "match"
+    assert "status" not in out and "proved" not in out
+
+
+def test_verify_csv_has_no_status_column(capsys):
+    code, out, _ = run(capsys, *_M3_GRID, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "statement,params,brute,formula,verdict,seconds",
+        'SSC,"2,1,2",3,3,match,',
+        'SSC,"2,3,2",576,576,match,',
+    ]
+
+
+def test_verify_text_has_no_status_word(capsys):
+    code, out, _ = run(capsys, *_M3_GRID, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  (2,1,2): brute=3 formula=3 match",
+        "  (2,3,2): brute=576 formula=576 match",
+    ]
+    assert "status" not in out and "proved" not in out
+
+
+def test_count_splitting_json_has_no_status(capsys):
+    code, out, _ = run(
+        capsys, "count-splitting", "--q", "2", "--m", "3", "--n", "2", "--no-timing",
+    )
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "q", "m", "n", "defining_poly", "alpha", "brute", "formula", "verdict",
+    ]
+    assert "status" not in out and "proved" not in out
+
+
+def test_count_splitting_text_has_no_status(capsys):
+    code, out, _ = run(
+        capsys, "count-splitting", "--q", "2", "--m", "3", "--n", "2",
+        "--format", "text", "--no-timing",
+    )
+    assert code == 0
+    assert [line.split("=")[0] for line in out.splitlines()] == [
+        "q", "m", "n", "defining_poly", "alpha", "brute", "formula", "verdict",
+    ]
+    assert "brute=576" in out and "verdict=match" in out
+    assert "status" not in out and "proved" not in out
+
+
+# -- the literal parsers on arbitrary text -------------------------------------
+
+# each fuzzed option in a command that is valid without it; the option and
+# its text go in as one "--opt=text" token, so text starting with "-" still
+# reaches the parser
+_FUZZ_COMMANDS = {
+    "--q": ("count-splitting", "--m", "1", "--n", "2", "--formula-only"),
+    "--poly": ("count-splitting", "--q", "2", "--m", "2", "--n", "2", "--formula-only"),
+    "--alpha": ("count-splitting", "--q", "3", "--m", "2", "--n", "1", "--formula-only"),
+    "--pointed": ("count-splitting", "--q", "2", "--m", "2", "--n", "2", "--formula-only"),
+    "--C": ("lfsr", "period", "--q", "2", "--m", "2", "--n", "2", "--init", "1,0;0,1"),
+    "--init": (
+        "lfsr", "period", "--q", "2", "--m", "2", "--n", "2", "--C", "1,0;0,1|0,1;1,0",
+    ),
+}
+
+# any text, and text over the literals' own alphabet, which reaches past
+# the first int() into the shape and range checks
+_LITERALS = st.one_of(
+    st.text(max_size=40), st.text(alphabet="0123456789,;|^-+_ ", max_size=40)
+)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    option=st.sampled_from(sorted(_FUZZ_COMMANDS) + ["--grid"]),
+    statement=st.sampled_from(statement_ids()),
+    text=_LITERALS,
+)
+def test_literal_parsers_never_raise(capsys, monkeypatch, option, statement, text):
+    # a bound of 1 refuses every scan at once, so only the parsing and the
+    # checks before a scan run
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "1")
+    if option == "--grid":
+        argv = ("verify", "--statement", statement, "--no-timing", f"--grid={text}")
+    else:
+        argv = (*_FUZZ_COMMANDS[option], f"{option}={text}")
+    code, _, _ = run(capsys, *argv)
+    assert code in (0, 1, 3), argv
+
+
+def test_a_bare_double_dash_value_exits_3(capsys):
+    # argparse may store [] for an option whose value is exactly "--"
+    for option in ("--q", "--C", "--init"):
+        argv = (*_FUZZ_COMMANDS[option], f"{option}=--")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error:"), argv

@@ -1,7 +1,7 @@
 """The matrix kernels on FieldCtx.dot against the add/mul loops they
-replace: Matrix.__mul__, vec_mat, char_poly and Matrix.__pow__ (packed
-rows over F_2, raw rows elsewhere), over prime fields, table fields and
-the tower above the table cap, plus hypothesis property tests."""
+replace: Matrix.__mul__, vec_mat, char_poly and Matrix.__pow__ (square
+and multiply on raw rows), over prime fields, table fields and the tower
+above the table cap, plus hypothesis property tests."""
 
 import random
 
@@ -170,7 +170,7 @@ def test_powers_match_square_and_multiply_from_the_identity(pe):
 
 
 def test_packed_f2_powers_reach_the_group_order():
-    """Over F_2 the packed rows give T**(2**6 - 1) = I exactly for the
+    """Over F_2 the powers give T**(2**6 - 1) = I exactly for the
     companion of a primitive sextic, and no proper divisor does."""
     F2 = CTXS[(2, 1)]
     T = companion_matrix(Poly(F2, (1, 1, 0, 0, 0, 0, 1)))  # x**6 + x + 1, primitive

@@ -1,6 +1,7 @@
 """Splitting subspaces: scans against closed forms, transforms, base points."""
 
 import ast
+import dataclasses
 import inspect
 import itertools
 import random
@@ -53,11 +54,17 @@ F2 = build_field(2)
 
 def test_conjecture_status():
     """Chen and Tseng proved the splitting subspace count for every
-    (q, m, n), so a report says "proved" whatever the shape, m >= 3
-    included."""
-    for m, n in ((1, 7), (2, 2), (2, 9), (5, 1), (3, 2), (4, 3)):
+    (q, m, n), so a report is a plain verdict whatever the shape, m >= 3
+    included: the scanned shapes match, and the shapes too large to scan
+    carry the closed form and are skipped."""
+    for m, n in ((1, 7), (2, 2), (5, 1), (3, 2)):
+        rep = count_splitting(split_instance(2, m, n))
+        assert rep.brute == rep.formula == ssc_formula(2, m, n), (m, n)
+        assert rep.verdict == "match", (m, n)
+    for m, n in ((2, 9), (4, 3)):
         rep = count_splitting(split_instance(2, m, n), formula_only=True)
-        assert rep.status == "proved", (m, n)
+        assert (rep.brute, rep.formula) == (None, ssc_formula(2, m, n)), (m, n)
+        assert rep.verdict == "skipped", (m, n)
 
 
 def test_ssc_formula_fixtures():
@@ -139,12 +146,12 @@ def test_sweep_generators():
 
 
 def test_report_json_keys():
+    # the count-splitting command prints these fields, in this order
     rep = count_splitting(split_instance(2, 2, 2))
-    assert set(rep.to_json()) == {
+    assert list(dataclasses.asdict(rep)) == [
         "q", "m", "n", "defining_poly", "alpha", "brute", "formula",
-        "status", "verdict", "seconds",
-    }
-    assert rep.to_json()["status"] == "proved"
+        "verdict", "seconds",
+    ]
 
 
 def test_formula_only_skips_the_scan():
@@ -152,7 +159,6 @@ def test_formula_only_skips_the_scan():
     assert rep.brute is None
     assert rep.formula == 576
     assert rep.verdict == "skipped"
-    assert rep.status == "proved"
 
 
 def test_count_splitting_respects_scan_bound(monkeypatch):
@@ -458,6 +464,5 @@ def test_conjectural_point_verifies():
     """m = 3, conjectural in the source paper and proved since, verifies:
     the scan agrees with the closed form."""
     rep = count_splitting(split_instance(2, 3, 2))
-    assert rep.status == "proved"
     assert rep.brute == rep.formula == 576
     assert rep.verdict == "match"

@@ -75,10 +75,10 @@ def test_malformed_point_is_rejected():
 
 
 def test_exit_codes():
-    ok = PointResult((2, 2, 2), 20, 20, "proved", "match", None)
-    bad = PointResult((2, 2, 2), 19, 20, "proved", "mismatch", None)
-    bad_m3 = PointResult((2, 3, 2), 1, 2, "proved", "mismatch", None)
-    skip = PointResult((2, 2, 2), None, None, "proved", "skipped", None)
+    ok = PointResult((2, 2, 2), 20, 20, "match", None)
+    bad = PointResult((2, 2, 2), 19, 20, "mismatch", None)
+    bad_m3 = PointResult((2, 3, 2), 1, 2, "mismatch", None)
+    skip = PointResult((2, 2, 2), None, None, "skipped", None)
     assert Verdict("SSC", 0, (ok, skip), 0.0).exit_code() == 0
     assert Verdict("SSC", 0, (ok, bad), 0.0).exit_code() == 1
     assert Verdict("SSC", 0, (ok, bad_m3), 0.0).exit_code() == 1
@@ -97,7 +97,7 @@ def test_json_schema_and_summary(tmp_path):
     text = emit(verdict, "json", dest=str(tmp_path / "out.json"), timing=False)
     payload = json.loads((tmp_path / "out.json").read_text())
     assert json.loads(text) == payload
-    assert payload["schema"] == "splitlab/1"
+    assert payload["schema"] == "splitlab/2"
     assert payload["statement"] == "SSC"
     assert payload["summary"] == {
         "points": 2,
@@ -126,9 +126,9 @@ def test_json_with_timing_has_seconds():
 def test_csv_format():
     verdict = run(VerificationJob("SSC", grid=((2, 1, 2), (2, 2, 2))))
     lines = emit(verdict, "csv", timing=False).splitlines()
-    assert lines[0] == "statement,params,brute,formula,status,verdict,seconds"
-    assert lines[1] == 'SSC,"2,1,2",3,3,proved,match,'
-    assert lines[2] == 'SSC,"2,2,2",20,20,proved,match,'
+    assert lines[0] == "statement,params,brute,formula,verdict,seconds"
+    assert lines[1] == 'SSC,"2,1,2",3,3,match,'
+    assert lines[2] == 'SSC,"2,2,2",20,20,match,'
 
 
 def test_text_format():
@@ -155,9 +155,9 @@ def test_emit_bad_destination():
 
 
 def test_m3_grid_point_is_reported_as_proved():
+    # proved since the source paper: an m = 3 point is a plain match
     verdict = run(VerificationJob("SSC", grid=((2, 3, 2),)))
     point = verdict.points[0]
-    assert point.status == "proved"
     assert point.verdict == "match"
     assert point.brute == point.formula == 576
     assert verdict.exit_code() == 0
@@ -187,7 +187,7 @@ def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, state
     enumerators or the bare coefficient stream, starts by building its
     leading blocks once: all of M_m(F_q), or one per conjugacy class."""
     calls = []
-    for name in ("_all_heads", "_class_heads"):
+    for name in ("_all_matrices", "_class_heads"):
         heads = getattr(lfsr, name)
         monkeypatch.setattr(
             lfsr, name, lambda *a, _name=name, _heads=heads, **k: calls.append(_name) or _heads(*a, **k)
@@ -198,5 +198,5 @@ def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, state
         assert result.verdict == "match", point
         assert len(calls) == scans, point
         assert calls.count("_class_heads") == 1, point
-        assert calls.count("_all_heads") == scans - 1, point
+        assert calls.count("_all_matrices") == scans - 1, point
 
