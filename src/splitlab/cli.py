@@ -104,6 +104,7 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         doc["pointed_formula"] = expected
         doc["pointed_verdict"] = "match" if pointed == expected else "mismatch"
     if args.format == "json":
+        doc = {"schema": "splitlab/2", **doc}
         write_report(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"{key}={value}" for key, value in doc.items()]
@@ -120,14 +121,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return verdict.exit_code()
 
 
-def _run_point(statement: str, point: tuple[int, ...]):
-    """Verify one point of a statement: its PointResult and exit code.
-    A point skipped for exceeding a bound is an error here, not a pass."""
+def _print_point(statement: str, point: tuple[int, ...], *labels: tuple[str, str]) -> int:
+    """Verify one point of a statement and print it: each (label, field)
+    of labels as "label value", in order, then the verdict.  Returns the
+    exit code.  A point skipped for exceeding a bound is an error here,
+    not a pass."""
     verdict = run_verification(VerificationJob(statement, grid=(point,)))
     (result,) = verdict.points
     if result.verdict == "skipped":
         raise SplitLabError(result.note)
-    return result, verdict.exit_code()
+    for label, field in labels:
+        print(label, getattr(result, field))
+    print("verdict", result.verdict)
+    return verdict.exit_code()
 
 
 def _cmd_coprime_census(args: argparse.Namespace) -> int:
@@ -136,11 +142,8 @@ def _cmd_coprime_census(args: argparse.Namespace) -> int:
         value = polys.coprime_pair_count(args.n1, args.n2, ctx, args.method)
         print(value)
         return 0
-    result, code = _run_point("GENBB", (ctx.size, args.n1, args.n2))
-    print(f"closed {result.formula}")
-    print(f"brute {result.brute}")
-    print(f"verdict {result.verdict}")
-    return code
+    point = (ctx.size, args.n1, args.n2)
+    return _print_point("GENBB", point, ("closed", "formula"), ("brute", "brute"))
 
 
 def _cmd_qbinom(args: argparse.Namespace) -> int:
@@ -152,11 +155,8 @@ def _cmd_nilpotent_census(args: argparse.Namespace) -> int:
     if args.method in ("closed", "brute"):
         print(linalg.count_nilpotent(args.m, args.q, args.method))
         return 0
-    result, code = _run_point("NILPOTENT", (args.m, args.q))
-    print(f"closed {result.formula}")
-    print(f"brute {result.brute}")
-    print(f"verdict {result.verdict}")
-    return code
+    point = (args.m, args.q)
+    return _print_point("NILPOTENT", point, ("closed", "formula"), ("brute", "brute"))
 
 
 def _parse_recurrence(args: argparse.Namespace) -> lfsr.BlockRecurrence:
@@ -195,11 +195,8 @@ def _cmd_singer_census(args: argparse.Namespace) -> int:
     if args.method == "formula":
         print(lfsr.pvrc_formula(args.m, args.n, q))
         return 0
-    result, code = _run_point("BCSCC", (q, args.m, args.n))
-    print(f"scan {result.brute}")
-    print(f"formula {result.formula}")
-    print(f"verdict {result.verdict}")
-    return code
+    point = (q, args.m, args.n)
+    return _print_point("BCSCC", point, ("scan", "brute"), ("formula", "formula"))
 
 
 def _cmd_fiber_census(args: argparse.Namespace) -> int:
@@ -237,20 +234,6 @@ def _add_qmn(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", required=True, type=int, help="number of power translates / recurrence length")
 
 
-def _add_report_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument(
-        "--format", choices=("json", "csv", "text"), default=default_format
-    )
-    sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="echoed into the report")
-    sub.add_argument(
-        "--no-timing",
-        dest="timing",
-        action="store_false",
-        help="omit seconds fields so repeated runs are byte-identical",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitlab",
@@ -273,11 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--no-timing", dest="timing", action="store_false")
     cs.set_defaults(func=_cmd_count_splitting)
 
-    vs = commands.add_parser("verify-ssc", help="verify the splitting count grid")
-    vs.add_argument("--grid", help='points "q,m,n;q,m,n;..." (default grid if omitted)')
-    _add_report_flags(vs, "text")
-    vs.set_defaults(func=_cmd_verify, statement="SSC")
-
     vf = commands.add_parser("verify", help="verify one statement over a grid")
     vf.add_argument(
         "--statement",
@@ -286,7 +264,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one of: " + ", ".join(statement_ids()),
     )
     vf.add_argument("--grid", help='points "q,m,n;..." (default grid if omitted)')
-    _add_report_flags(vf, "json")
+    vf.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    vf.add_argument("--out", help="write the report to this path instead of stdout")
+    vf.add_argument("--seed", type=int, default=0, help="echoed into the report")
+    vf.add_argument(
+        "--no-timing",
+        dest="timing",
+        action="store_false",
+        help="omit seconds fields so repeated runs are byte-identical",
+    )
     vf.set_defaults(func=_cmd_verify)
 
     cc = commands.add_parser("coprime-census", help="count coprime polynomial pairs")

@@ -235,8 +235,9 @@ def pow_mod(f: Poly, exponent: int, modulus: Poly) -> Poly:
     while exponent:
         if exponent & 1:
             result = (result * base) % modulus
-        base = (base * base) % modulus
         exponent >>= 1
+        if exponent:
+            base = (base * base) % modulus
     return result
 
 

@@ -7,6 +7,13 @@ default grids are sized so a full run finishes in seconds; custom grids
 may hit the scan or factor bounds, in which case the affected points are
 recorded as skipped rather than failing the run.
 
+Every statement has one contract.  Its registry entry declares a handler,
+the shape of its points and a default grid.  The handler takes a point
+unpacked, e.g. _h_genbb(q, n1, n2), computes the identity's two routes,
+which share no code, and returns (left, right, ok, note) with ok a bool.
+`verify` alone checks a point's shape and words the verdict: "match" or
+"mismatch" from ok, "skipped" from a bound error.
+
 A point is its two route values and their verdict, and no point is
 conjectural: Chen and Tseng ("The splitting subspace conjecture", Finite
 Fields Appl. 24, 2013) proved the splitting subspace count for all
@@ -21,6 +28,7 @@ mismatched, 1 when any point mismatched.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -97,105 +105,66 @@ class Verdict:
         return 1 if self.mismatches else 0
 
 
-def _point_qmn(point) -> tuple[int, int, int]:
-    if len(point) != 3:
-        raise BadArgs(f"expected a (q, m, n) point, got {point!r}")
-    return point
+def _h_ssc(q, m, n):
+    rep = splitting.count_splitting(splitting.split_instance(q, m, n))
+    return rep.brute, rep.formula, rep.verdict == "match", ""
 
 
-def _h_ssc(point):
-    q, m, n = _point_qmn(point)
-    inst = splitting.split_instance(q, m, n)
-    rep = splitting.count_splitting(inst)
-    return rep.brute, rep.formula, rep.verdict, ""
-
-
-def _h_pssc(point):
-    q, m, n = _point_qmn(point)
-    inst = splitting.split_instance(q, m, n)
-    rep = splitting.pointed_consistency(inst)
+def _h_pssc(q, m, n):
+    rep = splitting.pointed_consistency(splitting.split_instance(q, m, n))
     note = "" if rep.uniform else "pointed counts are not uniform"
-    return rep.common, rep.formula, rep.verdict, note
+    return rep.common, rep.formula, rep.verdict == "match", note
 
 
-def _h_lower_bound(point):
-    q, m, n = _point_qmn(point)
-    inst = splitting.split_instance(q, m, n)
-    brute = splitting.count_splitting(inst).brute
+def _h_lower_bound(q, m, n):
+    brute = splitting.count_splitting(splitting.split_instance(q, m, n)).brute
     bound = splitting.splitting_lower_bound(q, m, n)
-    verdict = "match" if brute >= bound else "mismatch"
-    return brute, bound, verdict, "verdict records brute >= formula (lower bound)"
+    return brute, bound, brute >= bound, "verdict records brute >= formula (lower bound)"
 
 
-def _h_m2(point):
-    if len(point) != 1:
-        raise BadArgs(f"expected a (q,) point, got {point!r}")
-    (q,) = point
-    inst = splitting.split_instance(q, 2, 2)
-    brute = splitting.count_splitting(inst).brute
+def _h_m2(q):
+    brute = splitting.count_splitting(splitting.split_instance(q, 2, 2)).brute
     sub = splitting.m2_subtraction(q)
     closed = splitting.ssc_formula(q, 2, 2)
-    verdict = "match" if brute == sub == closed else "mismatch"
-    return brute, sub, verdict, f"plane count minus line count; product form {closed}"
+    note = f"plane count minus line count; product form {closed}"
+    return brute, sub, brute == sub == closed, note
 
 
-def _h_splitandbases(point):
-    q, m, n = _point_qmn(point)
+def _h_splitandbases(q, m, n):
     inst = splitting.split_instance(q, m, n)
     direct = splitting.count_splitting_bases(inst, "direct")
     product = splitting.count_splitting_bases(inst, "product")
-    verdict = "match" if direct == product else "mismatch"
-    return direct, product, verdict, "tuple scan vs subspace count times |GL_m|"
+    return direct, product, direct == product, "tuple scan vs subspace count times |GL_m|"
 
 
-def _h_nobases(point):
-    if len(point) != 2:
-        raise BadArgs(f"expected a (q, n) point, got {point!r}")
-    q, n = point
-    inst = splitting.split_instance(q, 2, n)
-    direct = splitting.count_splitting_bases(inst, "direct")
+def _h_nobases(q, n):
+    direct = splitting.count_splitting_bases(splitting.split_instance(q, 2, n), "direct")
     closed = splitting.nobases_formula(q, n)
-    verdict = "match" if direct == closed else "mismatch"
-    return direct, closed, verdict, "pair scan at m = 2 vs closed form"
+    return direct, closed, direct == closed, "pair scan at m = 2 vs closed form"
 
 
-def _h_genbb(point):
-    if len(point) != 3:
-        raise BadArgs(f"expected a (q, n1, n2) point, got {point!r}")
-    q, n1, n2 = point
+def _h_genbb(q, n1, n2):
     ctx = fields.field_from_order(q)
     brute = polys.coprime_pair_count(n1, n2, ctx, "brute")
     closed = polys.coprime_pair_count(n1, n2, ctx, "closed")
-    verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, ""
+    return brute, closed, brute == closed, ""
 
 
-def _h_elemsplit(point):
-    q, m, n = _point_qmn(point)
-    inst = splitting.split_instance(q, m, n)
-    rep = splitting.pointed_consistency(inst)
+def _h_elemsplit(q, m, n):
+    rep = splitting.pointed_consistency(splitting.split_instance(q, m, n))
     if not rep.uniform:
-        return None, None, "mismatch", "pointed counts are not uniform"
+        return None, None, False, "pointed counts are not uniform"
     left = rep.splitting_count * (q**m - 1)
     right = rep.common * (q ** (m * n) - 1)
-    verdict = "match" if left == right else "mismatch"
-    return left, right, verdict, "total count vs pointed count, rescaled"
+    return left, right, left == right, "total count vs pointed count, rescaled"
 
 
-def _h_weak_ssc(point):
-    if len(point) != 8:
-        raise BadArgs(f"expected a (q, m, n, a, b, c, d, r) point, got {point!r}")
-    q, m, n, a, b, c, d, r = point
-    inst = splitting.split_instance(q, m, n)
-    rep = splitting.weak_ssc_check(inst, a, b, c, d, r)
-    return rep.left, rep.right, rep.verdict, f"generator moved by {rep.transform}"
+def _h_weak_ssc(q, m, n, a, b, c, d, r):
+    rep = splitting.weak_ssc_check(splitting.split_instance(q, m, n), a, b, c, d, r)
+    return rep.left, rep.right, rep.verdict == "match", f"generator moved by {rep.transform}"
 
 
-def _h_endo_ssc(point):
-    if len(point) < 3:
-        raise BadArgs(f"expected a (q, c0, ..., ck) point, got {point!r}")
-    q = point[0]
-    coeffs = point[1:]
+def _h_endo_ssc(q, *coeffs):
     ctx = fields.field_from_order(q)
     if any(not 0 <= c < q for c in coeffs):
         raise BadArgs(f"coefficients out of range for F_{q}: {coeffs!r}")
@@ -204,22 +173,16 @@ def _h_endo_ssc(point):
         raise BadArgs(f"coefficients {coeffs!r} are not a monic polynomial")
     brute = splitting.count_T_splitting(linalg.companion_matrix(f), 1, f.degree)
     closed = splitting.endo_formula(f)
-    verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, "cyclic endomorphism via its companion matrix"
+    return brute, closed, brute == closed, "cyclic endomorphism via its companion matrix"
 
 
-def _h_nilpotent(point):
-    if len(point) != 2:
-        raise BadArgs(f"expected an (m, q) point, got {point!r}")
-    m, q = point
+def _h_nilpotent(m, q):
     brute = linalg.count_nilpotent(m, q, "brute")
     closed = linalg.count_nilpotent(m, q, "closed")
-    verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, ""
+    return brute, closed, brute == closed, ""
 
 
-def _h_pvrc(point):
-    q, m, n = _point_qmn(point)
+def _h_pvrc(q, m, n):
     ctx = fields.field_from_order(q)
     brute = sum(
         size
@@ -227,16 +190,14 @@ def _h_pvrc(point):
         if lfsr.is_primitive_recurrence(rec)
     )
     closed = lfsr.pvrc_formula(m, n, q)
-    verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, "primitive recurrences by matrix order, tuples up to conjugation"
+    note = "primitive recurrences by matrix order, tuples up to conjugation"
+    return brute, closed, brute == closed, note
 
 
-def _h_bcscc(point):
-    q, m, n = _point_qmn(point)
+def _h_bcscc(q, m, n):
     brute = lfsr.census_singer(m, n, q)
     closed = lfsr.pvrc_formula(m, n, q)
-    verdict = "match" if brute == closed else "mismatch"
-    return brute, closed, verdict, "census by primitive characteristic polynomial"
+    return brute, closed, brute == closed, "census by primitive characteristic polynomial"
 
 
 def fiber_rows(ctx, members, m: int, n: int):
@@ -257,8 +218,7 @@ def fiber_rows(ctx, members, m: int, n: int):
         yield f, hist[f], bridge
 
 
-def _fiber_family(point, kind: str):
-    q, m, n = _point_qmn(point)
+def _fiber_family(q, m, n, *, kind: str):
     ctx = fields.field_from_order(q)
     members = polys.find_irreducibles(ctx, m * n, kind)
     per_fiber = lfsr.nofiber_formula(m, n, q)
@@ -269,25 +229,19 @@ def _fiber_family(point, kind: str):
         if not scan == bridge == per_fiber:
             all_equal = False
     closed = len(members) * per_fiber
-    verdict = "match" if all_equal and total == closed else "mismatch"
     label = "primitive" if kind == "primitive_only" else "irreducible"
     note = (
         f"{len(members)} {label} polynomials; scan up to conjugation vs closed form "
         "vs bridge per fiber"
     )
-    return total, closed, verdict, note
+    return total, closed, all_equal and total == closed, note
 
 
-def _h_pfc(point):
-    return _fiber_family(point, "primitive_only")
+_h_pfc = functools.partial(_fiber_family, kind="primitive_only")
+_h_ifc = functools.partial(_fiber_family, kind="all")
 
 
-def _h_ifc(point):
-    return _fiber_family(point, "all")
-
-
-def _h_chain(point):
-    q, m, n = _point_qmn(point)
+def _h_chain(q, m, n):
     ctx = fields.field_from_order(q)
     mn = m * n
     irr = polys.find_irreducibles(ctx, mn, "all")
@@ -306,12 +260,11 @@ def _h_chain(point):
     if prim_count * mn != integers.euler_phi(q**mn - 1):
         ok = False
     closed = lfsr.pvrc_formula(m, n, q)
-    verdict = "match" if ok and census == closed else "mismatch"
     note = (
         "fibers up to conjugation vs ordered bases per polynomial, "
         "full census vs primitive fibers"
     )
-    return census, closed, verdict, note
+    return census, closed, ok and census == closed, note
 
 
 _WEAK_GRID = (
@@ -328,18 +281,25 @@ _ENDO_GRID = tuple(
     for tail in itertools.product((0, 1), repeat=deg)
 )
 
+_QMN = ("q", "m", "n")
+
+# statement id -> (handler, point shape, default grid); a shape names a
+# point's components, and "..." stands for any number of further ones, so
+# an ENDO_SSC point has three or more
 _REGISTRY: dict[str, tuple] = {
     "SSC": (
         _h_ssc,
+        _QMN,
         ((2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)),
     ),
-    "PSSC": (_h_pssc, ((2, 1, 2), (2, 2, 2), (3, 2, 2))),
-    "LOWER_BOUND": (_h_lower_bound, ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))),
-    "M2_THEOREM": (_h_m2, ((2,), (3,))),
-    "SPLITANDBASES": (_h_splitandbases, ((2, 1, 2), (2, 2, 2))),
-    "NOBASES": (_h_nobases, ((2, 1), (2, 2), (3, 2))),
+    "PSSC": (_h_pssc, _QMN, ((2, 1, 2), (2, 2, 2), (3, 2, 2))),
+    "LOWER_BOUND": (_h_lower_bound, _QMN, ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))),
+    "M2_THEOREM": (_h_m2, ("q",), ((2,), (3,))),
+    "SPLITANDBASES": (_h_splitandbases, _QMN, ((2, 1, 2), (2, 2, 2))),
+    "NOBASES": (_h_nobases, ("q", "n"), ((2, 1), (2, 2), (3, 2))),
     "GENBB": (
         _h_genbb,
+        ("q", "n1", "n2"),
         tuple(
             (q, n1, n2)
             for q in (2, 3)
@@ -347,16 +307,24 @@ _REGISTRY: dict[str, tuple] = {
             for n2 in range(1, n1 + 1)
         ),
     ),
-    "ELEMSPLIT": (_h_elemsplit, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 2))),
-    "WEAK_SSC": (_h_weak_ssc, _WEAK_GRID),
-    "ENDO_SSC": (_h_endo_ssc, _ENDO_GRID),
-    "NILPOTENT": (_h_nilpotent, ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))),
-    "PVRC": (_h_pvrc, ((2, 1, 2), (2, 2, 1), (2, 2, 2))),
-    "BCSCC": (_h_bcscc, ((2, 1, 2), (2, 2, 1), (2, 2, 2))),
-    "PFC": (_h_pfc, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2))),
-    "IFC": (_h_ifc, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2))),
-    "CHAIN": (_h_chain, ((2, 1, 2), (2, 2, 2))),
+    "ELEMSPLIT": (_h_elemsplit, _QMN, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 2))),
+    "WEAK_SSC": (_h_weak_ssc, ("q", "m", "n", "a", "b", "c", "d", "r"), _WEAK_GRID),
+    "ENDO_SSC": (_h_endo_ssc, ("q", "c0", "...", "ck"), _ENDO_GRID),
+    "NILPOTENT": (_h_nilpotent, ("m", "q"), ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))),
+    "PVRC": (_h_pvrc, _QMN, ((2, 1, 2), (2, 2, 1), (2, 2, 2))),
+    "BCSCC": (_h_bcscc, _QMN, ((2, 1, 2), (2, 2, 1), (2, 2, 2))),
+    "PFC": (_h_pfc, _QMN, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2))),
+    "IFC": (_h_ifc, _QMN, ((2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2))),
+    "CHAIN": (_h_chain, _QMN, ((2, 1, 2), (2, 2, 2))),
 }
+
+
+def _check_shape(shape: tuple[str, ...], point: tuple[int, ...]) -> None:
+    variadic = "..." in shape
+    size = len(shape) - variadic
+    if len(point) < size or (len(point) > size and not variadic):
+        names = ", ".join(shape) + ("," if len(shape) == 1 else "")
+        raise BadArgs(f"expected a ({names}) point, got {point!r}")
 
 
 def statement_ids() -> tuple[str, ...]:
@@ -367,7 +335,7 @@ def statement_ids() -> tuple[str, ...]:
 def default_grid(statement_id: str) -> tuple[tuple[int, ...], ...]:
     """The default parameter grid of a statement."""
     try:
-        return _REGISTRY[statement_id][1]
+        return _REGISTRY[statement_id][2]
     except KeyError:
         raise UnknownStatement(
             f"unknown statement {statement_id!r}; known: {', '.join(statement_ids())}"
@@ -377,25 +345,29 @@ def default_grid(statement_id: str) -> tuple[tuple[int, ...], ...]:
 def verify(job: VerificationJob) -> Verdict:
     """Run every grid point of the job and collect the verdicts.
 
-    Distinct points are processed once each, in sorted parameter order,
-    so the report layout is deterministic for a given job.  Resource
-    bound errors mark the point skipped instead of aborting the run.
+    Every point's shape is checked before any point runs.  Distinct
+    points are processed once each, in sorted parameter order, so the
+    report layout is deterministic for a given job.  Resource bound
+    errors mark the point skipped instead of aborting the run.
     """
     if job.statement_id not in _REGISTRY:
         raise UnknownStatement(
             f"unknown statement {job.statement_id!r}; "
             f"known: {', '.join(statement_ids())}"
         )
-    handler, grid = _REGISTRY[job.statement_id]
+    handler, shape, grid = _REGISTRY[job.statement_id]
     if job.grid is not None:
         grid = job.grid
     points = sorted({tuple(int(x) for x in p) for p in grid})
+    for point in points:
+        _check_shape(shape, point)
     started = time.perf_counter()
     results = []
     for point in points:
         t0 = time.perf_counter()
         try:
-            brute, formula, verdict, note = handler(point)
+            brute, formula, ok, note = handler(*point)
+            verdict = "match" if ok else "mismatch"
         except _BOUND_ERRORS as err:
             brute, formula, verdict, note = None, None, "skipped", str(err)
         results.append(

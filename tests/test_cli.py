@@ -130,8 +130,10 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload["summary"]["mismatches"] == 0
 
 
-def test_verify_ssc_alias(capsys):
-    code, out, _ = run(capsys, "verify-ssc", "--format", "text", "--no-timing")
+def test_verify_ssc_text(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--statement", "SSC", "--format", "text", "--no-timing",
+    )
     assert code == 0
     assert out.startswith("SSC:")
     assert "0 mismatch" in out
@@ -338,7 +340,7 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
         ("lfsr", "period", *recurrence, "--init", "1;7"),
         ("nilpotent-census", "3", "6", "--method", "closed"),
         ("nilpotent-census", "2", "1", "--method", "closed"),
-        ("verify-ssc", "--grid", ""),
+        ("verify", "--statement", "SSC", "--grid", ""),
         ("verify", "--statement", "SSC", "--grid", " "),
         ("qbinom", "4", "2", "6"),
     ):
@@ -446,8 +448,9 @@ def test_count_splitting_json_has_no_status(capsys):
     )
     assert code == 0
     assert list(json.loads(out)) == [
-        "q", "m", "n", "defining_poly", "alpha", "brute", "formula", "verdict",
+        "schema", "q", "m", "n", "defining_poly", "alpha", "brute", "formula", "verdict",
     ]
+    assert json.loads(out)["schema"] == "splitlab/2"
     assert "status" not in out and "proved" not in out
 
 

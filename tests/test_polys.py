@@ -102,6 +102,18 @@ def test_pow_mod_matches_repeated_multiplication():
         acc = acc * x % modulus
 
 
+def test_pow_mod_stops_squaring_after_the_top_bit(monkeypatch):
+    # x**8: three squarings and one multiply into the result; no square of
+    # the base after the exponent's last bit
+    modulus = Poly(F2, (1, 1, 0, 0, 1))
+    x = Poly(F2, (0, 1))
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert polys.pow_mod(x, 8, modulus) == Poly(F2, (1, 0, 1))
+    assert len(products) == 4
+
+
 def test_is_irreducible_matches_bit_oracle():
     """Cross-check against trial division on bit-packed integers, degrees 1..6."""
     for d in range(1, 7):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from splitlab import (
+    BadArgs,
     PointResult,
     UnknownStatement,
     Verdict,
@@ -16,6 +17,7 @@ from splitlab import (
     statement_ids,
 )
 from splitlab import verify as run
+from splitlab.cli import main
 
 verify_mod = importlib.import_module("splitlab.verify")
 
@@ -200,3 +202,63 @@ def test_fiber_statements_scan_the_recurrences_once_per_point(monkeypatch, state
         assert calls.count("_class_heads") == 1, point
         assert calls.count("_all_matrices") == scans - 1, point
 
+
+
+# -- one statement contract: verify checks shapes and words verdicts ----------
+
+SHAPES = {
+    "ENDO_SSC": "(q, c0, ..., ck)",
+    "GENBB": "(q, n1, n2)",
+    "M2_THEOREM": "(q,)",
+    "NILPOTENT": "(m, q)",
+    "NOBASES": "(q, n)",
+    "WEAK_SSC": "(q, m, n, a, b, c, d, r)",
+}
+
+
+@pytest.mark.parametrize("sid", statement_ids())
+def test_a_point_one_component_off_exits_3(capsys, sid):
+    shape = SHAPES.get(sid, "(q, m, n)")
+    # x + 1 is an ENDO_SSC point of the least length; its shape has no maximum
+    point = (2, 1, 1) if sid == "ENDO_SSC" else default_grid(sid)[0]
+    wrong = [point[:-1]] if sid == "ENDO_SSC" else [point[:-1], point + (1,)]
+    for bad in wrong:
+        if bad:
+            grid = ",".join(str(x) for x in bad)
+            code = main(["verify", "--statement", sid, "--grid", grid])
+            err = capsys.readouterr().err
+        else:
+            # the empty point has no grid literal
+            with pytest.raises(BadArgs) as exc:
+                run(VerificationJob(sid, grid=(bad,)))
+            code, err = 3, str(exc.value)
+        assert code == 3, bad
+        assert f"expected a {shape} point, got {bad!r}" in err
+
+
+def _stub(monkeypatch, ok, calls):
+    def handler(q, m, n):
+        calls.append((q, m, n))
+        return 7, 8, ok, "stub"
+
+    entry = (handler, ("q", "m", "n"), ((2, 2, 2),))
+    monkeypatch.setitem(verify_mod._REGISTRY, "SSC", entry)
+
+
+@pytest.mark.parametrize("ok, verdict, code", ((False, "mismatch", 1), (True, "match", 0)))
+def test_verify_words_the_handler_verdict(monkeypatch, capsys, ok, verdict, code):
+    calls = []
+    _stub(monkeypatch, ok, calls)
+    assert main(["verify", "--statement", "SSC", "--no-timing"]) == code
+    (point,) = json.loads(capsys.readouterr().out)["points"]
+    assert (point["brute"], point["formula"], point["verdict"]) == (7, 8, verdict)
+    assert point["note"] == "stub"
+    assert calls == [(2, 2, 2)]
+
+
+def test_shapes_are_checked_before_any_point_runs(monkeypatch):
+    calls = []
+    _stub(monkeypatch, True, calls)
+    with pytest.raises(BadArgs, match=r"expected a \(q, m, n\) point, got \(3,\)"):
+        run(VerificationJob("SSC", grid=((2, 1, 2), (3,))))
+    assert calls == []
