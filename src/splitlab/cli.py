@@ -95,6 +95,7 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
     doc = dataclasses.asdict(rep)
     if not args.timing:
         doc.pop("seconds")
+    mismatch = rep.brute is not None and rep.brute != rep.formula
     if args.pointed:
         x = inst.tower.element(_parse_ints(args.pointed, "coordinates"))
         pointed = splitting.count_pointed(inst, x)
@@ -103,14 +104,14 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         doc["pointed_brute"] = pointed
         doc["pointed_formula"] = expected
         doc["pointed_verdict"] = "match" if pointed == expected else "mismatch"
+        mismatch = mismatch or pointed != expected
     if args.format == "json":
         doc = {"schema": "splitlab/2", **doc}
         write_report(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"{key}={value}" for key, value in doc.items()]
         write_report("\n".join(lines) + "\n", args.out)
-    verdicts = [rep.verdict] + [doc.get("pointed_verdict", "match")]
-    return 1 if "mismatch" in verdicts else 0
+    return 1 if mismatch else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

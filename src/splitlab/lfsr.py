@@ -23,12 +23,14 @@ the splitting subspaces of the tower f defines (splitting's product route).
 Conjugating every C_j by one P in GL_m(F_q) conjugates the block
 companion by diag(P, ..., P), which keeps its characteristic polynomial
 and its order.  So fiber_histogram scans C_0 up to conjugation: one
-representative per conjugacy class of M_m(F_q) (_class_heads), weighted
-by the class size, with C_1, ..., C_{n-1} free.  The PVRC census takes
-whole tuples up to conjugation (enumerate_class_recurrences): below
-those heads a stabilizer chain takes C_1 up to the centralizer of C_0,
-C_2 up to the stabilizer of (C_0, C_1), and so on, each leaf weighted by
-its orbit size.  census_singer keeps the full scan of all q**(m*m*n)
+representative per conjugacy class of M_m(F_q) (_class_heads, from
+linalg.conjugacy_classes), weighted by the class size, with C_1, ...,
+C_{n-1} free.  The PVRC census takes whole tuples up to conjugation
+(enumerate_class_recurrences): below those heads a stabilizer chain
+takes C_1 up to the centralizer of C_0, C_2 up to the stabilizer of
+(C_0, C_1), and so on, each leaf weighted by its orbit size.  The chain
+runs on the conjugation maps the class pass built, from each class's
+stabilizer down.  census_singer keeps the full scan of all q**(m*m*n)
 tuples, over the one list of m x m matrices (_all_matrices) that
 enumerate_recurrences takes at every position.
 
@@ -311,46 +313,39 @@ def _all_matrices(ctx, m: int, n: int) -> list:
     return list(linalg.enumerate_matrices(ctx, m, m))
 
 
-def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> list:
-    """(C_0, class size) for one C_0 per conjugacy class of M_m(F_q),
-    or per invertible class with invertible, once the scan up to
-    conjugation is within the scan bound."""
+def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> tuple:
+    """linalg.conjugacy_classes(ctx, m), (mats, conj, classes), with
+    only the classes of invertible matrices kept with invertible, once
+    the scan of one C_0 per class is within the scan bound."""
     splitting._check_params(ctx.size, m, n)
-    heads = [
-        (linalg.Matrix(ctx, rows, m), size) for rows, size in linalg.conjugacy_classes(ctx, m)
-    ]
+    mats, conj, classes = linalg.conjugacy_classes(ctx, m)
     if invertible:
-        heads = [(C0, size) for C0, size in heads if C0.det() != ctx.zero]
+        classes = [(x, stab) for x, stab in classes if mats[x].det() != ctx.zero]
     config.check_scan(
-        len(heads) * ctx.size ** (m * m * (n - 1)), "recurrence scan up to conjugation"
+        len(classes) * ctx.size ** (m * m * (n - 1)), "recurrence scan up to conjugation"
     )
-    return heads
+    return mats, conj, classes
 
 
 def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
     """(rec, weight) for one tuple per orbit under simultaneous
-    conjugation, with C_0 from each (C_0, class size) in heads, streamed.
+    conjugation, with C_0 from each class of heads = (mats, conj,
+    classes) as _class_heads returns it, streamed.
 
     A stabilizer chain: below a prefix (C_0, ..., C_{j-1}) with
     stabilizer S, C_j runs over the least matrix (in enumerate_matrices
     order) of each orbit of S on M_m(F_q), and S shrinks to that
-    matrix's stabilizer in S.  Groups are taken modulo the scalars, which
-    fix every tuple.  Once only the scalars fix a prefix, its tails lie
-    in distinct orbits and run free.  A leaf weighs |GL_m| / |S| for the
-    S that fixes it, and the orbits of each distinct S are found once.
+    matrix's stabilizer in S.  C_0's stabilizer comes from the class
+    pass.  Groups are taken modulo the scalars, which fix every tuple.
+    Once only the scalars fix a prefix, its tails lie in distinct orbits
+    and run free.  A leaf weighs |GL_m| / |S| for the S that fixes it,
+    and the orbits of each distinct S are found once.
     """
-    if n == 1:
-        for C0, size in heads:
-            yield BlockRecurrence(ctx, m, (C0,)), size
-        return
-    mats = list(linalg.enumerate_matrices(ctx, m, m))
-    conj = _conjugations(ctx, m, mats)
+    mats, conj, classes = heads
     order = len(conj)
     orbits: dict[tuple, list] = {}
-    index = {X.rows: x for x, X in enumerate(mats)}
-    for C0, _ in heads:
-        x0 = index[C0.rows]
-        stack = [((C0,), tuple(g for g, image in enumerate(conj) if image(x0) == x0))]
+    for x0, stab0 in classes:
+        stack = [((mats[x0],), stab0)]
         while stack:  # depth first, children in orbit order
             prefix, stab = stack.pop()
             if len(stab) == 1 or len(prefix) == n:
@@ -359,87 +354,8 @@ def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, i
                     yield BlockRecurrence(ctx, m, prefix + tail), weight
                 continue
             if stab not in orbits:
-                orbits[stab] = _orbits(conj, stab, len(mats))
+                orbits[stab] = linalg._orbits(conj, stab, len(mats))
             stack += [(prefix + (mats[x],), sub) for x, sub in reversed(orbits[stab])]
-
-
-def _conjugations(ctx, m: int, mats: list) -> list:
-    """X -> P X P**-1 on the indices of mats (enumerate_matrices order)
-    for every P in GL_m(F_q) modulo the scalars: the P whose first
-    nonzero entry is 1.  Entry j = (i, s) of P X P**-1 is the sum over
-    the entries k = (r, c) of X of cols[j][k] * X[r][c], with
-    cols[j][k] = P[i][r] * P**-1[c][s].  Over F_{2**e} an index is the
-    e*m*m bits of the codes of X's entries and the map is F_2-linear on
-    it: the XOR of the images of its low and its high bits, each half
-    looked up in a table."""
-    one, zero, mul = ctx.one, ctx.zero, ctx.mul
-    group = [
-        P for P in mats
-        if next((x for row in P.rows for x in row if x != zero), zero) == one and P.det() != zero
-    ]
-    mm = m * m
-    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
-        e = ctx.e
-        half = e * mm // 2
-
-        def conjugation(cols: list):
-            # bit t of an index is y**b, b = t % e, at entry mm - 1 - t // e
-            bits = []
-            for t in range(e * mm):
-                b, k = t % e, mm - 1 - t // e
-                bits.append(sum(
-                    (mul(1 << b, col[k]) if b else col[k]) << e * (mm - 1 - j)
-                    for j, col in enumerate(cols)
-                ))
-            lo, hi = [0], [0]
-            for table, images in ((lo, bits[:half]), (hi, bits[half:])):
-                for image in images:
-                    table += [v ^ image for v in table]
-            mask = (1 << half) - 1
-            return lambda x: lo[x & mask] ^ hi[x >> half]
-
-    else:
-        rank = {x: i for i, x in enumerate(linalg.raw_scalars(ctx))}
-        q, dot = ctx.size, ctx.dot
-        flats = [sum(X.rows, ()) for X in mats]
-
-        def conjugation(cols: list):
-            def image(x: int) -> int:
-                y = 0
-                for col in cols:
-                    y = y * q + rank[dot(flats[x], col)]
-                return y
-
-            return image
-
-    out = []
-    for P in group:
-        P, P_inv = P.rows, P.inverse().rows
-        out.append(conjugation([
-            tuple(mul(P[i][r], P_inv[c][s]) for r in range(m) for c in range(m))
-            for i in range(m)
-            for s in range(m)
-        ]))
-    return out
-
-
-def _orbits(conj: list, stab: tuple, size: int) -> list[tuple[int, tuple]]:
-    """(x, stabilizer of x in stab) for each orbit of the group stab (its
-    indices into conj) on the matrix indices 0, ..., size - 1, x the
-    orbit's least index: the images of x under stab are its orbit."""
-    seen = bytearray(size)
-    out = []
-    for x in range(size):
-        if seen[x]:
-            continue
-        fixing = []
-        for g in stab:
-            y = conj[g](x)
-            seen[y] = 1
-            if y == x:
-                fixing.append(g)
-        out.append((x, tuple(fixing)))
-    return out
 
 
 def nofiber_formula(m: int, n: int, q: int) -> int:
@@ -568,8 +484,9 @@ def fiber_histogram(ctx, m: int, n: int) -> Counter:
     q**(m*m*n) share it, each class representative counting its class
     size, and a polynomial that never occurs reads as 0."""
     sizes: dict[tuple, int] = {}
-    heads = _class_heads(ctx, m, n)
-    tails = [list(linalg.enumerate_matrices(ctx, m, m))] * (n - 1) if n > 1 else []
+    mats, conj, classes = _class_heads(ctx, m, n)
+    heads = [(mats[x], len(conj) // len(stab)) for x, stab in classes]
+    tails = [mats] * (n - 1)
     for coeffs, weight in _char_polys(ctx, m, heads, tails):
         sizes[coeffs] = sizes.get(coeffs, 0) + weight
     return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})

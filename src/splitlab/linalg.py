@@ -23,14 +23,16 @@ Subspaces are represented by their reduced row echelon basis, which is
 unique, so SubspaceBasis equality is subspace equality and enumeration
 by pivot profile visits every subspace exactly once.
 
-conjugacy_classes splits M_m(F_q) into its classes under conjugation by
-GL_m(F_q), one representative and class size each, for the recurrence
-scans up to conjugation.
+One group action serves the recurrence scans up to conjugation.
+_conjugations maps X -> P X P**-1 on the indices of M_m(F_q) for every
+P in GL_m(F_q) modulo the scalars, and _orbits finds the orbits of any
+subgroup of those maps, each with its least index and its stabilizer.
+conjugacy_classes is one orbit pass of the whole group; the orbit walk
+of lfsr goes on below each class with the same maps.
 """
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import operator
@@ -44,7 +46,6 @@ from .errors import (
     NotSquare,
     ShapeMismatch,
     Singular,
-    SplitLabError,
 )
 
 
@@ -430,101 +431,104 @@ def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:
         yield Matrix(ctx, rows, ncols)
 
 
-def conjugacy_classes(ctx, m: int) -> list[tuple[tuple[tuple, ...], int]]:
-    """The conjugacy classes of M_m(F_q) under A -> P A P^-1, P in
-    GL_m(F_q): one (representative rows, class size) per class.  The
-    representative is the class's first matrix in enumerate_matrices
-    order, and classes come in the order of their representatives.
-
-    Union-find over the q**(m*m) matrices joins each A with its conjugate
-    by every generator of GL_m(F_q): the transvections I + E_ij (i != j)
-    and, for q > 2, diag(g, 1, ..., 1) with g primitive.  Conjugating
-    I + E_0j by that diagonal gives I + g E_0j, which reaches the
-    transvections with every coefficient; the unit transvections alone
-    generate a proper subgroup over F_4 or F_8.  Matrices are indexed by
-    their base-q digit string, first entry most significant.  At m = 1
-    every matrix is its own class, and no union-find runs.
+def conjugacy_classes(ctx, m: int) -> tuple[list, list, list[tuple[int, tuple]]]:
+    """The conjugacy classes of M_m(F_q) under X -> P X P**-1, P in
+    GL_m(F_q), as (mats, conj, classes): mats every m x m matrix in
+    enumerate_matrices order, conj the conjugations on their indices
+    (_conjugations), and one (x, stabilizer) per class from one orbit
+    pass of the whole group (_orbits).  x is the class's least index,
+    classes come in the order of x, and the class size is
+    len(conj) // len(stabilizer).  At m = 1 every matrix commutes with
+    every P, so the group modulo the scalars is trivial: conj is the
+    identity alone and no group is built.
     """
     if m < 1:
         raise BadArgs(f"matrix size must be >= 1, got {m}")
-    q = ctx.size
+    config.check_scan(ctx.size ** (m * m), "conjugacy class scan")
+    mats = list(enumerate_matrices(ctx, m, m))
+    if m == 1:
+        return mats, [lambda x: x], [(x, (0,)) for x in range(len(mats))]
+    conj = _conjugations(ctx, m, mats)
+    return mats, conj, _orbits(conj, tuple(range(len(conj))), len(mats))
+
+
+def _conjugations(ctx, m: int, mats: list) -> list:
+    """X -> P X P**-1 on the indices of mats (enumerate_matrices order)
+    for every P in GL_m(F_q) modulo the scalars: the P whose first
+    nonzero entry is 1.  Entry j = (i, s) of P X P**-1 is the sum over
+    the entries k = (r, c) of X of cols[j][k] * X[r][c], with
+    cols[j][k] = P[i][r] * P**-1[c][s].  Over F_{2**e} an index is the
+    e*m*m bits of the codes of X's entries and the map is F_2-linear on
+    it: the XOR of the images of its low and its high bits, each half
+    looked up in a table."""
+    one, zero, mul = ctx.one, ctx.zero, ctx.mul
+    group = [
+        P for P in mats
+        if next((x for row in P.rows for x in row if x != zero), zero) == one and P.det() != zero
+    ]
     mm = m * m
-    config.check_scan(q**mm, "conjugacy class scan")
-    scalars = raw_scalars(ctx)
-    if m == 1:  # a 1 x 1 matrix commutes with every P
-        return [(((c,),), 1) for c in scalars]
-    rank = {x: i for i, x in enumerate(scalars)}
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
+        e = ctx.e
+        half = e * mm // 2
 
-    def transvection(i: int, j: int):
-        # row i += row j, then column j -= column i: (I + E_ij) A (I - E_ij)
-        def conj(A: list) -> list:
-            for c in range(m):
-                A[i * m + c] = add(A[i * m + c], A[j * m + c])
-            for r in range(m):
-                A[r * m + j] = sub(A[r * m + j], A[r * m + i])
-            return A
+        def conjugation(cols: list):
+            # bit t of an index is y**b, b = t % e, at entry mm - 1 - t // e
+            bits = []
+            for t in range(e * mm):
+                b, k = t % e, mm - 1 - t // e
+                bits.append(sum(
+                    (mul(1 << b, col[k]) if b else col[k]) << e * (mm - 1 - j)
+                    for j, col in enumerate(cols)
+                ))
+            lo, hi = [0], [0]
+            for table, images in ((lo, bits[:half]), (hi, bits[half:])):
+                for image in images:
+                    table += [v ^ image for v in table]
+            mask = (1 << half) - 1
+            return lambda x: lo[x & mask] ^ hi[x >> half]
 
-        return conj
+    else:
+        rank = {x: i for i, x in enumerate(raw_scalars(ctx))}
+        q, dot = ctx.size, ctx.dot
+        flats = [sum(X.rows, ()) for X in mats]
 
-    def scaling(g):
-        # row 0 times g, then column 0 times g^-1
-        g_inv = ctx.inv(g)
+        def conjugation(cols: list):
+            def image(x: int) -> int:
+                y = 0
+                for col in cols:
+                    y = y * q + rank[dot(flats[x], col)]
+                return y
 
-        def conj(A: list) -> list:
-            for c in range(1, m):
-                A[c] = mul(g, A[c])
-            for r in range(1, m):
-                A[r * m] = mul(g_inv, A[r * m])
-            return A
+            return image
 
-        return conj
-
-    gens = [transvection(i, j) for i in range(m) for j in range(m) if i != j]
-    if q > 2:
-        gens.append(scaling(_primitive_scalar(ctx)))
-
-    parent = array.array("q", range(q**mm))  # 8 bytes a matrix
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for a, flat in enumerate(itertools.product(scalars, repeat=mm)):
-        for conj in gens:
-            b = 0
-            for x in conj(list(flat)):
-                b = b * q + rank[x]
-            ra, rb = find(a), find(b)
-            if ra != rb:  # the smaller index stays the root
-                parent[max(ra, rb)] = min(ra, rb)
-    sizes: dict[int, int] = {}
-    for a in range(q**mm):
-        r = find(a)
-        sizes[r] = sizes.get(r, 0) + 1
     out = []
-    for r in sorted(sizes):
-        digits = integers.to_digits(r, q, mm)[::-1]
-        flat = [scalars[d] for d in digits]
-        out.append((tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m)), sizes[r]))
+    for P in group:
+        P, P_inv = P.rows, P.inverse().rows
+        out.append(conjugation([
+            tuple(mul(P[i][r], P_inv[c][s]) for r in range(m) for c in range(m))
+            for i in range(m)
+            for s in range(m)
+        ]))
     return out
 
 
-def _primitive_scalar(ctx):
-    """The first raw scalar in rank order whose powers run through all
-    q - 1 units."""
-    one, units = ctx.one, ctx.size - 1
-    for g in raw_scalars(ctx):
-        if g == ctx.zero:
+def _orbits(conj: list, stab: tuple, size: int) -> list[tuple[int, tuple]]:
+    """(x, stabilizer of x in stab) for each orbit of the group stab (its
+    indices into conj) on the matrix indices 0, ..., size - 1, x the
+    orbit's least index: the images of x under stab are its orbit."""
+    seen = bytearray(size)
+    out = []
+    for x in range(size):
+        if seen[x]:
             continue
-        x, order = g, 1
-        while x != one:
-            x = ctx.mul(x, g)
-            order += 1
-        if order == units:
-            return g
-    raise SplitLabError("internal: no primitive element found")
+        fixing = []
+        for g in stab:
+            y = conj[g](x)
+            seen[y] = 1
+            if y == x:
+                fixing.append(g)
+        out.append((x, tuple(fixing)))
+    return out
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

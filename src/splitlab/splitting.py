@@ -38,8 +38,9 @@ The closed forms never call either.
 Scan results are exact.  The splitting subspace count ssc_formula holds
 for all (q, m, n) (Chen and Tseng, "The splitting subspace conjecture",
 Finite Fields Appl. 24, 2013), and the other closed forms here follow
-from it or were proved before, so a report carries the two routes and
-their verdict only.
+from it or were proved before, so a report carries its two routes and
+nothing else, apart from the verdicts of count_splitting and
+pointed_consistency.
 """
 
 from __future__ import annotations
@@ -571,7 +572,6 @@ class MoebiusReport:
     beta: str
     left: int
     right: int
-    verdict: str
 
 
 def weak_ssc_check(
@@ -616,5 +616,4 @@ def weak_ssc_check(
         beta=",".join(str(x) for x in beta.coords),
         left=left,
         right=right,
-        verdict="match" if left == right else "mismatch",
     )

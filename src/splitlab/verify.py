@@ -161,7 +161,7 @@ def _h_elemsplit(q, m, n):
 
 def _h_weak_ssc(q, m, n, a, b, c, d, r):
     rep = splitting.weak_ssc_check(splitting.split_instance(q, m, n), a, b, c, d, r)
-    return rep.left, rep.right, rep.verdict == "match", f"generator moved by {rep.transform}"
+    return rep.left, rep.right, rep.left == rep.right, f"generator moved by {rep.transform}"
 
 
 def _h_endo_ssc(q, *coeffs):

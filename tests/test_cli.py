@@ -87,6 +87,19 @@ def test_count_splitting_formula_only(capsys):
     assert payload["verdict"] == "skipped"
 
 
+def test_count_splitting_exit_code_follows_the_counts(capsys, monkeypatch):
+    # a closed form off by one: exit 1 when the scan ran, 0 when skipped
+    args = ("count-splitting", "--q", "2", "--m", "2", "--n", "2", "--no-timing")
+    ssc, pointed = splitting.ssc_formula, splitting.pointed_formula
+    monkeypatch.setattr(splitting, "ssc_formula", lambda *a: ssc(*a) + 1)
+    assert run(capsys, *args)[0] == 1
+    assert run(capsys, *args, "--formula-only")[0] == 0
+    monkeypatch.setattr(splitting, "ssc_formula", ssc)
+    monkeypatch.setattr(splitting, "pointed_formula", lambda *a: pointed(*a) + 1)
+    assert run(capsys, *args, "--pointed", "1,1,0,0")[0] == 1
+    assert run(capsys, *args)[0] == 0
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(
         capsys, "verify", "--statement", "SSC", "--grid", "2,1,2;2,2,2",

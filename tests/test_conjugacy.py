@@ -63,9 +63,16 @@ def random_base(q, rng):
             return fields.FieldCtx(p, e, modulus)
 
 
+def class_rows(ctx, m):
+    """conjugacy_classes read as one (representative rows, class size)
+    per class, in class order."""
+    mats, conj, classes = conjugacy_classes(ctx, m)
+    return [(mats[x].rows, len(conj) // len(stab)) for x, stab in classes]
+
+
 def check_class_counts(ctx, m):
     q = ctx.size
-    classes = conjugacy_classes(ctx, m)
+    classes = class_rows(ctx, m)
     sizes = [size for _, size in classes]
     invertible = [rows for rows, _ in classes if Matrix(ctx, rows, m).det() != ctx.zero]
     assert sum(sizes) == q ** (m * m)
@@ -144,7 +151,7 @@ def test_classes_are_the_orbits_under_all_of_gl(q, m):
     order = {A: i for i, A in enumerate(enumerate_matrices(ctx, m, m))}
     group = [(P, P.inverse()) for P in order if P.det() != ctx.zero]
     covered = set()
-    for rows, size in conjugacy_classes(ctx, m):
+    for rows, size in class_rows(ctx, m):
         R = Matrix(ctx, rows, m)
         orbit = {P * R * P_inv for P, P_inv in group}
         assert len(orbit) == size, R
@@ -157,7 +164,7 @@ def test_classes_are_the_orbits_under_all_of_gl(q, m):
 @pytest.mark.parametrize("q, m, n", [(2, 2, 2), (3, 2, 1), (4, 2, 1), (2, 3, 1), (2, 1, 3)])
 def test_class_scan_visits_one_head_per_class(q, m, n):
     ctx = field_from_order(q)
-    classes = conjugacy_classes(ctx, m)
+    classes = class_rows(ctx, m)
     tails = q ** (m * m * (n - 1))
     recs = list(enumerate_class_recurrences(ctx, m, n))
     assert len(recs) == burnside(ctx, m, n)
@@ -223,7 +230,7 @@ def test_orbit_walk_visits_one_tuple_per_orbit(q, m, n, random_modulus):
     and without a singular C_0."""
     rng = random.Random(f"walk/{q},{m},{n}")
     ctx = random_base(q, rng) if random_modulus else field_from_order(q)
-    classes = conjugacy_classes(ctx, m)
+    classes = class_rows(ctx, m)
     units = [rows for rows, _ in classes if Matrix(ctx, rows, m).det() != ctx.zero]
     tails = q ** (m * m * (n - 1))
     for invertible, total, first in (
@@ -265,9 +272,22 @@ def test_walk_leaves_are_the_orbits_under_all_of_gl(q, m, n):
     assert len(covered) == q ** (m * m * n)
 
 
+def primitive_scalar(ctx):
+    """The first nonzero scalar whose q - 1 powers are pairwise distinct."""
+    q = ctx.size
+    for g in linalg.raw_scalars(ctx)[1:]:
+        if len({ctx.power(g, k) for k in range(1, q)}) == q - 1:
+            return g
+    raise AssertionError(f"no primitive element in {ctx}")
+
+
 def classes_by_union_find(ctx, m):
-    """conjugacy_classes as it ran for every m before the m = 1 shortcut:
-    the union-find over all q**(m*m) matrices, kept as its oracle."""
+    """The independent oracle for conjugacy_classes: a union-find over
+    all q**(m*m) matrices joins each A with its conjugates by the
+    transvections I + E_ij (i != j) and, for q > 2, by diag(g, 1, ..., 1)
+    with g primitive, which together generate GL_m(F_q).  One
+    (representative rows, class size) per class, the representative the
+    class's least matrix in enumeration order."""
     q, mm = ctx.size, m * m
     scalars = linalg.raw_scalars(ctx)
     rank = {x: i for i, x in enumerate(scalars)}
@@ -297,7 +317,7 @@ def classes_by_union_find(ctx, m):
 
     gens = [transvection(i, j) for i in range(m) for j in range(m) if i != j]
     if q > 2:
-        gens.append(scaling(linalg._primitive_scalar(ctx)))
+        gens.append(scaling(primitive_scalar(ctx)))
     parent = array.array("q", range(q**mm))
 
     def find(a):
@@ -324,10 +344,42 @@ def classes_by_union_find(ctx, m):
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
 def test_scalar_classes_equal_the_union_find(q):
     ctx = field_from_order(q)
-    assert conjugacy_classes(ctx, 1) == classes_by_union_find(ctx, 1)
+    assert class_rows(ctx, 1) == classes_by_union_find(ctx, 1)
 
 
-@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("q", [q for q, m in COUNT_POINTS if m == 2])
 def test_union_find_oracle_reproduces_the_classes_at_m_2(q):
     ctx = field_from_order(q)
-    assert classes_by_union_find(ctx, 2) == conjugacy_classes(ctx, 2)
+    assert classes_by_union_find(ctx, 2) == class_rows(ctx, 2)
+
+
+@pytest.mark.parametrize("q", [q for q, m in COUNT_POINTS if m == 3])
+def test_union_find_oracle_reproduces_the_classes_at_m_3(q):
+    ctx = field_from_order(q)
+    assert classes_by_union_find(ctx, 3) == class_rows(ctx, 3)
+
+
+@pytest.mark.parametrize("q", (4, 8, 9))
+def test_union_find_oracle_reproduces_the_classes_over_a_random_modulus(q):
+    ctx = random_base(q, random.Random(f"union-find/{q}"))
+    assert classes_by_union_find(ctx, 2) == class_rows(ctx, 2)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 2), (3, 2, 2), (2, 1, 3), (3, 1, 2)])
+def test_each_scan_builds_the_group_once(monkeypatch, q, m, n):
+    """The class pass builds the conjugations and the orbit walk and the
+    histogram reuse them; at m = 1 the group modulo the scalars is
+    trivial and none is built."""
+    builds = []
+    build = linalg._conjugations
+    monkeypatch.setattr(linalg, "_conjugations", lambda *a: builds.append(a) or build(*a))
+    ctx = field_from_order(q)
+    expected = 1 if m > 1 else 0
+    for scan in (
+        lambda: list(enumerate_class_recurrences(ctx, m, n)),
+        lambda: list(enumerate_class_recurrences(ctx, m, n, invertible=True)),
+        lambda: fiber_histogram(ctx, m, n),
+    ):
+        builds.clear()
+        scan()
+        assert len(builds) == expected
