@@ -24,7 +24,7 @@ import sys
 
 from . import fields, lfsr, linalg, polys, splitting
 from .errors import BadArgs, SplitLabError
-from .verify import VerificationJob, emit, fiber_rows, statement_ids, write_report
+from .verify import VerificationJob, emit, fiber_rows, statement_ids, verdict_word, write_report
 from .verify import verify as run_verification
 
 
@@ -103,7 +103,7 @@ def _cmd_count_splitting(args: argparse.Namespace) -> int:
         doc["pointed_x"] = args.pointed
         doc["pointed_brute"] = pointed
         doc["pointed_formula"] = expected
-        doc["pointed_verdict"] = "match" if pointed == expected else "mismatch"
+        doc["pointed_verdict"] = verdict_word(pointed == expected)
         mismatch = mismatch or pointed != expected
     if args.format == "json":
         doc = {"schema": "splitlab/2", **doc}
@@ -217,11 +217,11 @@ def _cmd_fiber_census(args: argparse.Namespace) -> int:
         literal = ",".join(str(c) for c in f.coeffs)
         total += scan
         if bridge is not None:
-            verdict = "match" if scan == per_fiber == bridge else "mismatch"
-            any_mismatch |= verdict == "mismatch"
+            ok = scan == per_fiber == bridge
+            any_mismatch |= not ok
             print(
                 f"poly={literal} scan={scan} formula={per_fiber} "
-                f"bridge={bridge} verdict={verdict}"
+                f"bridge={bridge} verdict={verdict_word(ok)}"
             )
         else:
             print(f"poly={literal} scan={scan}")

@@ -19,12 +19,11 @@ Two kinds of context, both immutable after construction:
   respect to the power basis 1, alpha, ..., alpha**(d-1), where alpha is
   the class of the indeterminate modulo the defining polynomial.
 
-FieldElement pairs a context with a raw scalar and provides operator
-sugar; all arithmetic ultimately runs on raw scalars through the context
-methods add/sub/mul/neg/inv/div/power/frobenius.  The matrix kernels of
-linalg run on dot, one fused sum of products per call.  generates asks
-linalg's row reduction whether 1, beta, ..., beta**(d-1) are
-independent over the base field.
+FieldElement pairs a context with a raw scalar; all arithmetic runs on
+raw scalars through the context methods add/sub/mul/neg/inv/div/power/
+frobenius.  The matrix kernels of linalg run on dot, one fused sum of
+products per call.  generates asks linalg's row reduction whether
+1, beta, ..., beta**(d-1) are independent over the base field.
 
 Default defining polynomials are canonical: the lexicographically least
 monic irreducible of the requested degree, comparing coefficient tuples
@@ -89,45 +88,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return self.raw == self.ctx.zero
-
-    def _coerce(self, other) -> FieldElement:
-        if not isinstance(other, FieldElement):
-            raise ContextMismatch(f"cannot combine field element with {other!r}")
-        if self.ctx != other.ctx:
-            raise ContextMismatch("elements from different field contexts")
-        return other
-
-    def __add__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.add(self.raw, other.raw))
-
-    def __sub__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.sub(self.raw, other.raw))
-
-    def __mul__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.raw, other.raw))
-
-    def __truediv__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.ctx, self.ctx.div(self.raw, other.raw))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.ctx, self.ctx.neg(self.raw))
-
-    def __pow__(self, k: int) -> FieldElement:
-        return FieldElement(self.ctx, self.ctx.power(self.raw, k))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.ctx, self.ctx.inv(self.raw))
-
-    def frobenius(self, r: int) -> FieldElement:
-        """self ** (p ** r) for the field characteristic p."""
-        return FieldElement(self.ctx, self.ctx.frobenius(self.raw, r))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def __eq__(self, other) -> bool:
         return (
@@ -386,9 +346,6 @@ class FieldCtx:
         if not isinstance(code, int) or not 0 <= code < self.size:
             raise BadArgs(f"code {code!r} outside [0, {self.size})")
         return FieldElement(self, code)
-
-    def element_from_raw(self, raw: int) -> FieldElement:
-        return FieldElement(self, raw)
 
     def element_coords(self, raw: int) -> tuple[int, ...]:
         return (raw,)

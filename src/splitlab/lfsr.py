@@ -94,17 +94,6 @@ class BlockRecurrence:
     def __setattr__(self, name, value):
         raise AttributeError("BlockRecurrence is immutable")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockRecurrence)
-            and self.ctx == other.ctx
-            and self.m == other.m
-            and self.C == other.C
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.m, self.C))
-
     def __repr__(self) -> str:
         mats = " | ".join(str(mat) for mat in self.C)
         return f"BlockRecurrence(m={self.m}, n={self.n} over {self.ctx}: {mats})"
@@ -234,7 +223,10 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     those squares.  That is exact: if e_0 has period N, its minimal
     polynomial is primitive of degree mn, so it is the characteristic
     polynomial of T and T has order N; if T has order N, every nonzero
-    state has period N.
+    state has period N.  A singular C_0 needs no check of its own: if
+    e_0 T**N = e_0, T maps the span of e_0's orbit onto itself, and a
+    period of N puts N distinct nonzero vectors in that span, so the
+    span is the whole space and T is invertible.
 
     Over F_{2**e} a state packs into one int, e bits a coordinate (the
     bits of its code), and v -> vT is F_2-linear on it: row e*i + b of
@@ -244,8 +236,6 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     ctx = rec.ctx
     mn = rec.m * rec.n
     N = ctx.size**mn - 1
-    if rec.C[0].det() == ctx.zero:
-        return False
     T = block_companion(rec)
     if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
         e, mul = ctx.e, ctx.mul

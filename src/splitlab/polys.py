@@ -149,9 +149,6 @@ class Poly:
                     rem[k + i] = ctx.sub(rem[k + i], ctx.mul(factor, g))
         return Poly(ctx, quo), Poly(ctx, rem)
 
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
@@ -161,9 +158,6 @@ class Poly:
         if self.is_monic:
             return self
         return self.scale(self.ctx.inv(self.coeffs[-1]))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (

@@ -324,9 +324,12 @@ class SplitInstance:
     mats holds T^0, ..., T^(n-1) for T the matrix of multiplication by
     the generator.
 
-    The generator requirement is enforced at construction; an element
-    lying in a proper subfield would make every stacked family dependent
-    and the counts meaningless.
+    Construction refuses an element that does not generate the tower,
+    so every instance meets the closed forms' hypothesis.  The scans
+    would still run for an element of degree d < mn over F_q: when
+    d < n every stacked family is dependent and the count is 0, and for
+    n <= d < mn the counts are census values, not closed forms (at
+    (2,2,2) an element of F_4 gives 30, a generator 20).
     """
 
     __slots__ = ("tower", "m", "n", "alpha_elt", "mats")
@@ -370,14 +373,11 @@ class SplitInstance:
     def alpha_literal(self) -> str:
         return ",".join(str(c) for c in self.alpha_elt.coords)
 
-    def describe(self) -> str:
-        return (
-            f"q={self.q} m={self.m} n={self.n} "
-            f"poly={self.defining_literal} alpha={self.alpha_literal}"
-        )
-
     def __repr__(self) -> str:
-        return f"SplitInstance({self.describe()})"
+        return (
+            f"SplitInstance(q={self.q} m={self.m} n={self.n} "
+            f"poly={self.defining_literal} alpha={self.alpha_literal})"
+        )
 
 
 def split_instance(

@@ -12,7 +12,8 @@ the shape of its points and a default grid.  The handler takes a point
 unpacked, e.g. _h_genbb(q, n1, n2), computes the identity's two routes,
 which share no code, and returns (left, right, ok, note) with ok a bool.
 `verify` alone checks a point's shape and words the verdict: "match" or
-"mismatch" from ok, "skipped" from a bound error.
+"mismatch" from ok through verdict_word, which the command line's own
+comparisons use too, and "skipped" from a bound error.
 
 A point is its two route values and their verdict, and no point is
 conjectural: Chen and Tseng ("The splitting subspace conjecture", Finite
@@ -342,6 +343,10 @@ def default_grid(statement_id: str) -> tuple[tuple[int, ...], ...]:
         ) from None
 
 
+def verdict_word(ok: bool) -> str:
+    return "match" if ok else "mismatch"
+
+
 def verify(job: VerificationJob) -> Verdict:
     """Run every grid point of the job and collect the verdicts.
 
@@ -367,7 +372,7 @@ def verify(job: VerificationJob) -> Verdict:
         t0 = time.perf_counter()
         try:
             brute, formula, ok, note = handler(*point)
-            verdict = "match" if ok else "mismatch"
+            verdict = verdict_word(ok)
         except _BOUND_ERRORS as err:
             brute, formula, verdict, note = None, None, "skipped", str(err)
         results.append(

@@ -9,17 +9,15 @@ import pytest
 from splitlab import (
     BlockRecurrence,
     Matrix,
-    Poly,
     block_companion,
     char_poly,
     enumerate_recurrences,
     field_from_order,
-    fields,
-    integers,
     is_irreducible,
     lfsr,
     linalg,
 )
+from sampling import random_base, random_matrix
 
 
 def oracle(rec):
@@ -34,26 +32,9 @@ def check(ctx, m, n, recs):
 
 def random_recs(ctx, m, n, count, rng):
     return [
-        BlockRecurrence(
-            ctx,
-            m,
-            tuple(
-                Matrix(ctx, [[rng.randrange(ctx.size) for _ in range(m)] for _ in range(m)])
-                for _ in range(n)
-            ),
-        )
+        BlockRecurrence(ctx, m, tuple(random_matrix(ctx, m, m, rng) for _ in range(n)))
         for _ in range(count)
     ]
-
-
-def random_base(q, rng):
-    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
-    p, e = integers.prime_power_split(q)
-    prime = fields.build_field(p)
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
 
 
 # every shape whose full scan has at most 4096 tuples, over the prime
@@ -166,13 +147,9 @@ def test_kernel_walks_several_heads_and_tails_in_product_order(q, m, n):
     one polynomial per tuple, heads outermost and the last position
     fastest, each with its head's weight."""
     rng = random.Random(f"char_polys/product/{q},{m},{n}")
-    ctx = random_base(q, rng) if q in (4, 9) else field_from_order(q)
-
-    def matrix():
-        return Matrix(ctx, [[rng.randrange(q) for _ in range(m)] for _ in range(m)])
-
-    heads = [(matrix(), rng.randrange(1, 100)) for _ in range(3)]
-    tails = [[matrix() for _ in range(j + 1)] for j in range(1, n)]
+    ctx = random_base(q, rng)
+    heads = [(random_matrix(ctx, m, m, rng), rng.randrange(1, 100)) for _ in range(3)]
+    tails = [[random_matrix(ctx, m, m, rng) for _ in range(j + 1)] for j in range(1, n)]
     got = list(lfsr._char_polys(ctx, m, heads, tails))
     want = [
         (oracle(BlockRecurrence(ctx, m, (C0,) + C)), weight)

@@ -14,10 +14,8 @@ import pytest
 
 from splitlab import (
     Matrix,
-    Poly,
     VerificationJob,
     block_companion,
-    build_field,
     char_poly,
     conjugacy_classes,
     enumerate_class_recurrences,
@@ -27,13 +25,13 @@ from splitlab import (
     field_from_order,
     gl_order,
     integers,
-    is_irreducible,
     is_primitive_recurrence,
     rref,
     subspace_from_rows,
     verify,
 )
-from splitlab import fields, linalg
+from splitlab import linalg
+from sampling import random_base
 
 # (q, m) of the class-count oracles
 COUNT_POINTS = [(q, 1) for q in (2, 3, 4)] + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [
@@ -51,16 +49,6 @@ def class_counts(q, m):
         2: (q**2 + q, q**2 - 1),
         3: (q**3 + q**2 + q, q**3 - q),
     }[m]
-
-
-def random_base(q, rng):
-    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
 
 
 def class_rows(ctx, m):

@@ -8,47 +8,9 @@ import random
 
 import pytest
 
-from splitlab import (
-    Matrix,
-    Poly,
-    SplitInstance,
-    build_extension,
-    build_field,
-    count_splitting,
-    enumerate_subspaces,
-    generates,
-    integers,
-    is_irreducible,
-    ssc_formula,
-    vec_mat,
-)
-from splitlab import fields, linalg, splitting
-
-
-def random_base(q, rng):
-    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
-
-
-def random_instance(base, m, n, rng):
-    """A SplitInstance over base with a random irreducible modulus of
-    degree mn and a random generator, both by rejection sampling."""
-    d = m * n
-    q = base.size
-    while True:
-        f = Poly(base, tuple(rng.randrange(q) for _ in range(d)) + (1,))
-        if is_irreducible(f):
-            break
-    tower = build_extension(base, d, f)
-    while True:
-        beta = tower.element(tuple(rng.randrange(q) for _ in range(d)))
-        if not beta.is_zero and generates(tower, beta):
-            return SplitInstance(tower, m, n, beta)
+from splitlab import count_splitting, enumerate_subspaces, ssc_formula
+from splitlab import fields, splitting
+from sampling import random_base, random_instance, random_matrix, splits_by_stacking
 
 
 def count_private_tower_calls(monkeypatch, base):
@@ -83,34 +45,25 @@ def test_table_scans_match_the_formula_without_the_tower(monkeypatch, q, m, n):
     assert calls["mul"] > 0
 
 
-def vec_mat_splits(ctx, powers, rows):
-    """The stacking the generic kernel replaced: one vec_mat per row
-    and power, each transposing the power again."""
-    stacked = list(rows)
-    for P in powers[1:]:
-        stacked.extend(vec_mat(w, P) for w in rows)
-    return linalg.rows_are_independent(ctx, stacked)
-
-
 @pytest.mark.parametrize("m, n", ((1, 2), (2, 2), (1, 3)))
 @pytest.mark.parametrize("q", (3, 4, 9))
 def test_generic_splitter_matches_vec_mat_stacking(q, m, n):
     """On every subspace, for α-splitting over random moduli and for a
     random endomorphism, and on random ordered row tuples."""
     rng = random.Random(f"splitter/{q},{m},{n}")
-    base = random_base(q, rng) if q > 3 else build_field(q)
+    base = random_base(q, rng)
     size = m * n
-    T = Matrix(base, [[rng.randrange(q) for _ in range(size)] for _ in range(size)])
+    T = random_matrix(base, size, size, rng)
     alpha = random_instance(base, m, n, rng).mats
     for powers in (alpha, splitting._powers(T, m, n)):
         splits = splitting._splitter(base, powers)
         accepted = 0
         for W in enumerate_subspaces(base, size, m):
-            expect = vec_mat_splits(base, powers, W.rows)
+            expect = splits_by_stacking(base, powers, W.rows)
             assert splits(W.rows) == expect, (powers, W.rows)
             accepted += expect
         if powers is alpha:
             assert accepted == ssc_formula(q, m, n)
         for _ in range(50):
             rows = [tuple(rng.randrange(q) for _ in range(size)) for _ in range(m)]
-            assert splits(rows) == vec_mat_splits(base, powers, rows), (powers, rows)
+            assert splits(rows) == splits_by_stacking(base, powers, rows), (powers, rows)

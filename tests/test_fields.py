@@ -20,6 +20,7 @@ from splitlab import (
     generates,
 )
 from splitlab import fields, integers, polys
+from sampling import random_base, random_tower
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -198,14 +199,8 @@ def test_prime_power_fields_match_the_poly_route_on_random_pairs():
 
 def test_random_moduli_match_the_poly_route():
     rng = random.Random(11)
-    for p, e in ((2, 4), (3, 3), (5, 2), (2, 8)):
-        canonical = build_field(p, e).modulus
-        prime = build_field(p)
-        while True:
-            modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-            if modulus != canonical and polys.is_irreducible(Poly(prime, modulus)):
-                break
-        ctx = fields.FieldCtx(p, e, modulus)
+    for q in (2**4, 3**3, 5**2, 2**8):
+        ctx = random_base(q, rng, other=True)
         check_tables(ctx)
         pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
         singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
@@ -272,23 +267,13 @@ def test_generates():
         generates(F2, F2.element(1))
 
 
-def random_modulus(ctx, d, rng):
-    while True:
-        f = Poly(ctx, tuple(rng.randrange(ctx.size) for _ in range(d)) + (ctx.one,))
-        if polys.is_irreducible(f):
-            return f
-
-
 @pytest.mark.parametrize("q, d", [(2, 4), (3, 2), (4, 2), (8, 2)])
 def test_generates_matches_the_frobenius_orbit(q, d):
     """beta generates F_{q^d} over F_q exactly when beta**(q**k) != beta
     for every proper divisor k of d, over random moduli of base and
     tower."""
     rng = random.Random(f"generates/{q},{d}")
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    base = fields.FieldCtx(p, e, random_modulus(prime, e, rng).coeffs) if e > 1 else prime
-    tower = build_extension(base, d, random_modulus(base, d, rng))
+    tower = random_tower(random_base(q, rng), d, rng)
     divisors = [k for k in range(1, d) if d % k == 0]
     gens = 0
     for beta in tower.elements():

@@ -1,7 +1,8 @@
 """Hygiene without a linter: no module of the package or of its tests
 imports a name it never uses, the package keeps only the top-level
 functions and classes it runs, apart from a short list kept on purpose,
-and only the refusals read the scan bound."""
+no two test modules define the same helper, and only the refusals read
+the scan bound."""
 
 import ast
 import pathlib
@@ -108,6 +109,34 @@ def test_detector_sees_unreferenced_definitions():
 def test_package_keeps_only_what_it_runs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced(sources) == sorted(KEPT)
+
+
+def repeated_helpers(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes not named test_*, as
+    name: module, module, ..., that more than one module defines."""
+    defined: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("test_"):
+                    defined.setdefault(stmt.name, []).append(module)
+    return sorted(f"{name}: {', '.join(mods)}" for name, mods in defined.items() if len(mods) > 1)
+
+
+def test_detector_sees_repeated_helpers():
+    sources = {
+        "a": "def draw():\n    pass\ndef test_draw():\n    pass\nclass Oracle:\n    pass\n",
+        "b": "def draw():\n    pass\ndef test_draw():\n    pass\n",
+        "c": "from a import Oracle\nclass Oracle(Oracle):\n    pass\n",
+    }
+    assert repeated_helpers(sources) == ["Oracle: a, c", "draw: a, b"]
+
+
+def test_test_modules_share_their_helpers():
+    """The samplers and oracles used by several test modules live in
+    tests/sampling.py; no test module defines its own copy."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    assert repeated_helpers(sources) == []
 
 
 def scan_bound_callers(sources: dict[str, str]) -> list[str]:

@@ -34,7 +34,6 @@ from splitlab import (
     find_irreducibles,
     gaussian_binomial,
     gl_order,
-    is_irreducible,
     is_primitive_recurrence,
     nofiber_formula,
     period_preperiod,
@@ -45,6 +44,7 @@ from splitlab import (
     vec_mat,
 )
 from splitlab import fields, integers, linalg, polys
+from sampling import random_base
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -219,18 +219,6 @@ def primitive_by_matrix_powers(rec):
     return True
 
 
-def other_base(q, rng):
-    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e
-    other than the canonical modulus."""
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    canonical = field_from_order(q).modulus
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if modulus != canonical and is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
-
-
 # every shape with q**(m*m*n) <= 4096; F_8 and F_9 also over a random
 # other modulus (x**2 + x + 1 is the only modulus of F_4)
 ORDER_SHAPES = [
@@ -246,7 +234,9 @@ ORDER_CASES = [(q, m, n, False) for q, m, n in ORDER_SHAPES] + [
 
 
 def order_field(q, m, n, random_modulus):
-    return other_base(q, random.Random(f"order/{q},{m},{n}")) if random_modulus else field_from_order(q)
+    if random_modulus:
+        return random_base(q, random.Random(f"order/{q},{m},{n}"), other=True)
+    return field_from_order(q)
 
 
 @pytest.mark.parametrize("q, m, n, random_modulus", ORDER_CASES)

@@ -21,12 +21,12 @@ from splitlab import (
     field_from_order,
     gaussian_binomial,
     gl_order,
-    is_irreducible,
     rref,
     subspace_from_rows,
     vec_mat,
 )
-from splitlab import fields, integers, linalg
+from splitlab import linalg
+from sampling import random_base, random_tower
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -155,23 +155,6 @@ def reference_rref_rows(ctx, rows, ncols):
                 work[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[r], work[top])]
         pivots.append(col)
     return tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots)
-
-
-def random_base(q, rng):
-    """F_q = F_p[x]/(f) for a random monic irreducible f of degree e."""
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
-
-
-def random_tower(base, d, rng):
-    while True:
-        f = Poly(base, tuple(rng.randrange(base.size) for _ in range(d)) + (base.one,))
-        if is_irreducible(f):
-            return build_extension(base, d, f)
 
 
 def rref_cases(ctx, rng):

@@ -19,6 +19,7 @@ from splitlab import (
     vec_mat,
 )
 from splitlab import fields
+from sampling import random_invertible, random_matrix
 
 # (p, e): prime fields, p = 2 and odd-p tables, and two fields above
 # fields._TABLE_MAX that run on the private tower
@@ -92,19 +93,7 @@ def oracle_char_poly(mat):
     return Poly(ctx, tuple(reversed(coeffs)))
 
 
-# -- seeded random inputs ------------------------------------------------------
-
-def rand_matrix(ctx, nrows, ncols, rng):
-    return Matrix(ctx, [[rng.randrange(ctx.size) for _ in range(ncols)]
-                        for _ in range(nrows)], ncols)
-
-
-def rand_invertible(ctx, n, rng):
-    while True:
-        mat = rand_matrix(ctx, n, n, rng)
-        if mat.det() != ctx.zero:
-            return mat
-
+# -- matrix sizes -------------------------------------------------------------
 
 def side(ctx):
     """Matrix size for a field: small above the table cap, where every
@@ -132,8 +121,8 @@ def test_mul_and_vec_mat_match_the_loops(pe):
     rng = random.Random(f"mul/{pe}")
     s = side(ctx)
     for nrows, inner, ncols in ((s, s, s), (1, s, 2), (s, 1, s), (2, s + 1, 3)):
-        a = rand_matrix(ctx, nrows, inner, rng)
-        b = rand_matrix(ctx, inner, ncols, rng)
+        a = random_matrix(ctx, nrows, inner, rng)
+        b = random_matrix(ctx, inner, ncols, rng)
         assert a * b == oracle_mul(a, b)
         for row in a.rows:
             assert vec_mat(row, b) == oracle_vec_mat(row, b)
@@ -147,7 +136,7 @@ def test_char_poly_matches_the_loops(pe):
     rng = random.Random(f"charpoly/{pe}")
     for n in range(1, side(ctx) + 2):
         for _ in range(3):
-            mat = rand_matrix(ctx, n, n, rng)
+            mat = random_matrix(ctx, n, n, rng)
             assert char_poly(mat) == oracle_char_poly(mat), mat
 
 
@@ -156,7 +145,7 @@ def test_powers_match_square_and_multiply_from_the_identity(pe):
     ctx = CTXS[pe]
     rng = random.Random(f"pow/{pe}")
     n = min(side(ctx), 3)
-    mat = rand_invertible(ctx, n, rng)
+    mat = random_invertible(ctx, n, rng)
     full = ctx.size ** n - 1
     for k in (0, 1, 2, 3, 10, full):
         assert mat**k == oracle_pow(mat, k), k
@@ -193,7 +182,7 @@ def test_empty_and_one_by_one_matrices(pe):
     assert Matrix(ctx, [()] * 2, 0) * wide == Matrix.zero(ctx, 2, 3)
     rng = random.Random(f"one/{pe}")
     for _ in range(5):
-        a, b = rand_matrix(ctx, 1, 1, rng), rand_matrix(ctx, 1, 1, rng)
+        a, b = random_matrix(ctx, 1, 1, rng), random_matrix(ctx, 1, 1, rng)
         assert a * b == oracle_mul(a, b)
         assert char_poly(a) == oracle_char_poly(a)
         for k in (0, 1, 2, ctx.size - 1):

@@ -12,21 +12,16 @@ import pytest
 
 from splitlab import (
     Matrix,
-    Poly,
-    SplitInstance,
-    build_extension,
     build_field,
     count_splitting,
     count_splitting_bases,
     count_T_splitting,
     enumerate_subspaces,
-    generates,
-    integers,
-    is_irreducible,
     split_instance,
     ssc_formula,
 )
-from splitlab import fields, linalg, splitting
+from splitlab import linalg, splitting
+from sampling import random_base, random_instance, random_matrix, random_nilpotent, random_singular
 
 # (q, m, n): every q with shapes whose full scan stays small
 POINTS = [
@@ -38,57 +33,6 @@ POINTS = [
 ]
 
 
-def random_base(q, rng):
-    """F_q, with a random monic irreducible modulus of degree e when
-    q = p**e with e > 1."""
-    p, e = integers.prime_power_split(q)
-    prime = build_field(p)
-    if e == 1:
-        return prime
-    while True:
-        modulus = tuple(rng.randrange(p) for _ in range(e)) + (1,)
-        if is_irreducible(Poly(prime, modulus)):
-            return fields.FieldCtx(p, e, modulus)
-
-
-def random_instance(base, m, n, rng):
-    """A SplitInstance over base with a random irreducible modulus of
-    degree mn and a random generator, both by rejection sampling."""
-    d = m * n
-    q = base.size
-    while True:
-        f = Poly(base, tuple(rng.randrange(q) for _ in range(d)) + (1,))
-        if is_irreducible(f):
-            break
-    tower = build_extension(base, d, f)
-    while True:
-        beta = tower.element(tuple(rng.randrange(q) for _ in range(d)))
-        if not beta.is_zero and generates(tower, beta):
-            return SplitInstance(tower, m, n, beta)
-
-
-def random_matrix(base, size, rng):
-    q = base.size
-    return Matrix(base, [[rng.randrange(q) for _ in range(size)] for _ in range(size)])
-
-
-def random_nilpotent(base, size, rng):
-    """A conjugate S N S^-1 of a random strictly upper triangular N."""
-    q = base.size
-    N = Matrix(base, [[rng.randrange(q) if j > i else 0 for j in range(size)]
-                      for i in range(size)])
-    while True:
-        S = random_matrix(base, size, rng)
-        if S.det():
-            return S * N * S.inverse()
-
-
-def random_singular(base, size, rng):
-    """A random matrix whose last row repeats the first."""
-    rows = random_matrix(base, size, rng).rows
-    return Matrix(base, rows[:-1] + rows[:1])
-
-
 def operator_powers(q, m, n, rng):
     """(base, powers) for the tower generator of two random instances
     and for the zero, identity, random, nilpotent and singular
@@ -96,7 +40,7 @@ def operator_powers(q, m, n, rng):
     base = random_base(q, rng)
     size = m * n
     family = [Matrix.zero(base, size, size), Matrix.identity(base, size),
-              random_matrix(base, size, rng), random_nilpotent(base, size, rng)]
+              random_matrix(base, size, size, rng), random_nilpotent(base, size, rng)]
     if size > 1:
         family.append(random_singular(base, size, rng))
     powers = [random_instance(base, m, n, rng).mats for _ in range(2)]

@@ -13,15 +13,10 @@ import random
 
 import pytest
 
-from splitlab import (
-    count_splitting,
-    enumerate_subspaces,
-    split_instance,
-    ssc_formula,
-    vec_mat,
-)
+from splitlab import count_splitting, enumerate_subspaces, split_instance, ssc_formula
 from splitlab import linalg, splitting
-from test_prefix_splitter import inserted_rows, operator_powers, random_base, random_instance
+from sampling import random_base, random_instance, splits_by_stacking
+from test_prefix_splitter import inserted_rows, operator_powers
 
 # (q, m, n): m = 1 takes the quotient of the empty prefix, n = 1 a
 # one-dimensional one
@@ -32,12 +27,6 @@ POINTS = [
     (9, 2, 2), (9, 1, 2),
 ]
 SAMPLE = 120
-
-
-def from_scratch(ctx, powers, rows):
-    """Every row's translates vec_mat(w, T^k) stacked and eliminated at once."""
-    stacked = [vec_mat(w, P) for P in powers for w in rows]
-    return linalg.rows_are_independent(ctx, stacked)
 
 
 def calls_around(rows, zero, extra):
@@ -74,7 +63,7 @@ def test_the_quotient_step_agrees_with_elimination_from_scratch(q, m, n):
         for rows in candidates + random_tuples:
             extra = tuple(rng.choice(scalars) for _ in range(width))
             for call in calls_around(rows, zero, extra):
-                expect = from_scratch(base, powers, call)
+                expect = splits_by_stacking(base, powers, call)
                 assert stateful(call) == expect, (powers, call)
                 assert splitting._splitter(base, powers)(call) == expect, (powers, call)
                 seen.add((len(call), expect))

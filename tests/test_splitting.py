@@ -33,7 +33,6 @@ from splitlab import (
     generates,
     gl_order,
     is_alpha_splitting,
-    is_irreducible,
     is_T_splitting,
     m2_subtraction,
     multiplication_matrix,
@@ -48,6 +47,7 @@ from splitlab import (
     weak_ssc_check,
 )
 from splitlab import lfsr, linalg
+from sampling import random_modulus
 
 F2 = build_field(2)
 
@@ -240,11 +240,7 @@ def test_pointed_counts_are_uniform():
     # a seeded random modulus over F_3 and over F_4, a few points each
     for q in (3, 4):
         rng = random.Random(f"pointed/{q}")
-        base = field_from_order(q)
-        while True:
-            f = Poly(base, tuple(rng.randrange(q) for _ in range(4)) + (1,))
-            if is_irreducible(f):
-                break
+        f = random_modulus(field_from_order(q), 4, rng)
         inst = split_instance(q, 2, 2, defining_poly=f)
         for x in rng.sample([x for x in inst.tower.elements() if not x.is_zero], 3):
             assert count_pointed(inst, x) == pointed_formula(q, 2, 2), (f, x)
