@@ -354,18 +354,22 @@ class SubspaceBasis(tuple):
         return all(x == zero for x in v)
 
     def vectors(self) -> Iterator[tuple]:
-        """All vectors of the subspace (q ** dim of them)."""
+        """All vectors of the subspace (q ** dim of them), in the order
+        of itertools.product over the coefficients of the rows, the
+        first coefficient varying slowest.  The span is built one row at
+        a time from the row's multiples, taking the vector itself for
+        coefficient 0 and the row itself for coefficient 1."""
         ctx = self.ctx
-        zero = ctx.zero
-        add, mul = ctx.add, ctx.mul
+        zero, one, add, mul = ctx.zero, ctx.one, ctx.add, ctx.mul
         scalars = raw_scalars(ctx)
-        for coeffs in itertools.product(scalars, repeat=self.dim):
-            v = [zero] * self.ambient
-            for c, row in zip(coeffs, self.rows):
-                if c == zero:
-                    continue
-                v = [add(x, mul(c, y)) for x, y in zip(v, row)]
-            yield tuple(v)
+        span = [(zero,) * self.ambient]
+        for row in self.rows:
+            multiples = [
+                None if c == zero else row if c == one else tuple(mul(c, y) for y in row)
+                for c in scalars
+            ]
+            span = [v if r is None else tuple(map(add, v, r)) for v in span for r in multiples]
+        return iter(span)
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,28 +12,31 @@ exhaustive counts over all subspaces, the ordered-basis variant, the
 pointed refinement, the endomorphism variant, and the closed forms for
 each.
 
-The scan route is one kernel: _splitter prepares, once per scan, the
-test of a basis and its translates for independence, and _splitting_scan
-runs it over every m-dimensional subspace.  The scans yield candidates
-in product order over shared rows, so consecutive candidates mostly
-differ only in their last row: the splitter keeps the echelon state
-after each prefix of its previous call's rows (_prefix_splitter) and
-inserts only the translates of the rows that changed, rejecting at once
-a candidate whose shared prefix is already dependent.  Every candidate
-is still tested.  Over F_2 the insert step is packed: rows are int
-bitmasks and translates XORs of row images.  Elsewhere it stacks the
-images under columns of the powers taken once per scan for
-linalg._echelon_insert, the generic elimination the tests check the
-packed one against, except for the last row that can fit: once the rows
-before it have translates spanning U of dimension mn - n, a row splits
-exactly when its n translates are independent in the n-dimensional
-quotient F_q^{mn}/U, an n x n elimination against columns built once
-per such prefix (_quotient_columns).  is_alpha_splitting and
-is_T_splitting build a fresh splitter per call; the direct ordered-basis
-scan keeps one per scan; count_splitting, count_pointed,
-pointed_consistency, count_T_splitting, weak_ssc_check and the product
-ordered-basis route, the fiber bridge's, count through _splitting_scan.
-The closed forms never call either.
+The scan route is one walk: _verdicts takes the candidates, each a
+tuple of rows, and yields whether each one splits.  The scans yield
+candidates in product order over shared rows, so consecutive candidates
+mostly differ only in their last row: the walk groups them by head, the
+rows before the last, inserts each head's translates once into an
+echelon state (sharing the states of the previous head's row prefixes,
+and rejecting at once every candidate under a dependent head), and
+tests each last row against the head's state with one call that extends
+no state.  Every candidate is still tested, once, and the subspace
+scans pull every one from linalg.enumerate_subspaces.  _steps picks the
+insert and last-row steps once per scan.  Over F_2 they are packed: a
+state is an int echelon basis, and a row's translates are bitmasks, one
+XOR of row images, kept per row value for the scan.  Elsewhere a head's
+rows stack their images under columns of the powers taken once per scan
+for linalg._echelon_insert, the generic elimination the tests check the
+packed one against, and a last row splits exactly when its n translates
+are independent in the quotient F_q^{mn}/U of the head's span U, an
+n x n elimination against columns built once per live head
+(_quotient_columns).
+count_splitting, count_pointed, pointed_consistency, count_T_splitting,
+weak_ssc_check, the product ordered-basis route, the fiber bridge's,
+and the direct ordered-basis route over every tuple all count through
+the walk; is_alpha_splitting and is_T_splitting answer through
+_splitter, the walk of one candidate.  The closed forms never call
+either.
 
 Scan results are exact.  The splitting subspace count ssc_formula holds
 for all (q, m, n) (Chen and Tseng, "The splitting subspace conjecture",
@@ -46,7 +49,9 @@ pointed_consistency.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -167,70 +172,123 @@ def _check_subspace(ctx, W: linalg.SubspaceBasis, m: int, n: int) -> None:
 
 
 def _splitter(ctx, powers):
-    """The test splits(rows) -> bool: whether the rows and their images
-    rows * T^k under powers = (T^0, ..., T^(n-1)) are independent, built
-    once per scan.  The one place the scan route stacks translates.
+    """The one-call test splits(rows) -> bool: whether the rows and
+    their images rows * T^k under powers = (T^0, ..., T^(n-1)) are
+    independent.  is_alpha_splitting and is_T_splitting answer through
+    it, as do the tests for calls of any length: a call is one
+    candidate walked by _verdicts, and a call with no rows splits."""
 
-    A row's step inserts its n translates into an echelon basis, and
-    _prefix_splitter keeps the basis after each prefix of the previous
-    call's rows, so a call redoes only the rows after the prefix it
-    shares with the one before.  Rows are immutable tuples of raw
-    scalars, as every scan passes them; the splitter keeps its own
-    tuple of them and compares them by value.
+    def splits(rows) -> bool:
+        rows = tuple(map(tuple, rows))
+        return not rows or next(_verdicts(ctx, powers, (rows,)))
 
-    Over F_2 the step is packed: images[j] stacks e_j T^0, ...,
-    e_j T^(n-1) as bitmasks (e_j T^k from bit k*width), so a row's n
-    translates are one XOR of the images at its nonzero coordinates,
-    each inserted into an int echelon basis (pivots[h] has leading bit
-    h - 1) until one is dependent.
+    return splits
 
-    Elsewhere a state is (echelon, quotient).  A row inserted into a
-    basis of fewer than width - n rows stacks its images w * T^k, each
-    entry one ctx.dot of w with a column of T^k taken once per scan, for
-    linalg._echelon_insert, the generic elimination the tests check the
-    packed one against.  A row inserted into a basis of exactly
-    width - n rows, spanning U, is the last one that can fit: its
+
+def _verdicts(ctx, powers, candidates):
+    """Yield, for each candidate in turn (a tuple of rows, each a tuple
+    of raw scalars), whether its rows and their translates under
+    powers = (T^0, ..., T^(n-1)) are independent.  Every candidate is
+    tested, once.
+
+    The scans yield candidates in product order over shared rows, so
+    consecutive candidates mostly differ only in their last row.  The
+    walk groups them by head, the rows before the last.  It inserts each
+    head once with the insert step of _steps, keeping the states after
+    each prefix of the previous head (states[k] after prefix[:k], and
+    states one short of prefix when a row of it made the state
+    dependent), so only the rows past the shared prefix are inserted.
+    Under a live head every last row is one call of the test last(state)
+    builds, which extends no state; under a dead head every candidate is
+    rejected without a test."""
+    insert, last, empty = _steps(ctx, powers)
+    prefix, states = (), [empty]
+    for head, group in itertools.groupby(candidates, operator.itemgetter(slice(None, -1))):
+        k = 0
+        for a, b in zip(head, prefix):
+            if a != b:
+                break
+            k += 1
+        if k < len(states):
+            del states[k + 1 :]
+            state = states[k]
+            for row in head[k:]:
+                state = insert(state, row)
+                if state is None:
+                    break
+                states.append(state)
+        prefix = head
+        if len(states) > len(head):
+            yield from map(last(states[-1]), map(operator.itemgetter(-1), group))
+        else:
+            for _ in group:
+                yield False
+
+
+def _steps(ctx, powers):
+    """(insert, last, empty) for _verdicts, built once per scan: the one
+    place the scan route stacks translates.  insert(state, row) returns
+    the echelon state extended by the row's n translates, leaving its
+    argument as it is, or None when they make it dependent; empty is the
+    state of no rows.  last(state) returns the test row -> bool of
+    whether a row's translates are independent of the state, which the
+    test leaves as it is.
+
+    Over F_2 a state is an int echelon basis, pivots[h] having leading
+    bit h - 1.  images[j] stacks e_j T^0, ..., e_j T^(n-1) as bitmasks
+    (e_j T^k from bit k*width), so a row's n translates are one XOR of
+    the images at its nonzero coordinates, split once per row value and
+    kept for the scan.  insert and last's test both reduce them into a
+    copy of the basis; the test, the hot loop of a scan, is written out
+    rather than calling insert, and drops its copy.
+
+    Elsewhere a state is an echelon basis as linalg._echelon_insert
+    builds it, the generic elimination the tests check the packed one
+    against.  insert stacks the row's images w * T^k, each entry one
+    ctx.dot of w with a column of T^k taken once per scan.  last(U)
+    builds the columns _quotient_columns gives for the span U: a row's
     translates are independent of U exactly when their images in the
-    n-dimensional quotient F_q^width / U are.  quotient holds, built
-    the first time a last row arrives and kept for every later one,
-    the columns _quotient_columns gives for U, so the last row costs an
-    n x n elimination of the entries ctx.dot(w, col), one row of them
-    per translate, stopping at the first dependent one.  It leaves the
-    state full, into which no row fits."""
+    quotient F_q^width / U are, so each row costs one elimination of the
+    entries ctx.dot(w, col), one row of them per translate, stopping at
+    the first dependent one.  Under a scan's head U has dimension
+    width - n, and the elimination is n x n."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
         columns = [tuple(zip(*P.rows)) for P in powers[1:]]
-        last = width - n  # basis rows before the last row that can fit
-        full = None, None  # the state after it, spanning everything
 
-        def insert_generic(state, w):
-            if state is full:
-                return None
-            echelon, quotient = state
-            if len(echelon) != last:
-                stacked = [w]
-                stacked.extend([dot(w, col) for col in cols] for cols in columns)
-                echelon = linalg._echelon_insert(ctx, echelon, stacked)
-                return None if echelon is None else (echelon, [])
-            if not quotient:
-                quotient.append(_quotient_columns(ctx, powers, echelon))
-            images = ([dot(w, col) for col in cols] for cols in quotient[0])
-            return full if linalg.rows_are_independent(ctx, images) else None
+        def insert_generic(echelon, w):
+            stacked = [w]
+            stacked.extend([dot(w, col) for col in cols] for cols in columns)
+            return linalg._echelon_insert(ctx, echelon, stacked)
 
-        return _prefix_splitter(insert_generic, ((), []))
+        def last_generic(echelon):
+            quotient = _quotient_columns(ctx, powers, echelon)
+
+            def splits(w) -> bool:
+                images = ([dot(w, col) for col in cols] for cols in quotient)
+                return linalg.rows_are_independent(ctx, images)
+
+            return splits
+
+        return insert_generic, last_generic, ()
     images = tuple(
         sum(x << (k * width + i) for k, P in enumerate(powers) for i, x in enumerate(P.rows[j]))
         for j in range(width)
     )
     mask = (1 << width) - 1
+    memo: dict = {}
+
+    def translates(row):
+        found = memo.get(row)
+        if found is None:
+            stack = reduce(xor, compress(images, row), 0)
+            found = memo[row] = tuple((stack >> (k * width)) & mask for k in range(n))
+        return found
 
     def insert_packed(pivots, row):
         pivots = pivots[:]
-        stack = reduce(xor, compress(images, row), 0)
-        for _ in range(n):
-            v = stack & mask
-            stack >>= width
+        for v in translates(row):
             while v:
                 h = v.bit_length()
                 b = pivots[h]
@@ -242,7 +300,24 @@ def _splitter(ctx, powers):
                 return None
         return pivots
 
-    return _prefix_splitter(insert_packed, [0] * (width + 1))
+    def last_packed(pivots):
+        def splits(row) -> bool:
+            basis = pivots[:]
+            for v in memo.get(row) or translates(row):
+                while v:
+                    h = v.bit_length()
+                    b = basis[h]
+                    if not b:
+                        basis[h] = v
+                        break
+                    v ^= b
+                else:
+                    return False
+            return True
+
+        return splits
+
+    return insert_packed, last_packed, [0] * (width + 1)
 
 
 def _quotient_columns(ctx, powers, echelon):
@@ -270,52 +345,18 @@ def _quotient_columns(ctx, powers, echelon):
     return cols
 
 
-def _prefix_splitter(insert, empty):
-    """splits(rows) -> bool from one step insert(state, row), which
-    returns the echelon state extended by the row's translates (leaving
-    its argument as it is) or None when they make it dependent.
-
-    The splitter remembers the rows of its previous call, prefix, and
-    states[k], the state after prefix[:k].  When prefix is dead (its
-    last row made the state dependent) states is one shorter than
-    prefix.  A call finds the longest run of leading rows equal to
-    prefix: if that run is the whole dead prefix it rejects at once,
-    otherwise it inserts only the rows after the run."""
-    prefix: tuple = ()
-    states = [empty]
-
-    def splits(rows) -> bool:
-        nonlocal prefix
-        rows = tuple(rows)
-        k = 0
-        for a, b in zip(rows, prefix):
-            if a != b:
-                break
-            k += 1
-        if k == len(states):
-            return False
-        del states[k + 1 :]
-        state = states[k]
-        for row in rows[k:]:
-            state = insert(state, row)
-            if state is None:
-                prefix = rows[: len(states)]
-                return False
-            states.append(state)
-        prefix = rows
-        return True
-
-    return splits
-
-
 def _splitting_scan(ctx, powers, m: int):
-    """Yield the m-dimensional subspaces that split with respect to T,
-    given powers = (T^0, ..., T^(n-1))."""
+    """The m-dimensional subspaces that split with respect to T, given
+    powers = (T^0, ..., T^(n-1)), in scan order."""
+    candidates, walked = itertools.tee(linalg.enumerate_subspaces(ctx, m * len(powers), m))
+    return compress(candidates, _verdicts(ctx, powers, map(operator.attrgetter("rows"), walked)))
+
+
+def _count_scan(ctx, powers, m: int) -> int:
+    """The number of m-dimensional subspaces that split with respect to
+    T, given powers = (T^0, ..., T^(n-1))."""
     candidates = linalg.enumerate_subspaces(ctx, m * len(powers), m)
-    splits = _splitter(ctx, powers)
-    for W in candidates:
-        if splits(W.rows):
-            yield W
+    return sum(_verdicts(ctx, powers, map(operator.attrgetter("rows"), candidates)))
 
 
 class SplitInstance:
@@ -409,10 +450,6 @@ def is_alpha_splitting(inst: SplitInstance, W: linalg.SubspaceBasis) -> bool:
     return _splitter(inst.base, inst.mats)(W.rows)
 
 
-def _count_scan(inst: SplitInstance) -> int:
-    return sum(1 for _ in _splitting_scan(inst.base, inst.mats, inst.m))
-
-
 @dataclass(frozen=True)
 class SplitCountReport:
     """Outcome of one splitting count, carrying both routes when run."""
@@ -440,7 +477,7 @@ def count_splitting(inst: SplitInstance, *, formula_only: bool = False) -> Split
     start = time.perf_counter()
     q, m, n = inst.q, inst.m, inst.n
     formula = ssc_formula(q, m, n)
-    brute = None if formula_only else _count_scan(inst)
+    brute = None if formula_only else _count_scan(inst.base, inst.mats, inst.m)
     return SplitCountReport(
         q=q,
         m=m,
@@ -486,14 +523,12 @@ def pointed_consistency(inst: SplitInstance) -> PointedReport:
     nonzero point, and check uniformity against the closed form."""
     q, m, n = inst.q, inst.m, inst.n
     mn = m * n
-    zero_vec = (inst.base.zero,) * mn
-    hist: dict[tuple, int] = {}
+    hist: Counter = Counter()
     total = 0
     for W in _splitting_scan(inst.base, inst.mats, m):
         total += 1
-        for v in W.vectors():
-            if v != zero_vec:
-                hist[v] = hist.get(v, 0) + 1
+        hist.update(W.vectors())
+    del hist[(inst.base.zero,) * mn]
     uniform = len(hist) == q**mn - 1 and len(set(hist.values())) == 1
     common = next(iter(hist.values())) if uniform else None
     identity_holds = uniform and total * (q**m - 1) == common * (q**mn - 1)
@@ -526,11 +561,10 @@ def count_splitting_bases(inst: SplitInstance, method: str) -> int:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
     if method == "product":
-        return _count_scan(inst) * linalg.gl_order(m, q)
+        return _count_scan(inst.base, inst.mats, inst.m) * linalg.gl_order(m, q)
     config.check_scan((q ** (m * n)) ** m, "ordered basis scan")
-    splits = _splitter(inst.base, inst.mats)
     vecs = [e.raw for e in inst.tower.elements()]
-    return sum(1 for combo in itertools.product(vecs, repeat=m) if splits(combo))
+    return sum(_verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m)))
 
 
 def is_T_splitting(
@@ -546,7 +580,7 @@ def is_T_splitting(
 
 def count_T_splitting(T: linalg.Matrix, m: int, n: int) -> int:
     """Number of m-dimensional subspaces splitting with respect to T."""
-    return sum(1 for _ in _splitting_scan(T.ctx, _powers(T, m, n), m))
+    return _count_scan(T.ctx, _powers(T, m, n), m)
 
 
 def endo_formula(p_T: polys.Poly) -> int:
@@ -606,8 +640,8 @@ def weak_ssc_check(
         raise ZeroDenominator("transform denominator vanishes at this generator")
     beta = tower.element_from_raw(tower.div(num, den))
     other = SplitInstance(tower, inst.m, inst.n, beta)
-    left = _count_scan(inst)
-    right = _count_scan(other)
+    left = _count_scan(inst.base, inst.mats, inst.m)
+    right = _count_scan(other.base, other.mats, other.m)
     return MoebiusReport(
         q=q,
         m=inst.m,

@@ -54,17 +54,17 @@ CASES = (
     ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 31,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
-     ScanBoundExceeded, (splitting, "_splitter")),
+     ScanBoundExceeded, (splitting, "_verdicts")),
     # [4, 2]_2 = 35 subspaces
     ("count_splitting", lambda: count_splitting(INST), 34,
-     ScanBoundExceeded, (splitting, "_splitter")),
+     ScanBoundExceeded, (splitting, "_verdicts")),
     ("pointed_consistency", lambda: pointed_consistency(INST), 34,
-     ScanBoundExceeded, (splitting, "_splitter")),
+     ScanBoundExceeded, (splitting, "_verdicts")),
     ("count_pointed", lambda: count_pointed(INST, INST.tower.alpha), 34,
-     ScanBoundExceeded, (splitting, "_splitter")),
+     ScanBoundExceeded, (splitting, "_verdicts")),
     # the bridge scans the 35 subspaces of the tower x**4 + x + 1 defines
     ("fiber_count", lambda: lfsr.fiber_count(X4, 2, 2), 34,
-     ScanBoundExceeded, (splitting, "_splitter")),
+     ScanBoundExceeded, (splitting, "_verdicts")),
     ("q_totient", lambda: q_totient(X4, "brute"), 15,
      ScanBoundExceeded, (polys, "gcd")),
     ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,

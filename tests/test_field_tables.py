@@ -48,22 +48,25 @@ def test_table_scans_match_the_formula_without_the_tower(monkeypatch, q, m, n):
 @pytest.mark.parametrize("m, n", ((1, 2), (2, 2), (1, 3)))
 @pytest.mark.parametrize("q", (3, 4, 9))
 def test_generic_splitter_matches_vec_mat_stacking(q, m, n):
-    """On every subspace, for α-splitting over random moduli and for a
-    random endomorphism, and on random ordered row tuples."""
+    """On every subspace, walked in scan order, for α-splitting over
+    random moduli and for a random endomorphism, and on random ordered
+    row tuples, each walked alone."""
     rng = random.Random(f"splitter/{q},{m},{n}")
     base = random_base(q, rng)
     size = m * n
     T = random_matrix(base, size, size, rng)
     alpha = random_instance(base, m, n, rng).mats
     for powers in (alpha, splitting._powers(T, m, n)):
-        splits = splitting._splitter(base, powers)
+        candidates = [W.rows for W in enumerate_subspaces(base, size, m)]
+        verdicts = splitting._verdicts(base, powers, candidates)
         accepted = 0
-        for W in enumerate_subspaces(base, size, m):
-            expect = splits_by_stacking(base, powers, W.rows)
-            assert splits(W.rows) == expect, (powers, W.rows)
+        for rows, verdict in zip(candidates, verdicts, strict=True):
+            expect = splits_by_stacking(base, powers, rows)
+            assert verdict == expect, (powers, rows)
             accepted += expect
         if powers is alpha:
             assert accepted == ssc_formula(q, m, n)
         for _ in range(50):
             rows = [tuple(rng.randrange(q) for _ in range(size)) for _ in range(m)]
-            assert splits(rows) == splits_by_stacking(base, powers, rows), (powers, rows)
+            expect = splits_by_stacking(base, powers, rows)
+            assert splitting._splitter(base, powers)(rows) == expect, (powers, rows)

@@ -239,6 +239,31 @@ def test_subspace_from_rows():
     )
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_vectors_follow_the_product_order_of_the_coefficients(q):
+    """W.vectors() is sum c_i * row_i for every coefficient tuple in
+    itertools.product order, the first coefficient slowest, on random
+    subspaces of every dimension over a random modulus."""
+    rng = random.Random(f"vectors/{q}")
+    ctx = random_base(q, rng)
+    scalars = linalg.raw_scalars(ctx)
+    for dim, ambient in ((0, 3), (1, 3), (2, 4), (3, 4), (2, 5)):
+        if q**dim > 400:
+            continue
+        while True:
+            rows = [tuple(rng.choice(scalars) for _ in range(ambient)) for _ in range(dim)]
+            W = subspace_from_rows(ctx, ambient, rows)
+            if W.dim == dim:
+                break
+        expected = []
+        for coeffs in itertools.product(scalars, repeat=dim):
+            v = (ctx.zero,) * ambient
+            for c, row in zip(coeffs, W.rows):
+                v = tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(v, row))
+            expected.append(v)
+        assert list(W.vectors()) == expected, (ctx, W.rows)
+
+
 def test_subspace_basis_is_an_immutable_value():
     """Fields read back, assignment fails, equality and hashing follow
     the subspace, and a SubspaceBasis never equals the plain tuple it

@@ -1,5 +1,6 @@
-"""The packed F_2 splitting kernel against the generic elimination it
-replaces: tuple vec_mat stacking plus linalg.rows_are_independent."""
+"""The packed F_2 splitting walk against the generic elimination it
+replaces: tuple vec_mat stacking plus linalg.rows_are_independent, on
+every candidate in the order a scan walks them."""
 
 import itertools
 import random
@@ -31,10 +32,11 @@ F2 = build_field(2)
 SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
 
 
-def packed_splits(powers):
-    """The kernel over F_2, with the translates packed once as a scan
-    packs them."""
-    return splitting._splitter(F2, powers)
+def packed_verdicts(powers, candidates):
+    """(rows, verdict) for every candidate, walked over F_2 in the given
+    order as a scan walks them."""
+    candidates = list(candidates)
+    return zip(candidates, splitting._verdicts(F2, powers, candidates), strict=True)
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
@@ -42,11 +44,11 @@ def test_packed_kernel_matches_generic_on_random_instances(m, n):
     rng = random.Random(f"instance/{m},{n}")
     for _ in range(3):
         inst = random_instance(F2, m, n, rng)
-        packed = packed_splits(inst.mats)
         accepted = 0
-        for W in enumerate_subspaces(F2, m * n, m):
-            expect = splits_by_stacking(F2, inst.mats, W.rows)
-            assert packed(W.rows) == expect, (inst, W.rows)
+        candidates = (W.rows for W in enumerate_subspaces(F2, m * n, m))
+        for rows, verdict in packed_verdicts(inst.mats, candidates):
+            expect = splits_by_stacking(F2, inst.mats, rows)
+            assert verdict == expect, (inst, rows)
             accepted += expect
         assert accepted == count_splitting(inst).brute == ssc_formula(2, m, n), inst
 
@@ -62,11 +64,11 @@ def test_packed_kernel_matches_generic_for_any_endomorphism(m, n):
             family.append(random_singular(F2, size, rng))
     for T in family:
         powers = splitting._powers(T, m, n)
-        packed = packed_splits(powers)
         accepted = 0
-        for W in enumerate_subspaces(F2, size, m):
-            expect = splits_by_stacking(F2, powers, W.rows)
-            assert packed(W.rows) == expect, (T, W.rows)
+        candidates = (W.rows for W in enumerate_subspaces(F2, size, m))
+        for rows, verdict in packed_verdicts(powers, candidates):
+            expect = splits_by_stacking(F2, powers, rows)
+            assert verdict == expect, (T, rows)
             accepted += expect
         assert count_T_splitting(T, m, n) == accepted, T
 
@@ -76,13 +78,12 @@ def test_packed_kernel_matches_generic_on_ordered_tuples(m, n):
     """The bases route feeds every ordered tuple, zero and repeated rows
     included."""
     inst = random_instance(F2, m, n, random.Random(f"tuples/{m},{n}"))
-    packed = packed_splits(inst.mats)
     vecs = [e.raw for e in inst.tower.elements()]
     zero = (0,) * (m * n)
     accepted = 0
-    for combo in itertools.product(vecs, repeat=m):
+    for combo, verdict in packed_verdicts(inst.mats, itertools.product(vecs, repeat=m)):
         expect = splits_by_stacking(F2, inst.mats, combo)
-        assert packed(combo) == expect, combo
+        assert verdict == expect, combo
         accepted += expect
         if zero in combo or len(set(combo)) < m:
             assert not expect, combo

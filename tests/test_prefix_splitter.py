@@ -1,9 +1,12 @@
-"""The splitting kernel keeps the echelon state of its previous call's
-row prefixes.  That shared state changes no answer: in every call order
-the stateful splitter agrees with a fresh splitter built for each call,
-over F_2 and over q in {3, 4, 5, 9} with random moduli, generators and
-endomorphisms.  And the sharing happens: a full scan inserts each live
-row prefix once."""
+"""The splitting walk groups the candidates by head, their rows before
+the last, keeps the echelon states of the previous head's row prefixes
+and tests each last row under a live head with one call.  That shared
+state changes no answer: in every call order the walk's verdicts agree
+with each candidate walked alone, over F_2 and over q in {3, 4, 5, 9}
+with random moduli, generators and endomorphisms.  And the sharing
+happens: a full scan inserts each live head prefix once, tests each
+candidate under a live head once and none under a dead head, and pulls
+every candidate from linalg.enumerate_subspaces."""
 
 import itertools
 import random
@@ -13,10 +16,12 @@ import pytest
 from splitlab import (
     Matrix,
     build_field,
+    count_pointed,
     count_splitting,
     count_splitting_bases,
     count_T_splitting,
     enumerate_subspaces,
+    pointed_consistency,
     split_instance,
     ssc_formula,
 )
@@ -49,15 +54,12 @@ def operator_powers(q, m, n, rng):
 
 
 def check_order(base, powers, calls):
-    """One stateful splitter answers every call of the order as a fresh
-    splitter does; returns the set of answers."""
-    stateful = splitting._splitter(base, powers)
-    answers = set()
-    for rows in calls:
-        expect = splitting._splitter(base, powers)(rows)
-        assert stateful(rows) == expect, (powers, rows)
-        answers.add(expect)
-    return answers
+    """The walk over the order gives every call the verdict of the call
+    walked alone; returns the set of verdicts."""
+    calls = list(calls)
+    alone = [splitting._splitter(base, powers)(rows) for rows in calls]
+    assert list(splitting._verdicts(base, powers, calls)) == alone, powers
+    return set(alone)
 
 
 def dead_prefix_orders(base, candidates, rng):
@@ -109,20 +111,23 @@ def test_shared_state_changes_no_answer(q, m, n):
 
 
 def test_the_splitter_keeps_its_own_copy_of_the_rows():
-    """A caller's list mutated after a call is not the prefix the
-    splitter compares against."""
+    """A caller's list mutated after the walk read it is not the head
+    the walk compares against."""
     inst = split_instance(3, 2, 2)
-    stateful = splitting._splitter(inst.base, inst.mats)
-    W = next(W for W in enumerate_subspaces(inst.base, 4, 2)
-             if not splitting._splitter(inst.base, inst.mats)(W.rows))
+    alone = splitting._splitter(inst.base, inst.mats)
+    W = next(W for W in enumerate_subspaces(inst.base, 4, 2) if not alone(W.rows))
     V = next(V for V in enumerate_subspaces(inst.base, 4, 2)
-             if splitting._splitter(inst.base, inst.mats)(V.rows))
-    rows = list(W.rows)
-    assert not stateful(rows)
-    rows[:] = V.rows
-    assert stateful(rows)
-    rows[:] = W.rows
-    assert not stateful(rows)
+             if alone(V.rows) and V.rows[0] != W.rows[0])
+
+    def calls():
+        rows = list(W.rows)
+        yield rows
+        rows[:] = V.rows
+        yield rows
+        rows[:] = W.rows
+        yield rows
+
+    assert list(splitting._verdicts(inst.base, inst.mats, calls())) == [False, True, False]
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 2, 2), (2, 1, 3), (3, 2, 2), (4, 2, 2)])
@@ -132,69 +137,130 @@ def test_direct_bases_scan_agrees_with_the_product_route(q, m, n):
     assert count_splitting_bases(inst, "direct") == count_splitting_bases(inst, "product")
 
 
-def inserted_rows(monkeypatch, scan):
-    """scan() and the rows the kernel inserts while it runs."""
-    driver = splitting._prefix_splitter
-    inserted = []
+def walked_rows(monkeypatch, scan):
+    """scan(), the rows the walk inserts into head states and the last
+    rows it tests while scan runs."""
+    steps = splitting._steps
+    inserted, tested = [], []
 
-    def counting_driver(insert, empty):
+    def counting_steps(ctx, powers):
+        insert, last, empty = steps(ctx, powers)
+
         def counting_insert(state, row):
             inserted.append(row)
             return insert(state, row)
 
-        return driver(counting_insert, empty)
+        def counting_last(state):
+            test = last(state)
+            return lambda row: tested.append(row) or test(row)
+
+        return counting_insert, counting_last, empty
 
     with monkeypatch.context() as patch:
-        patch.setattr(splitting, "_prefix_splitter", counting_driver)
+        patch.setattr(splitting, "_steps", counting_steps)
         result = scan()
-    return result, inserted
+    return result, inserted, tested
 
 
-def live_prefixes(base, powers, m):
-    """(pivot profile, rows[:j]) for every candidate whose rows[:j - 1]
-    split, and the row count an elimination from scratch would insert."""
+def live_heads(base, powers, m):
+    """(pivot profile, rows[:j]) for every proper row prefix of a
+    candidate whose rows[:j - 1] split, the number of candidates whose
+    head splits, and the row count an elimination from scratch would
+    insert, stopping at each candidate's first dependent row."""
+    splits = splitting._splitter(base, powers)
     prefixes = set()
-    from_scratch = 0
+    under_live = from_scratch = 0
     for W in enumerate_subspaces(base, m * len(powers), m):
-        for j in range(1, m + 1):
-            prefixes.add((W.pivots, W.rows[:j]))
-            from_scratch += 1
-            if not splitting._splitter(base, powers)(W.rows[:j]):
-                break
-    return prefixes, from_scratch
+        depth = next((j for j in range(1, m + 1) if not splits(W.rows[:j])), m)
+        prefixes.update((W.pivots, W.rows[:j]) for j in range(1, min(depth, m - 1) + 1))
+        under_live += depth == m
+        from_scratch += depth
+    return prefixes, under_live, from_scratch
 
 
 def test_a_full_scan_inserts_each_live_prefix_once(monkeypatch):
-    """SSC (2,2,3): the kernel inserts one row per distinct row prefix
-    of a pivot profile whose own prefix is live, not every row of every
-    candidate."""
+    """SSC (2,2,3): the walk inserts one row per distinct head of a
+    pivot profile and tests each candidate's last row once, not every
+    row of every candidate."""
     inst = split_instance(2, 2, 3)
-    report, inserted = inserted_rows(monkeypatch, lambda: count_splitting(inst))
+    report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(2, 2, 3)
-    prefixes, from_scratch = live_prefixes(inst.base, inst.mats, 2)
-    # every nonzero w gives independent w, w alpha, w alpha^2, so every first
-    # row is live: one insertion per (pivot profile, first row), which is
-    # sum over p0 of (5 - p0) profiles times 2**(4 - p0) rows = 129, and one
-    # per candidate, [6, 2]_2 = 651
-    assert len(inserted) == len(prefixes) == 129 + 651
+    prefixes, under_live, from_scratch = live_heads(inst.base, inst.mats, 2)
+    # every nonzero w gives independent w, w alpha, w alpha^2, so every head
+    # is live: one insertion per (pivot profile, first row), which is sum
+    # over p0 of (5 - p0) profiles times 2**(4 - p0) rows = 129, and one
+    # test per candidate, [6, 2]_2 = 651
+    assert len(inserted) == len(prefixes) == 129
+    assert len(tested) == under_live == 651
     assert from_scratch == 2 * 651
 
 
 def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
     """T two nilpotent Jordan blocks e_0 -> e_1 -> e_2 -> 0 and
     e_3 -> e_4 -> e_5 -> 0 of F_2^6: a first row w with w_0 = w_3 = 0
-    has w T^2 = 0 and is dead, and every candidate that shares it is
-    rejected without inserting its second row."""
+    has w T^2 = 0 and is dead, and every candidate under that head is
+    rejected without a test of its last row."""
     F2 = build_field(2)
     T = Matrix(F2, [[1 if j == i + 1 and i % 3 < 2 else 0 for j in range(6)]
                     for i in range(6)])
     powers = splitting._powers(T, 2, 3)
-    count, inserted = inserted_rows(monkeypatch, lambda: count_T_splitting(T, 2, 3))
-    assert count == sum(splitting._splitter(F2, powers)(W.rows)
-                        for W in enumerate_subspaces(F2, 6, 2))
-    prefixes, from_scratch = live_prefixes(F2, powers, 2)
-    dead_first = {rows for _, rows in prefixes if len(rows) == 1
-                  and not splitting._splitter(F2, powers)(rows)}
+    count, inserted, tested = walked_rows(monkeypatch, lambda: count_T_splitting(T, 2, 3))
+    candidates = [W.rows for W in enumerate_subspaces(F2, 6, 2)]
+    assert count == sum(splitting._splitter(F2, powers)(rows) for rows in candidates)
+    prefixes, under_live, from_scratch = live_heads(F2, powers, 2)
+    dead_first = {rows for _, rows in prefixes if not splitting._splitter(F2, powers)(rows)}
     assert len(dead_first) > 1
     assert count > 0
-    assert len(inserted) == len(prefixes) < from_scratch
+    assert len(inserted) == len(prefixes)
+    assert len(tested) == under_live < len(candidates)
+    assert len(inserted) + len(tested) < from_scratch
+
+
+# (q, m, n) with m >= 2, so every scan has heads to walk
+CONTRACT_POINTS = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 2, 2), (9, 2, 2)]
+
+
+@pytest.mark.parametrize("q, m, n", CONTRACT_POINTS)
+def test_every_scan_draws_and_tests_every_candidate(monkeypatch, q, m, n):
+    """Each scan pulls all [mn, m]_q candidates from
+    linalg.enumerate_subspaces and the walk gives each one verdict, also
+    for the zero endomorphism, under which every head is dead, and a
+    random nilpotent one."""
+    rng = random.Random(f"contract/{q},{m},{n}")
+    base = random_base(q, rng)
+    inst = random_instance(base, m, n, rng)
+    size = m * n
+    total = linalg.gaussian_binomial(size, m, q)
+    enumerate_all, walk = linalg.enumerate_subspaces, splitting._verdicts
+    drawn, walked = [], []
+
+    def counting_enumerate(ctx, ambient, dim):
+        for W in enumerate_all(ctx, ambient, dim):
+            drawn.append(W)
+            yield W
+
+    def counting_walk(ctx, powers, candidates):
+        for verdict in walk(ctx, powers, candidates):
+            walked.append(verdict)
+            yield verdict
+
+    monkeypatch.setattr(linalg, "enumerate_subspaces", counting_enumerate)
+    monkeypatch.setattr(splitting, "_verdicts", counting_walk)
+    zero, nilpotent = Matrix.zero(base, size, size), random_nilpotent(base, size, rng)
+    scans = [
+        lambda: count_splitting(inst),
+        lambda: pointed_consistency(inst),
+        lambda: count_pointed(inst, inst.tower.alpha),
+        lambda: count_T_splitting(zero, m, n),
+        lambda: count_T_splitting(nilpotent, m, n),
+        lambda: count_splitting_bases(inst, "product"),
+    ]
+    for scan in scans:
+        del drawn[:], walked[:]
+        result, _, tested = walked_rows(monkeypatch, scan)
+        assert len(drawn) == len(walked) == total, scan
+        assert len(tested) <= total
+    assert result == count_splitting(inst).brute * linalg.gl_order(m, q)
+    # under T = 0 every translate past the first is zero: no head lives
+    _, _, tested = walked_rows(monkeypatch, lambda: count_T_splitting(zero, m, n))
+    assert tested == []

@@ -1,12 +1,14 @@
-"""The generic splitting step tests a call's last row in the quotient of
-its prefix: once the rows before it have independent translates spanning
-U of dimension width - n, the last row w splits exactly when its n
-translates are independent modulo U, an n x n rank test.  Checked
-against elimination from scratch (rows_are_independent on every stacked
-translate) over q in {3, 4, 5, 7, 9} with random moduli, generators and
-endomorphisms, for full candidates, partial calls, zero and repeated
-rows and calls with one row too many.  And the quotient is shared: a
-full scan builds one per live head and never stacks a last row."""
+"""The generic splitting walk tests a call's last row in the quotient of
+its head: once the rows before it have independent translates spanning
+U, the last row w splits exactly when its n translates are independent
+modulo U, which under a scan's head, of dimension width - n, is an
+n x n rank test.  Checked against elimination from scratch
+(rows_are_independent on every stacked translate) over q in
+{3, 4, 5, 7, 9} with random moduli, generators and endomorphisms, for
+full candidates, partial calls, zero and repeated rows and calls with
+one row too many, each walked alone and all in one walk.  And the
+quotient is shared: a full scan builds one per live head and never
+stacks a last row."""
 
 import itertools
 import random
@@ -16,7 +18,7 @@ import pytest
 from splitlab import count_splitting, enumerate_subspaces, split_instance, ssc_formula
 from splitlab import linalg, splitting
 from sampling import random_base, random_instance, splits_by_stacking
-from test_prefix_splitter import inserted_rows, operator_powers
+from test_prefix_splitter import operator_powers, walked_rows
 
 # (q, m, n): m = 1 takes the quotient of the empty prefix, n = 1 a
 # one-dimensional one
@@ -55,33 +57,40 @@ def test_the_quotient_step_agrees_with_elimination_from_scratch(q, m, n):
         candidates = [candidates[i] for i in sorted(rng.sample(range(len(candidates)), SAMPLE))]
     seen = set()
     for powers in family:
-        stateful = splitting._splitter(base, powers)
         random_tuples = [
             tuple(tuple(rng.choice(scalars) for _ in range(width)) for _ in range(m))
             for _ in range(SAMPLE // 3)
         ]
+        calls = []
         for rows in candidates + random_tuples:
             extra = tuple(rng.choice(scalars) for _ in range(width))
-            for call in calls_around(rows, zero, extra):
-                expect = splits_by_stacking(base, powers, call)
-                assert stateful(call) == expect, (powers, call)
-                assert splitting._splitter(base, powers)(call) == expect, (powers, call)
-                seen.add((len(call), expect))
+            calls += calls_around(rows, zero, extra)
+        expected = [splits_by_stacking(base, powers, call) for call in calls]
+        for call, expect in zip(calls, expected):
+            assert splitting._splitter(base, powers)(call) == expect, (powers, call)
+            seen.add((len(call), expect))
+        # one walk over every call but the empty ones, which have no last row
+        walked = [(call, expect) for call, expect in zip(calls, expected) if call]
+        verdicts = splitting._verdicts(base, powers, [call for call, _ in walked])
+        for (call, expect), verdict in zip(walked, verdicts, strict=True):
+            assert verdict == expect, (powers, call)
     # every call length answered both ways where it can; m + 1 rows never split
     assert {(m, True), (m, False), (m + 1, False)} <= seen
     assert (m + 1, True) not in seen
 
 
 def test_the_full_state_takes_no_further_row():
-    """After a splitting last row the state is full: one more row of any
-    value, zero included, is dependent, and the splitter answers the
-    candidate itself again afterwards."""
+    """Under a splitting candidate as head the state is full: one more
+    row of any value, zero included, is dependent, and the walk answers
+    the candidate itself again right after."""
     inst = split_instance(5, 2, 2)
     splits = splitting._splitter(inst.base, inst.mats)
     W = next(W for W in enumerate_subspaces(inst.base, 4, 2) if splits(W.rows))
+    calls = []
     for extra in itertools.product(range(5), repeat=4):
         assert not splits(W.rows + (extra,))
-        assert splits(W.rows)
+        calls += [W.rows + (extra,), W.rows]
+    assert list(splitting._verdicts(inst.base, inst.mats, calls)) == [False, True] * 5**4
 
 
 @pytest.mark.parametrize("q, m, n", [(3, 2, 3), (8, 2, 2), (9, 2, 2)])
@@ -122,9 +131,9 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
     monkeypatch.setattr(splitting, "_quotient_columns", counting_columns)
-    report, inserted = inserted_rows(monkeypatch, lambda: count_splitting(inst))
+    report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(3, 2, 2) == 90
-    assert len(inserted) == 34 + 130
+    assert (len(inserted), len(tested)) == (34, 130)
     assert eliminations.count((0, 4)) == 34  # each head's translates, into the empty basis
     assert eliminations.count((0, 2)) == 130  # each last row, in the quotient
     assert len(eliminations) == 34 + 130  # no 4-wide row is inserted after the head

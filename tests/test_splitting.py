@@ -364,7 +364,8 @@ CLOSED_FORMS = (
 )
 SCAN_ROUTE = {
     "_splitter",
-    "_prefix_splitter",
+    "_verdicts",
+    "_steps",
     "_splitting_scan",
     "_count_scan",
     "enumerate_subspaces",
