@@ -29,8 +29,13 @@ rows stack their images under columns of the powers taken once per scan
 for linalg._echelon_insert, the generic elimination the tests check the
 packed one against, and a last row splits exactly when its n translates
 are independent in the quotient F_q^{mn}/U of the head's span U, an
-n x n elimination against columns built once per live head
-(_quotient_columns).
+n x n matrix against columns built once per live head
+(_quotient_columns).  Over fields whose byte lanes cannot carry
+(_lane_last) that matrix is one packed sum of per-head lane tables, and
+it has full rank exactly when its first n - 1 rows are independent and
+one of the reducers of their span (_reducers, normals kept per scan in
+a memo keyed by the rows' bytes) has a nonzero dot with the last row;
+wider fields and towers eliminate the matrix.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
 weak_ssc_check, the product ordered-basis route, the fiber bridge's,
 and the direct ordered-basis route over every tuple all count through
@@ -248,10 +253,13 @@ def _steps(ctx, powers):
     ctx.dot of w with a column of T^k taken once per scan.  last(U)
     builds the columns _quotient_columns gives for the span U: a row's
     translates are independent of U exactly when their images in the
-    quotient F_q^width / U are, so each row costs one elimination of the
-    entries ctx.dot(w, col), one row of them per translate, stopping at
-    the first dependent one.  Under a scan's head U has dimension
-    width - n, and the elimination is n x n."""
+    quotient F_q^width / U are, the n x d matrix of entries
+    ctx.dot(w, col), one row per translate, d = width - dim U.  Under a
+    scan's head d = n.  Over a field of at most _LANE_MAX elements whose
+    lane sums cannot carry, _lane_last computes that matrix as one
+    packed sum and tests it against memoized reducers of its first
+    n - 1 rows; over other fields and over towers each row costs n * d
+    dots and one elimination of the matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
@@ -261,6 +269,9 @@ def _steps(ctx, powers):
             stacked = [w]
             stacked.extend([dot(w, col) for col in cols] for cols in columns)
             return linalg._echelon_insert(ctx, echelon, stacked)
+
+        if isinstance(ctx, fields.FieldCtx) and ctx.size <= _LANE_MAX and width * (ctx.p - 1) < 256:
+            return insert_generic, _lane_last(ctx, powers), ()
 
         def last_generic(echelon):
             quotient = _quotient_columns(ctx, powers, echelon)
@@ -324,14 +335,26 @@ def _quotient_columns(ctx, powers, echelon):
     """cols[k][l] for the subspace U spanned by an echelon basis (as
     linalg._echelon_insert builds it) and each column l without a pivot:
     the column whose ctx.dot with w is coordinate l of w * T^k reduced
-    modulo U, powers = (T^0, ..., T^(n-1)).
+    modulo U, powers = (T^0, ..., T^(n-1)).  cols[k][l] is T^k r_l for
+    the reducers r_l of U (_reducers)."""
+    dot = ctx.dot
+    reducers = _reducers(ctx, echelon, powers[0].nrows)
+    cols = [reducers]
+    cols.extend([[dot(row, r) for row in P.rows] for r in reducers] for P in powers[1:])
+    return cols
+
+
+def _reducers(ctx, echelon, width: int) -> tuple:
+    """r_l for the span U of an echelon basis (as
+    linalg._echelon_insert builds it) and each column l without a pivot,
+    in order: ctx.dot(v, r_l) is coordinate l of v reduced modulo U.
 
     With U's basis in reduced form, v reduced modulo U is v - sum of
     v[lead] * row, and its coordinate l is ctx.dot(v, r_l) for r_l with
-    1 at l and -row[l] at each row's lead.  cols[k][l] is T^k r_l."""
-    zero, one, neg, dot = ctx.zero, ctx.one, ctx.neg, ctx.dot
+    1 at l and -row[l] at each row's lead.  So v lies in U exactly when
+    every ctx.dot(v, r_l) is zero."""
+    zero, one, neg = ctx.zero, ctx.one, ctx.neg
     rows, leads = linalg._reduced_echelon(ctx, echelon)
-    width = powers[0].nrows
     reducers = []
     for l in range(width):
         if l not in leads:
@@ -340,9 +363,94 @@ def _quotient_columns(ctx, powers, echelon):
             for lead, row in zip(leads, rows):
                 r[lead] = neg(row[l])
             reducers.append(tuple(r))
-    cols = [reducers]
-    cols.extend([[dot(row, r) for row in P.rows] for r in reducers] for P in powers[1:])
-    return cols
+    return tuple(reducers)
+
+
+# A head's lane table holds q ints per coordinate, so only fields up to
+# this size take _lane_last.
+_LANE_MAX = 256
+
+
+class _Table(dict):
+    """A dict that builds a missing value with build(key) and keeps it."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _lane_last(ctx, powers):
+    """last(U) for the generic walk over a FieldCtx F_{p^e} with at most
+    _LANE_MAX elements and width * (p - 1) < 256, built once per scan.
+
+    Codes add digit by digit modulo p, and the quotient matrix of a row
+    w, entries ctx.dot(w, col) over the columns of _quotient_columns, is
+    the sum over coordinates j of w[j] times coordinate j of each
+    column.  Per head, lanes[j][c] packs the base-p digits of c times
+    coordinate j of every column into one byte lane each, entry by
+    entry and row by row, so sum(map(getitem, lanes, w)) holds every
+    digit sum, at most width * (p - 1) < 256, and one bytes.translate
+    reduces them modulo p: that is the matrix, n rows of d entries of e
+    bytes.  It has independent rows exactly when its first n - 1 rows
+    are independent and its last row lies outside their span, so some
+    reducer of that span (_reducers) has a nonzero ctx.dot with the
+    last row.  A memo kept for the scan maps d and the bytes of the
+    first n - 1 rows to those reducers, or to none when the rows are
+    dependent; it holds at most q^((n - 1) d) entries per d, which share
+    one copy of each span's reducers.  The digits of each product c * x
+    are kept for the scan, and a head packs lanes[j][c] on first use."""
+    p, e, mul, dot = ctx.p, ctx.e, ctx.mul, ctx.dot
+    width, n = powers[0].nrows, len(powers)
+    getitem = operator.getitem
+    codes = range(ctx.size)
+    mod_p = (bytes(range(p)) * (256 // p + 1))[:256]  # bytes.translate table
+    digits = [bytes(integers.to_digits(c, p, e)) for c in codes]
+    code_of = {b: c for c, b in enumerate(digits)}
+    scaled = _Table(lambda x: [digits[mul(c, x)] for c in codes])  # x -> digits of c * x
+
+    def decode(chunk) -> list:
+        return [code_of[chunk[s : s + e]] for s in range(0, len(chunk), e)]
+
+    spans: dict = {}  # one copy of the reducers of each span
+
+    def reducers_by_prefix(d):
+        def build(prefix) -> tuple:
+            flat = decode(prefix)
+            echelon = linalg._echelon_insert(ctx, (), [flat[k * d : k * d + d] for k in range(n - 1)])
+            reducers = () if echelon is None else _reducers(ctx, echelon, d)
+            return spans.setdefault(reducers, reducers)
+
+        return _Table(build)
+
+    memos = _Table(reducers_by_prefix)
+
+    def last(echelon):
+        d = width - len(echelon)
+        size, cut = n * d * e, (n - 1) * d * e
+        memo = memos[d]
+        quotient = _quotient_columns(ctx, powers, echelon)
+        lanes = []
+        for j in range(width):
+            tables = [scaled[col[j]] for cols in quotient for col in cols]
+            lanes.append(_Table(lambda c, tables=tables: int.from_bytes(
+                b"".join([t[c] for t in tables]), "little")))
+
+        def splits(w) -> bool:
+            mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
+            row = mat[cut:] if e == 1 else decode(mat[cut:])
+            for r in memo[mat[:cut]]:
+                if dot(row, r):
+                    return True
+            return False
+
+        return splits
+
+    return last
 
 
 def _splitting_scan(ctx, powers, m: int):

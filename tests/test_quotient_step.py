@@ -2,31 +2,48 @@
 its head: once the rows before it have independent translates spanning
 U, the last row w splits exactly when its n translates are independent
 modulo U, which under a scan's head, of dimension width - n, is an
-n x n rank test.  Checked against elimination from scratch
+n x n rank test.  Over fields whose byte-lane sums cannot carry the
+quotient matrix is one packed sum and the test one memoized normal of
+its first n - 1 rows; over wider fields it is n * d dots and one
+elimination.  Checked against elimination from scratch
 (rows_are_independent on every stacked translate) over q in
-{3, 4, 5, 7, 9} with random moduli, generators and endomorphisms, for
-full candidates, partial calls, zero and repeated rows and calls with
-one row too many, each walked alone and all in one walk.  And the
-quotient is shared: a full scan builds one per live head and never
-stacks a last row."""
+{3, 4, 5, 7, 8, 9} and q = 131, one field on each side of the lane
+check, with random moduli, generators and endomorphisms, for full
+candidates, partial calls, zero and repeated rows and calls with one
+row too many, each walked alone and all in one walk.  And the quotient
+is shared: a full scan builds one per live head, never stacks a last
+row and eliminates each distinct first n - 1 rows of a quotient matrix
+once."""
 
 import itertools
 import random
 
 import pytest
 
-from splitlab import count_splitting, enumerate_subspaces, split_instance, ssc_formula
+from splitlab import (
+    Matrix,
+    build_extension,
+    build_field,
+    count_splitting,
+    enumerate_subspaces,
+    split_instance,
+    ssc_formula,
+)
 from splitlab import linalg, splitting
 from sampling import random_base, random_instance, splits_by_stacking
 from test_prefix_splitter import operator_powers, walked_rows
 
 # (q, m, n): m = 1 takes the quotient of the empty prefix, n = 1 a
-# one-dimensional one
+# one-dimensional one; (8, 2, 2) packs e = 3 digits modulo 2 per entry,
+# and at (131, 1, 2) lane sums could reach width * (p - 1) = 260 > 255,
+# so it keeps the dots and the elimination
 POINTS = [
     (3, 2, 2), (3, 1, 3), (3, 3, 1), (3, 2, 3), (3, 3, 2),
     (4, 2, 2), (4, 1, 2),
     (5, 2, 2), (7, 2, 2),
+    (8, 2, 2),
     (9, 2, 2), (9, 1, 2),
+    (131, 1, 2),
 ]
 SAMPLE = 120
 
@@ -105,7 +122,9 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     nonzero w has independent w, w alpha, so every head is live: the scan
     stacks one 4-wide insertion per distinct (pivot profile, first row)
     into the empty basis, builds one quotient per head, and tests every
-    candidate's second row as one 2 x 2 elimination, never stacking it."""
+    candidate's second row in that quotient, never stacking it.  The
+    test eliminates only the first row of each 2 x 2 quotient matrix,
+    once per distinct value over the whole scan: 3**2 of them."""
     inst = split_instance(3, 2, 2)
     # in scan order; each head's candidates come one after another
     heads = list(dict.fromkeys((W.pivots, W.rows[0]) for W in enumerate_subspaces(inst.base, 4, 2)))
@@ -116,14 +135,16 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     assert (len(heads), candidates) == (34, 130)
 
     eliminations = []  # (rows already in the basis, width of the rows inserted)
+    prefixes = []  # the rows of each 2-wide elimination
     builds = []  # the first row of each head whose quotient is built
     echelon_insert, quotient_columns = linalg._echelon_insert, splitting._quotient_columns
 
     def counting_insert(ctx, echelon, rows):
-        widths = []
-        result = echelon_insert(ctx, echelon, (widths.append(len(r)) or r for r in rows))
-        eliminations.append((len(echelon), widths[0]))
-        return result
+        rows = [tuple(r) for r in rows]
+        eliminations.append((len(echelon), len(rows[0])))
+        if len(rows[0]) == 2:
+            prefixes.append(rows)
+        return echelon_insert(ctx, echelon, rows)
 
     def counting_columns(ctx, powers, echelon):
         builds.append(tuple(echelon[0][1]))
@@ -135,6 +156,46 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     assert report.brute == ssc_formula(3, 2, 2) == 90
     assert (len(inserted), len(tested)) == (34, 130)
     assert eliminations.count((0, 4)) == 34  # each head's translates, into the empty basis
-    assert eliminations.count((0, 2)) == 130  # each last row, in the quotient
-    assert len(eliminations) == 34 + 130  # no 4-wide row is inserted after the head
+    # the first row of each last row's quotient matrix, each value once:
+    # the memo's bound q**((n - 1) * d) = 3**2, reached
+    assert eliminations.count((0, 2)) == 9
+    assert sorted(prefixes) == [[row] for row in itertools.product(range(3), repeat=2)]
+    assert len(eliminations) == 34 + 9  # no 4-wide row is inserted after the head
     assert builds == [row for _, row in heads]
+
+
+def scan_eliminations(monkeypatch, ctx, powers, m):
+    """Walk every candidate of a full scan, check the count against the
+    stacking oracle and return (candidates, whole quotient matrices
+    eliminated)."""
+    candidates = [W.rows for W in enumerate_subspaces(ctx, m * len(powers), m)]
+    expected = sum(splits_by_stacking(ctx, powers, rows) for rows in candidates)
+    calls = []
+    independent = linalg.rows_are_independent
+    monkeypatch.setattr(linalg, "rows_are_independent",
+                        lambda ctx, rows: calls.append(rows) or independent(ctx, rows))
+    assert sum(splitting._verdicts(ctx, powers, candidates)) == expected
+    return len(candidates), len(calls)
+
+
+@pytest.mark.parametrize("q, m, n", [(3, 2, 2), (8, 2, 2), (9, 1, 2), (131, 1, 2), (512, 1, 2)])
+def test_the_lane_check_picks_the_last_row_test(monkeypatch, q, m, n):
+    """Where lane sums cannot carry, a scan eliminates no quotient matrix
+    whole.  At F_131 and width 2 they could, and GF(512) is past the
+    lane tables' size bound: there the scan eliminates one matrix per
+    candidate, every head being live at m = 1."""
+    rng = random.Random(f"quotient/lanes/{q},{m},{n}")
+    inst = random_instance(random_base(q, rng), m, n, rng)
+    candidates, eliminated = scan_eliminations(monkeypatch, inst.base, inst.mats, m)
+    assert eliminated == (candidates if q > splitting._LANE_MAX or q == 131 else 0)
+
+
+def test_a_matrix_over_a_tower_keeps_the_elimination(monkeypatch):
+    """Tower scalars are tuples, not codes, so a scan over F_4 as a tower
+    of F_2 eliminates each candidate's quotient matrix."""
+    rng = random.Random("quotient/lanes/tower")
+    tower = build_extension(build_field(2), 2)
+    T = Matrix(tower, [[tower.element((rng.randrange(2), rng.randrange(2))).raw
+                        for _ in range(2)] for _ in range(2)])
+    candidates, eliminated = scan_eliminations(monkeypatch, tower, splitting._powers(T, 1, 2), 1)
+    assert eliminated == candidates == 5

@@ -372,6 +372,9 @@ SCAN_ROUTE = {
     "rows_are_independent",
     "_echelon_insert",
     "_quotient_columns",
+    "_reducers",
+    "_lane_last",
+    "_Table",
     "vec_mat",
     "enumerate_recurrences",
     "enumerate_class_recurrences",
