@@ -34,8 +34,9 @@ n x n matrix against columns built once per live head
 (_lane_last) that matrix is one packed sum of per-head lane tables, and
 it has full rank exactly when its first n - 1 rows are independent and
 one of the reducers of their span (_reducers, normals kept per scan in
-a memo keyed by the rows' bytes) has a nonzero dot with the last row;
-wider fields and towers eliminate the matrix.
+a memo keyed by the rows' bytes wherever such rows can repeat) has a
+nonzero dot with the last row; wider fields and towers eliminate the
+matrix.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
 weak_ssc_check, the product ordered-basis route, the fiber bridge's,
 and the direct ordered-basis route over every tuple all count through
@@ -255,11 +256,11 @@ def _steps(ctx, powers):
     translates are independent of U exactly when their images in the
     quotient F_q^width / U are, the n x d matrix of entries
     ctx.dot(w, col), one row per translate, d = width - dim U.  Under a
-    scan's head d = n.  Over a field of at most _LANE_MAX elements whose
-    lane sums cannot carry, _lane_last computes that matrix as one
-    packed sum and tests it against memoized reducers of its first
-    n - 1 rows; over other fields and over towers each row costs n * d
-    dots and one elimination of the matrix."""
+    scan's head d = n.  Over a field whose lane sums cannot carry,
+    _lane_last computes that matrix as one packed sum and tests it
+    against the reducers of its first n - 1 rows, memoized under a
+    nonempty head; over other fields and over towers each row costs
+    n * d dots and one elimination of the matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
@@ -270,7 +271,7 @@ def _steps(ctx, powers):
             stacked.extend([dot(w, col) for col in cols] for cols in columns)
             return linalg._echelon_insert(ctx, echelon, stacked)
 
-        if isinstance(ctx, fields.FieldCtx) and ctx.size <= _LANE_MAX and width * (ctx.p - 1) < 256:
+        if isinstance(ctx, fields.FieldCtx) and width * (ctx.p - 1) < 256:
             return insert_generic, _lane_last(ctx, powers), ()
 
         def last_generic(echelon):
@@ -366,11 +367,6 @@ def _reducers(ctx, echelon, width: int) -> tuple:
     return tuple(reducers)
 
 
-# A head's lane table holds q ints per coordinate, so only fields up to
-# this size take _lane_last.
-_LANE_MAX = 256
-
-
 class _Table(dict):
     """A dict that builds a missing value with build(key) and keeps it."""
 
@@ -385,8 +381,8 @@ class _Table(dict):
 
 
 def _lane_last(ctx, powers):
-    """last(U) for the generic walk over a FieldCtx F_{p^e} with at most
-    _LANE_MAX elements and width * (p - 1) < 256, built once per scan.
+    """last(U) for the generic walk over a FieldCtx F_{p^e} with
+    width * (p - 1) < 256, built once per scan.
 
     Codes add digit by digit modulo p, and the quotient matrix of a row
     w, entries ctx.dot(w, col) over the columns of _quotient_columns, is
@@ -402,48 +398,53 @@ def _lane_last(ctx, powers):
     last row.  A memo kept for the scan maps d and the bytes of the
     first n - 1 rows to those reducers, or to none when the rows are
     dependent; it holds at most q^((n - 1) d) entries per d, which share
-    one copy of each span's reducers.  The digits of each product c * x
-    are kept for the scan, and a head packs lanes[j][c] on first use."""
+    one copy of each span's reducers.  Under the empty head (m = 1) the
+    first row is w itself, so within a scan no prefix repeats and none
+    is kept.  A head packs lanes[j][c] on first use, and digits and
+    codes are converted on first use, so no table grows with q up front."""
     p, e, mul, dot = ctx.p, ctx.e, ctx.mul, ctx.dot
     width, n = powers[0].nrows, len(powers)
     getitem = operator.getitem
-    codes = range(ctx.size)
     mod_p = (bytes(range(p)) * (256 // p + 1))[:256]  # bytes.translate table
-    digits = [bytes(integers.to_digits(c, p, e)) for c in codes]
-    code_of = {b: c for c, b in enumerate(digits)}
-    scaled = _Table(lambda x: [digits[mul(c, x)] for c in codes])  # x -> digits of c * x
+    digits = _Table(lambda c: bytes(integers.to_digits(c, p, e)))
+    code_of = _Table(lambda chunk: integers.from_digits(chunk, p))
 
-    def decode(chunk) -> list:
+    def decode(chunk):
+        if e == 1:
+            return chunk
         return [code_of[chunk[s : s + e]] for s in range(0, len(chunk), e)]
 
-    spans: dict = {}  # one copy of the reducers of each span
-
-    def reducers_by_prefix(d):
+    def prefix_reducers(d):
         def build(prefix) -> tuple:
             flat = decode(prefix)
             echelon = linalg._echelon_insert(ctx, (), [flat[k * d : k * d + d] for k in range(n - 1)])
-            reducers = () if echelon is None else _reducers(ctx, echelon, d)
+            return () if echelon is None else _reducers(ctx, echelon, d)
+
+        def share(prefix) -> tuple:
+            reducers = build(prefix)
             return spans.setdefault(reducers, reducers)
 
-        return _Table(build)
+        return _Table(share), build
 
-    memos = _Table(reducers_by_prefix)
+    spans: dict = {}  # one copy of the reducers of each span
+    memos = _Table(prefix_reducers)
 
     def last(echelon):
         d = width - len(echelon)
         size, cut = n * d * e, (n - 1) * d * e
-        memo = memos[d]
+        memo, build = memos[d]
+        reducers_of = memo.__getitem__ if echelon else build
         quotient = _quotient_columns(ctx, powers, echelon)
         lanes = []
         for j in range(width):
-            tables = [scaled[col[j]] for cols in quotient for col in cols]
-            lanes.append(_Table(lambda c, tables=tables: int.from_bytes(
-                b"".join([t[c] for t in tables]), "little")))
+            column = [col[j] for cols in quotient for col in cols]
+            lanes.append(_Table(lambda c, column=column: int.from_bytes(
+                b"".join([digits[mul(c, x)] for x in column]), "little")))
 
         def splits(w) -> bool:
             mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
-            row = mat[cut:] if e == 1 else decode(mat[cut:])
-            for r in memo[mat[:cut]]:
+            row = decode(mat[cut:])
+            for r in reducers_of(mat[:cut]):
                 if dot(row, r):
                     return True
             return False

@@ -164,6 +164,26 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     assert builds == [row for _, row in heads]
 
 
+@pytest.mark.parametrize("m, n, candidate", [(1, 3, ((1, 2, 0),)), (2, 2, ((1, 0, 0, 0), (0, 1, 2, 0)))])
+def test_only_a_nonempty_head_keeps_its_prefixes(monkeypatch, m, n, candidate):
+    """The memo pays only where the first n - 1 rows of quotient matrices
+    repeat.  Under the empty head (m = 1) they hold the row itself, so no
+    scan meets them twice and the walk keeps none: a candidate walked
+    twice is eliminated twice.  Under a live head it is eliminated once."""
+    inst = split_instance(3, m, n)
+    expected = splits_by_stacking(inst.base, inst.mats, candidate)
+    widths = []  # the width of the rows of each elimination
+    echelon_insert = linalg._echelon_insert
+
+    def counting_insert(ctx, echelon, rows):
+        rows = list(rows)
+        widths.append(len(rows[0]))
+        return echelon_insert(ctx, echelon, rows)
+
+    monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
+    assert list(splitting._verdicts(inst.base, inst.mats, [candidate] * 2)) == [expected] * 2
+    assert widths.count(n) == (2 if m == 1 else 1)
+
 def scan_eliminations(monkeypatch, ctx, powers, m):
     """Walk every candidate of a full scan, check the count against the
     stacking oracle and return (candidates, whole quotient matrices
@@ -180,14 +200,14 @@ def scan_eliminations(monkeypatch, ctx, powers, m):
 
 @pytest.mark.parametrize("q, m, n", [(3, 2, 2), (8, 2, 2), (9, 1, 2), (131, 1, 2), (512, 1, 2)])
 def test_the_lane_check_picks_the_last_row_test(monkeypatch, q, m, n):
-    """Where lane sums cannot carry, a scan eliminates no quotient matrix
-    whole.  At F_131 and width 2 they could, and GF(512) is past the
-    lane tables' size bound: there the scan eliminates one matrix per
+    """Where lane sums cannot carry, whatever the field's size (GF(512)
+    included), a scan eliminates no quotient matrix whole.  At F_131 and
+    width 2 they could: there the scan eliminates one matrix per
     candidate, every head being live at m = 1."""
     rng = random.Random(f"quotient/lanes/{q},{m},{n}")
     inst = random_instance(random_base(q, rng), m, n, rng)
     candidates, eliminated = scan_eliminations(monkeypatch, inst.base, inst.mats, m)
-    assert eliminated == (candidates if q > splitting._LANE_MAX or q == 131 else 0)
+    assert eliminated == (candidates if q == 131 else 0)
 
 
 def test_a_matrix_over_a_tower_keeps_the_elimination(monkeypatch):
