@@ -24,11 +24,12 @@ unique, so SubspaceBasis equality is subspace equality and enumeration
 by pivot profile visits every subspace exactly once.
 
 One group action serves the recurrence scans up to conjugation.
-_conjugations maps X -> P X P**-1 on the indices of M_m(F_q) for every
-P in GL_m(F_q) modulo the scalars, and _orbits finds the orbits of any
-subgroup of those maps, each with its least index and its stabilizer.
-conjugacy_classes is one orbit pass of the whole group; the orbit walk
-of lfsr goes on below each class with the same maps.
+_conjugations maps X -> P X P**-1 on the indices of M_m(F_q), over every
+field one byte-lane sum of per-digit images per matrix, and _orbits
+finds the orbits of any subgroup of those maps, each with its least
+index and its stabilizer.  conjugacy_classes is one orbit pass of
+GL_m(F_q) modulo the scalars; the orbit walk of lfsr goes on below each
+class with the same maps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     NotSquare,
     ShapeMismatch,
     Singular,
+    SizeExceeded,
 )
 
 
@@ -404,6 +406,8 @@ def enumerate_subspaces(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
     via reduced echelon bases grouped by pivot profile."""
     total = gaussian_binomial(ambient, dim, ctx.size)
     config.check_scan(total, "subspace scan")
+    if dim == 0:
+        return iter((SubspaceBasis(ctx, ambient, (), ()),))
     return _subspace_gen(ctx, ambient, dim)
 
 
@@ -411,20 +415,22 @@ def _subspace_gen(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
     new = tuple.__new__
     zero, one = ctx.zero, ctx.one
     scalars = raw_scalars(ctx)
+
+    def echelon_rows(p, pivots):
+        free = [j for j in range(p + 1, ambient) if j not in pivots]
+        row = [zero] * ambient
+        row[p] = one
+        for filling in itertools.product(scalars, repeat=len(free)):
+            for j, val in zip(free, filling):
+                row[j] = val
+            yield tuple(row)
+
     for pivots in itertools.combinations(range(ambient), dim):
-        choices = []  # every possible echelon row, per pivot
-        for p in pivots:
-            free = [j for j in range(p + 1, ambient) if j not in pivots]
-            row = [zero] * ambient
-            row[p] = one
-            options = []
-            for filling in itertools.product(scalars, repeat=len(free)):
-                for j, val in zip(free, filling):
-                    row[j] = val
-                options.append(tuple(row))
-            choices.append(options)
-        for rows in itertools.product(*choices):
-            yield new(SubspaceBasis, (ctx, ambient, rows, pivots))
+        # the first pivot's rows, the most numerous, are streamed
+        rest = [list(echelon_rows(p, pivots)) for p in pivots[1:]]
+        for first in echelon_rows(pivots[0], pivots):
+            for rows in itertools.product((first,), *rest):
+                yield new(SubspaceBasis, (ctx, ambient, rows, pivots))
 
 
 def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:
@@ -438,82 +444,72 @@ def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:
 def conjugacy_classes(ctx, m: int) -> tuple[list, list, list[tuple[int, tuple]]]:
     """The conjugacy classes of M_m(F_q) under X -> P X P**-1, P in
     GL_m(F_q), as (mats, conj, classes): mats every m x m matrix in
-    enumerate_matrices order, conj the conjugations on their indices
+    enumerate_matrices order, conj the conjugations on their indices by
+    every P modulo the scalars, the P whose first nonzero entry is 1
     (_conjugations), and one (x, stabilizer) per class from one orbit
     pass of the whole group (_orbits).  x is the class's least index,
     classes come in the order of x, and the class size is
     len(conj) // len(stabilizer).  At m = 1 every matrix commutes with
     every P, so the group modulo the scalars is trivial: conj is the
-    identity alone and no group is built.
+    identity alone and no group is built.  ctx must be a FieldCtx, and
+    at m > 1 the lanes of _conjugations must not carry.
     """
     if m < 1:
         raise BadArgs(f"matrix size must be >= 1, got {m}")
+    if not isinstance(ctx, fields.FieldCtx):
+        raise BadArgs(f"conjugacy classes need a FieldCtx, got {ctx!r}")
     config.check_scan(ctx.size ** (m * m), "conjugacy class scan")
+    if m > 1 and ctx.e * m * m * (ctx.p - 1) > 255:
+        raise SizeExceeded(f"conjugating M_{m}(F_{ctx.size}) needs e*m*m*(p-1) < 256")
     mats = list(enumerate_matrices(ctx, m, m))
     if m == 1:
         return mats, [lambda x: x], [(x, (0,)) for x in range(len(mats))]
-    conj = _conjugations(ctx, m, mats)
+    conj = _conjugations(ctx, m, [  # codes: zero is 0 and one is 1
+        P for P in mats if next((x for row in P.rows for x in row if x), 0) == 1 and P.det()
+    ])
     return mats, conj, _orbits(conj, tuple(range(len(conj))), len(mats))
 
 
-def _conjugations(ctx, m: int, mats: list) -> list:
-    """X -> P X P**-1 on the indices of mats (enumerate_matrices order)
-    for every P in GL_m(F_q) modulo the scalars: the P whose first
-    nonzero entry is 1.  Entry j = (i, s) of P X P**-1 is the sum over
-    the entries k = (r, c) of X of cols[j][k] * X[r][c], with
-    cols[j][k] = P[i][r] * P**-1[c][s].  Over F_{2**e} an index is the
-    e*m*m bits of the codes of X's entries and the map is F_2-linear on
-    it: the XOR of the images of its low and its high bits, each half
-    looked up in a table."""
-    one, zero, mul = ctx.one, ctx.zero, ctx.mul
-    group = [
-        P for P in mats
-        if next((x for row in P.rows for x in row if x != zero), zero) == one and P.det() != zero
-    ]
-    mm = m * m
-    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
-        e = ctx.e
-        half = e * mm // 2
+def _conjugations(ctx, m: int, group: list) -> list:
+    """X -> P X P**-1 on the indices of the m x m matrices in
+    enumerate_matrices order, one map per invertible P in group.
 
-        def conjugation(cols: list):
-            # bit t of an index is y**b, b = t % e, at entry mm - 1 - t // e
-            bits = []
-            for t in range(e * mm):
-                b, k = t % e, mm - 1 - t // e
-                bits.append(sum(
-                    (mul(1 << b, col[k]) if b else col[k]) << e * (mm - 1 - j)
-                    for j, col in enumerate(cols)
-                ))
-            lo, hi = [0], [0]
-            for table, images in ((lo, bits[:half]), (hi, bits[half:])):
-                for image in images:
-                    table += [v ^ image for v in table]
-            mask = (1 << half) - 1
-            return lambda x: lo[x & mask] ^ hi[x >> half]
+    The map is F_p-linear on the base-p digits of an index, which are
+    the digits of its matrix's entry codes.  digits[x] holds them one
+    per byte, entry by entry and each code little-endian, and index maps
+    those bytes back to x; both serve every map.  Entry (i, s) of the
+    image of digit b of entry (r, c) set to d is P[i][r] * P**-1[c][s]
+    times the code d * p**b, whose digits scaled[P[i][r]][P**-1[c][s]]
+    lists for every (b, d).  Per map, images[t][d] packs the digits of
+    that image for t = (r * m + c) * e + b, one byte lane each, so
+    sum(map(getitem, images, digits[x])) holds every digit sum of the
+    image of x, at most e * m * m * (p - 1) < 256 (conjugacy_classes
+    checks it), and one bytes.translate reduces them modulo p."""
+    p, e, mul = ctx.p, ctx.e, ctx.mul
+    scalars = raw_scalars(ctx)
+    code_digits = [bytes(integers.to_digits(c, p, e)) for c in scalars]
+    scaled = [[tuple(code_digits[mul(mul(a, c), d * p**b)] for b in range(e) for d in range(p))
+               for c in scalars] for a in scalars]
+    digits = [b"".join(flat) for flat in itertools.product(code_digits, repeat=m * m)]
+    index = {key: x for x, key in enumerate(digits)}
+    mod_p = (bytes(range(p)) * (256 // p + 1))[:256]  # bytes.translate table
+    getitem, size = operator.getitem, e * m * m
 
-    else:
-        rank = {x: i for i, x in enumerate(raw_scalars(ctx))}
-        q, dot = ctx.size, ctx.dot
-        flats = [sum(X.rows, ()) for X in mats]
+    def conjugation(P, P_inv):
+        images = []
+        for r in range(m):
+            left = [scaled[row[r]] for row in P]
+            for c in range(m):
+                packed = [
+                    int.from_bytes(b"".join(lanes), "little")
+                    for lanes in zip(*[by[x] for by in left for x in P_inv[c]])
+                ]
+                images += [packed[b * p : b * p + p] for b in range(e)]
+        return lambda x: index[
+            sum(map(getitem, images, digits[x])).to_bytes(size, "little").translate(mod_p)
+        ]
 
-        def conjugation(cols: list):
-            def image(x: int) -> int:
-                y = 0
-                for col in cols:
-                    y = y * q + rank[dot(flats[x], col)]
-                return y
-
-            return image
-
-    out = []
-    for P in group:
-        P, P_inv = P.rows, P.inverse().rows
-        out.append(conjugation([
-            tuple(mul(P[i][r], P_inv[c][s]) for r in range(m) for c in range(m))
-            for i in range(m)
-            for s in range(m)
-        ]))
-    return out
+    return [conjugation(P.rows, P.inverse().rows) for P in group]
 
 
 def _orbits(conj: list, stab: tuple, size: int) -> list[tuple[int, tuple]]:

@@ -24,12 +24,12 @@ no state.  Every candidate is still tested, once, and the subspace
 scans pull every one from linalg.enumerate_subspaces.  _steps picks the
 insert and last-row steps once per scan.  Over F_2 they are packed: a
 state is an int echelon basis, and a row's translates are bitmasks, one
-XOR of row images, kept per row value for the scan.  Elsewhere a head's
-rows stack their images under columns of the powers taken once per scan
-for linalg._echelon_insert, the generic elimination the tests check the
-packed one against, and a last row splits exactly when its n translates
-are independent in the quotient F_q^{mn}/U of the head's span U, an
-n x n matrix against columns built once per live head
+XOR of row images, kept per row value under a nonempty head.  Elsewhere
+a head's rows stack their images under columns of the powers taken once
+per scan for linalg._echelon_insert, the generic elimination the tests
+check the packed one against, and a last row splits exactly when its n
+translates are independent in the quotient F_q^{mn}/U of the head's span
+U, an n x n matrix against columns built once per live head
 (_quotient_columns).  Over fields whose byte lanes cannot carry
 (_lane_last) that matrix is one packed sum of per-head lane tables, and
 it has full rank exactly when its first n - 1 rows are independent and
@@ -244,8 +244,9 @@ def _steps(ctx, powers):
     bit h - 1.  images[j] stacks e_j T^0, ..., e_j T^(n-1) as bitmasks
     (e_j T^k from bit k*width), so a row's n translates are one XOR of
     the images at its nonzero coordinates, split once per row value and
-    kept for the scan.  insert and last's test both reduce them into a
-    copy of the basis; the test, the hot loop of a scan, is written out
+    kept for the scan, but not under the empty head (m = 1), whose rows
+    never repeat.  insert and last's test both reduce them into a copy
+    of the basis; the test, the hot loop of a scan, is written out
     rather than calling insert, and drops its copy.
 
     Elsewhere a state is an echelon basis as linalg._echelon_insert
@@ -289,18 +290,17 @@ def _steps(ctx, powers):
         for j in range(width)
     )
     mask = (1 << width) - 1
-    memo: dict = {}
+    empty = [0] * (width + 1)
 
-    def translates(row):
-        found = memo.get(row)
-        if found is None:
-            stack = reduce(xor, compress(images, row), 0)
-            found = memo[row] = tuple((stack >> (k * width)) & mask for k in range(n))
-        return found
+    def split(row):
+        stack = reduce(xor, compress(images, row), 0)
+        return tuple((stack >> (k * width)) & mask for k in range(n))
+
+    memo = _Table(split)
 
     def insert_packed(pivots, row):
         pivots = pivots[:]
-        for v in translates(row):
+        for v in memo[row]:
             while v:
                 h = v.bit_length()
                 b = pivots[h]
@@ -313,9 +313,11 @@ def _steps(ctx, powers):
         return pivots
 
     def last_packed(pivots):
+        translates = split if pivots is empty else memo.__getitem__
+
         def splits(row) -> bool:
             basis = pivots[:]
-            for v in memo.get(row) or translates(row):
+            for v in translates(row):
                 while v:
                     h = v.bit_length()
                     b = basis[h]
@@ -329,7 +331,7 @@ def _steps(ctx, powers):
 
         return splits
 
-    return insert_packed, last_packed, [0] * (width + 1)
+    return insert_packed, last_packed, empty
 
 
 def _quotient_columns(ctx, powers, echelon):

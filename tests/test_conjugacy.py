@@ -13,9 +13,13 @@ from collections import Counter
 import pytest
 
 from splitlab import (
+    BadArgs,
     Matrix,
+    SizeExceeded,
     VerificationJob,
     block_companion,
+    build_extension,
+    build_field,
     char_poly,
     conjugacy_classes,
     enumerate_class_recurrences,
@@ -31,7 +35,7 @@ from splitlab import (
     verify,
 )
 from splitlab import linalg
-from sampling import random_base
+from sampling import random_base, random_invertible
 
 # (q, m) of the class-count oracles
 COUNT_POINTS = [(q, 1) for q in (2, 3, 4)] + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [
@@ -371,3 +375,50 @@ def test_each_scan_builds_the_group_once(monkeypatch, q, m, n):
         builds.clear()
         scan()
         assert len(builds) == expected
+
+
+@pytest.mark.parametrize("q", (11, 13))
+def test_union_find_oracle_reproduces_the_classes_past_the_lane_sums_of_small_q(q):
+    """At m = 2 the lanes of q = 11 and 13 sum up to 40 and 48; a digit
+    times a packed image would reach 400 and 576 there and carry."""
+    ctx = field_from_order(q)
+    assert classes_by_union_find(ctx, 2) == class_rows(ctx, 2)
+
+
+@pytest.mark.parametrize("q, m", [(q, 2) for q in (2, 4, 8, 9, 11)] + [(2, 3), (4, 3)])
+def test_sampled_conjugations_equal_the_matrix_products(q, m):
+    """conj(x) is the index of P X P**-1 for sampled invertible P and
+    matrices X, over random moduli; an index is read off the entry
+    codes, first entry most significant."""
+    rng = random.Random(f"conjugations/{q},{m}")
+    ctx = random_base(q, rng)
+    group = [random_invertible(ctx, m, rng) for _ in range(8)]
+    scalars = linalg.raw_scalars(ctx)
+    rank = {x: i for i, x in enumerate(scalars)}
+    for P, conj in zip(group, linalg._conjugations(ctx, m, group), strict=True):
+        for _ in range(25):
+            x = rng.randrange(q ** (m * m))
+            flat = [scalars[d] for d in integers.to_digits(x, q, m * m)[::-1]]
+            X = Matrix(ctx, [flat[i * m : (i + 1) * m] for i in range(m)], m)
+            image = sum((P * X * P.inverse()).rows, ())
+            assert conj(x) == functools.reduce(lambda y, a: y * q + rank[a], image, 0), (P, X)
+
+
+def test_classes_past_the_lane_bound_are_refused_before_any_matrix(monkeypatch):
+    """67**4 matrices fit a raised scan bound, but 4 * 66 lane sums
+    would carry a byte: the refusal comes before any matrix is built."""
+
+    def enumerated(*args):
+        raise AssertionError("the matrices were enumerated")
+
+    monkeypatch.setenv("SPLITLAB_SCAN_BOUND", str(10**8))
+    monkeypatch.setattr(linalg, "enumerate_matrices", enumerated)
+    monkeypatch.setattr(linalg, "raw_scalars", enumerated)
+    with pytest.raises(SizeExceeded, match=r"e\*m\*m\*\(p-1\) < 256"):
+        conjugacy_classes(build_field(67), 2)
+
+
+def test_classes_over_a_tower_are_refused():
+    tower = build_extension(build_field(2), 2)
+    with pytest.raises(BadArgs, match="FieldCtx"):
+        conjugacy_classes(tower, 2)

@@ -103,3 +103,27 @@ def test_f2_scans_never_reach_the_generic_elimination(monkeypatch):
     assert count_splitting(inst).verdict == "match"
     assert pointed_consistency(inst).verdict == "match"
     assert count_splitting_bases(small, "direct") == 120
+
+
+def test_the_empty_head_keeps_no_translates(monkeypatch):
+    """Under the empty head (m = 1) each candidate is one row of its
+    own, so the walk splits a row into translates each time it meets it
+    and keeps nothing; under a nonempty head a row is split once per
+    scan and its translates are kept."""
+    split = []
+    compress = splitting.compress
+    monkeypatch.setattr(
+        splitting, "compress", lambda images, row: split.append(row) or compress(images, row)
+    )
+    lines = split_instance(2, 1, 6)
+    row = (1, 0, 0, 0, 0, 0)
+    assert list(splitting._verdicts(F2, lines.mats, [(row,), (row,)])) == [True, True]
+    assert split == [row, row]
+
+    planes = split_instance(2, 2, 3)
+    head, row = next(
+        W.rows for W in enumerate_subspaces(F2, 6, 2) if splitting.is_alpha_splitting(planes, W)
+    )
+    split.clear()
+    assert list(splitting._verdicts(F2, planes.mats, [(head, row), (head, row)])) == [True, True]
+    assert split == [head, row]
