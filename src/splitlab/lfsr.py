@@ -22,26 +22,23 @@ the splitting subspaces of the tower f defines (splitting's product route).
 
 Conjugating every C_j by one P in GL_m(F_q) conjugates the block
 companion by diag(P, ..., P), which keeps its characteristic polynomial
-and its order.  So fiber_histogram scans C_0 up to conjugation: one
-representative per conjugacy class of M_m(F_q) (_class_heads, from
-linalg.conjugacy_classes), weighted by the class size, with C_1, ...,
-C_{n-1} free.  The PVRC census takes whole tuples up to conjugation
-(enumerate_class_recurrences): below those heads a stabilizer chain
-takes C_1 up to the centralizer of C_0, C_2 up to the stabilizer of
-(C_0, C_1), and so on, each leaf weighted by its orbit size.  The chain
-runs on the conjugation maps the class pass built, from each class's
-stabilizer down.  census_singer keeps the full scan of all q**(m*m*n)
-tuples, over the one list of m x m matrices (_all_matrices) that
-enumerate_recurrences takes at every position.
+and its order.  So the PVRC census (enumerate_class_recurrences) and
+fiber_histogram take whole tuples up to conjugation, from one walk
+(_orbit_walk): C_0 runs over one representative per conjugacy class of
+M_m(F_q) (_class_heads, from linalg.conjugacy_classes), C_1 up to the
+centralizer of C_0, C_2 up to the stabilizer of (C_0, C_1), and so on,
+on the conjugation maps the class pass built.  Each prefix the walk
+fixes comes with the orbit size of its tuples, the positions past it
+free.  census_singer keeps the full scan of all q**(m*m*n) tuples.
 
 census_singer and fiber_histogram read only the characteristic
 polynomial of each block companion, so they build no BlockRecurrence.
-Both hand their heads, (C_0, weight) pairs, and the matrices of each
-position 1, ..., n - 1 to one kernel, _char_polys, which packs each
-matrix once and walks the product of the positions itself.  Over every
-F_{p^e} the polynomial is the determinant det(x**n I - C_{n-1} x**(n-1)
-- ... - C_0) of an m x m polynomial matrix, by Kronecker substitution
-into Python ints in x and in y, the variable of the field's digits;
+Both hand their heads, (prefix, weight) pairs, and the list of all
+m x m matrices to one kernel, _char_polys, which packs each matrix once
+per position and walks the free positions itself.  Over every F_{p^e}
+the polynomial is the determinant det(x**n I - C_{n-1} x**(n-1) - ...
+- C_0) of an m x m polynomial matrix, by Kronecker substitution into
+Python ints in x and in y, the variable of the field's digits;
 char_poly of the whole block companion is its test oracle.
 census_singer keeps only the heads with invertible C_0, one det per C_0.
 """
@@ -292,7 +289,12 @@ def enumerate_class_recurrences(
     so is the count of (#classes) * q**(m*m*(n-1)) recurrences the walk
     never exceeds.
     """
-    return _orbit_walk(ctx, m, n, _class_heads(ctx, m, n, invertible))
+    heads = _class_heads(ctx, m, n, invertible)
+    return (
+        (BlockRecurrence(ctx, m, prefix + tail), weight)
+        for prefix, weight in _orbit_walk(n, heads)
+        for tail in itertools.product(heads[0], repeat=n - len(prefix))
+    )
 
 
 def _all_matrices(ctx, m: int, n: int) -> list:
@@ -317,10 +319,11 @@ def _class_heads(ctx, m: int, n: int, invertible: bool = False) -> tuple:
     return mats, conj, classes
 
 
-def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, int]]:
-    """(rec, weight) for one tuple per orbit under simultaneous
-    conjugation, with C_0 from each class of heads = (mats, conj,
-    classes) as _class_heads returns it, streamed.
+def _orbit_walk(n: int, heads) -> Iterator[tuple[tuple, int]]:
+    """(prefix, weight) under simultaneous conjugation, with C_0 from
+    each class of heads = (mats, conj, classes) as _class_heads returns
+    it, streamed: each prefix + tail, tail any tuple over mats, stands
+    for one orbit of size weight.
 
     A stabilizer chain: below a prefix (C_0, ..., C_{j-1}) with
     stabilizer S, C_j runs over the least matrix (in enumerate_matrices
@@ -339,9 +342,7 @@ def _orbit_walk(ctx, m: int, n: int, heads) -> Iterator[tuple[BlockRecurrence, i
         while stack:  # depth first, children in orbit order
             prefix, stab = stack.pop()
             if len(stab) == 1 or len(prefix) == n:
-                weight = order // len(stab)
-                for tail in itertools.product(mats, repeat=n - len(prefix)):
-                    yield BlockRecurrence(ctx, m, prefix + tail), weight
+                yield prefix, order // len(stab)
                 continue
             if stab not in orbits:
                 orbits[stab] = linalg._orbits(conj, stab, len(mats))
@@ -384,10 +385,10 @@ def census_singer(m: int, n: int, q: int) -> int:
     ctx = fields.field_from_order(q)
     mats = _all_matrices(ctx, m, n)
     # a singular C_0 gives f(0) = 0, never primitive
-    heads = [(C0, 1) for C0 in mats if C0.det() != ctx.zero]
+    heads = [((C0,), 1) for C0 in mats if C0.det() != ctx.zero]
     primitive: dict[tuple, bool] = {}  # one test per distinct polynomial
     count = 0
-    for coeffs, _ in _char_polys(ctx, m, heads, [mats] * (n - 1)):
+    for coeffs, _ in _char_polys(ctx, m, n, heads, mats):
         verdict = primitive.get(coeffs)
         if verdict is None:
             verdict = primitive[coeffs] = polys.is_primitive(polys.Poly(ctx, coeffs))
@@ -395,11 +396,11 @@ def census_singer(m: int, n: int, q: int) -> int:
     return count
 
 
-def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
+def _char_polys(ctx, m: int, n: int, heads, mats) -> Iterator[tuple[tuple, int]]:
     """(coefficients of char_poly(block_companion(rec)), weight) for the
-    (m, n) recurrences rec over ctx with C_0 and weight from each
-    (C_0, weight) in heads and C_j from tails[j - 1] for j = 1, ...,
-    n - 1, in product order, last fastest.
+    (m, n) recurrences rec over ctx with C_0, ..., C_{j-1} and weight
+    from each (prefix, weight) in heads, j >= 1, and C_j, ..., C_{n-1}
+    over mats, in heads order and then product order, last fastest.
 
     The polynomial is det(x**n I - C_{n-1} x**(n-1) - ... - C_0), an
     m x m polynomial determinant, by Kronecker substitution in x and in
@@ -410,10 +411,9 @@ def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
     sum adds at most m! of them, which fixes w.  Each subslot of the two
     sums is unpacked once and reduced mod p, and each x-slot folds its
     subslots k >= e in through the digits of y**k mod the field modulus
-    into a code (over F_p there is one subslot and no fold).  Each head
-    is packed once, with x**n I, and each tail matrix once per position.
+    into a code (over F_p there is one subslot and no fold).  Each
+    prefix is packed once, with x**n I, and each of mats once per position.
     """
-    n = len(tails) + 1
     p, e = ctx.p, ctx.e
     span = m * (e - 1) + 1  # y-subslots per x-slot
     w = (math.factorial(m) * (n + 1) ** (m - 1) * e ** (m - 1) * (p - 1) ** m).bit_length()
@@ -444,11 +444,11 @@ def _char_polys(ctx, m: int, heads, tails) -> Iterator[tuple[tuple, int]]:
         return sum(map(operator.mul, slot, powers))
 
     top = tuple(1 << n * span * w if r == c else 0 for r in range(m) for c in range(m))
-    packed_tails = [[pack(mat, j) for mat in mats] for j, mats in enumerate(tails, 1)]
+    packed = [[pack(mat, j) for mat in mats] for j in range(1, n)]  # position j at j - 1
     prod = math.prod
-    for C0, weight in heads:
-        head = tuple(map(sum, zip(top, pack(C0, 0))))
-        for terms in itertools.product(*packed_tails):
+    for prefix, weight in heads:
+        head = tuple(map(sum, zip(top, *map(pack, prefix, range(n)))))
+        for terms in itertools.product(*packed[len(prefix) - 1 :]):
             get = tuple(map(sum, zip(head, *terms))).__getitem__
             plus = sum([prod(map(get, term)) for term in even])
             minus = sum([prod(map(get, term)) for term in odd])
@@ -469,15 +469,13 @@ def _check_fiber_poly(f: polys.Poly, m: int, n: int) -> None:
 
 
 def fiber_histogram(ctx, m: int, n: int) -> Counter:
-    """Every fiber's size from one scan up to conjugation: each block
-    companion's characteristic polynomial maps to how many of the
-    q**(m*m*n) share it, each class representative counting its class
-    size, and a polynomial that never occurs reads as 0."""
+    """Every fiber's size from one scan up to simultaneous conjugation:
+    each block companion's characteristic polynomial maps to how many of
+    the q**(m*m*n) share it, each tuple of _orbit_walk counting its
+    orbit size, and a polynomial that never occurs reads as 0."""
     sizes: dict[tuple, int] = {}
-    mats, conj, classes = _class_heads(ctx, m, n)
-    heads = [(mats[x], len(conj) // len(stab)) for x, stab in classes]
-    tails = [mats] * (n - 1)
-    for coeffs, weight in _char_polys(ctx, m, heads, tails):
+    heads = _class_heads(ctx, m, n)
+    for coeffs, weight in _char_polys(ctx, m, n, _orbit_walk(n, heads), heads[0]):
         sizes[coeffs] = sizes.get(coeffs, 0) + weight
     return Counter({polys.Poly(ctx, coeffs): size for coeffs, size in sizes.items()})
 

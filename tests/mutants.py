@@ -1,0 +1,175 @@
+"""Mutation checks for the fast kernels, kept so that anyone can run
+them again.
+
+Each row of MUTANTS is (module, old text, new text, test ids): a module
+of src/splitlab, a text that occurs in it exactly once, the broken text
+that replaces it, and the tests that must fail with the swap in place.
+tests/test_mutants.py checks on every run that each old text still
+occurs exactly once, so a refactor that moves the code must move its
+mutant too.  From the checkout root:
+
+    python3 tests/mutants.py
+
+The runner first runs every row's tests on an unchanged copy, where
+they must pass.  Then, per row, it copies src/, tests/ and
+pyproject.toml to a temporary directory (all three: pyproject.toml's
+pythonpath puts the src next to it first on the path, so a copy without
+it would test this checkout's src), applies the swap there and runs the
+row's tests in a subprocess.  A mutant survives a listed test that
+passes.  The runner prints one line per row and a summary, and exits 1
+when a mutant survives a test and 2 when the copy is broken.  It uses
+only the standard library; the tests run under pytest, as tier-1 does.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _ids(path: str, name: str, params) -> list[str]:
+    return [f"tests/{path}::{name}[{p}]" for p in params]
+
+
+MUTANTS = [
+    # the class pass with one group element left out
+    ("linalg", "_orbits(conj, tuple(range(len(conj))), len(mats))",
+     "_orbits(conj, tuple(range(len(conj) - 1)), len(mats))",
+     _ids("test_conjugacy.py", "test_union_find_oracle_reproduces_the_classes_at_m_2",
+          (2, 3, 4, 5, 7, 8, 9))
+     + _ids("test_conjugacy.py", "test_union_find_oracle_reproduces_the_classes_at_m_3", (3,))
+     + _ids("test_conjugacy.py",
+            "test_union_find_oracle_reproduces_the_classes_over_a_random_modulus", (4, 8, 9))),
+    # _verdicts called before check_scan, once per scan site: the
+    # subspace stream enumerated lazily, and the direct route's check
+    # moved after the call
+    ("splitting", "    candidates = linalg.enumerate_subspaces(ctx, m * len(powers), m)\n",
+     "    candidates = itertools.chain.from_iterable(\n"
+     "        map(linalg.enumerate_subspaces, [ctx], [m * len(powers)], [m])\n    )\n",
+     _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
+          ("count_splitting-cold", "count_splitting-warm", "fiber_count-cold", "fiber_count-warm"))),
+    ("splitting", "itertools.tee(linalg.enumerate_subspaces(ctx, m * len(powers), m))",
+     "itertools.tee(itertools.chain.from_iterable(\n"
+     "        map(linalg.enumerate_subspaces, [ctx], [m * len(powers)], [m])\n    ))",
+     _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
+          ("pointed_consistency-cold", "pointed_consistency-warm",
+           "count_pointed-cold", "count_pointed-warm"))),
+    ("splitting",
+     '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
+     "    vecs = [e.raw for e in inst.tower.elements()]\n"
+     "    return sum(_verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m)))\n",
+     "    vecs = [e.raw for e in inst.tower.elements()]\n"
+     "    verdicts = _verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m))\n"
+     '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
+     "    return sum(verdicts)\n",
+     _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
+          ("count_splitting_bases-cold", "count_splitting_bases-warm"))),
+    # the lane test's prefix memo kept under the empty head, and never kept
+    ("splitting", "reducers_of = memo.__getitem__ if echelon else build",
+     "reducers_of = memo.__getitem__",
+     _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
+          ("1-3-candidate0",))),
+    ("splitting", "reducers_of = memo.__getitem__ if echelon else build", "reducers_of = build",
+     ["tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
+     + _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
+            ("2-2-candidate1",))),
+    # the lane test taken where lane sums can carry
+    ("splitting", "if isinstance(ctx, fields.FieldCtx) and width * (ctx.p - 1) < 256:",
+     "if isinstance(ctx, fields.FieldCtx):",
+     _ids("test_quotient_step.py", "test_the_quotient_step_agrees_with_elimination_from_scratch",
+          ("131-1-2",))
+     + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test", ("131-1-2",))),
+    # an orbit walk leaf weighted |GL_m| whatever its stabilizer
+    ("lfsr", "yield prefix, order // len(stab)", "yield prefix, order",
+     _ids("test_conjugacy.py", "test_orbit_walk_visits_one_tuple_per_orbit", ("2-2-3-False",))
+     + _ids("test_conjugacy.py", "test_fiber_histogram_computes_one_polynomial_per_orbit",
+            ("2-2-3-False",))
+     + _ids("test_lfsr.py", "test_fiber_histogram_matches_the_per_polynomial_scan", ("2-2-3",))),
+    # a head's prefix packed at position 0 only
+    ("lfsr", "*map(pack, prefix, range(n))", "*map(pack, prefix, [0] * n)",
+     _ids("test_char_polys.py", "test_kernel_walks_several_heads_and_tails_in_product_order",
+          ("2-2-3",))
+     + _ids("test_char_polys.py", "test_kernel_matches_char_poly_on_random_recurrences", ("3-2-3",))
+     + _ids("test_lfsr.py", "test_fiber_histogram_matches_the_per_polynomial_scan", ("2-2-3",))),
+    # the free positions taken from position 1 on, as if every prefix
+    # were C_0 alone
+    ("lfsr", "packed[len(prefix) - 1 :]", "packed[:]",
+     _ids("test_char_polys.py", "test_kernel_walks_several_heads_and_tails_in_product_order",
+          ("2-2-3",))
+     + _ids("test_conjugacy.py", "test_fiber_histogram_computes_one_polynomial_per_orbit",
+            ("2-2-3-False",))
+     + _ids("test_lfsr.py", "test_fiber_histogram_matches_the_per_polynomial_scan", ("2-2-3",))),
+]
+
+
+def _copy(dest: pathlib.Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _failed(tmp: pathlib.Path, ids: list[str]) -> dict[str, bool]:
+    """Whether each of ids fails in the copy at tmp, from pytest's
+    JUnit report; a test that does not finish in time counts as failed,
+    and one pytest did not run is left out."""
+    report = tmp / "report.xml"
+    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               f"--junitxml={report}", *ids]
+    try:
+        subprocess.run(command, cwd=tmp, env=env, capture_output=True, timeout=1800)
+    except subprocess.TimeoutExpired:
+        return dict.fromkeys(ids, True)
+    if not report.exists():
+        return {}
+    out = {}
+    for case in ET.parse(report).iter("testcase"):
+        test = case.get("classname").replace(".", "/") + ".py::" + case.get("name")
+        out[test] = any(child.tag in ("failure", "error") for child in case)
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        _copy(tmp)
+        every = sorted({test for *_, tests in MUTANTS for test in tests})
+        baseline = _failed(tmp, every)
+        broken = [test for test in every if baseline.get(test, True)]
+        if broken:
+            print("unchanged copy: these tests fail or did not run:", *broken, sep="\n  ")
+            return 2
+    survived = 0
+    for i, (module, old, new, tests) in enumerate(MUTANTS):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            _copy(tmp)
+            path = tmp / "src" / "splitlab" / f"{module}.py"
+            source = path.read_text(encoding="utf-8")
+            if source.count(old) != 1:
+                print(f"row {i} ({module}): the old text does not occur exactly once")
+                return 2
+            path.write_text(source.replace(old, new), encoding="utf-8")
+            failed = _failed(tmp, tests)
+        missing = [test for test in tests if test not in failed]
+        if missing:
+            print(f"row {i} ({module}): did not run:", *missing, sep="\n  ")
+            return 2
+        passed = [test for test in tests if not failed[test]]
+        survived += bool(passed)
+        verdict = "survived " + ", ".join(passed) if passed else f"killed by all {len(tests)}"
+        print(f"row {i} ({module}): {verdict}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

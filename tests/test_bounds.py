@@ -71,7 +71,8 @@ CASES = (
      ScanBoundExceeded, (linalg, "enumerate_matrices")),
     ("census_singer", lambda: census_singer(2, 2, 2), 255,
      ScanBoundExceeded, (lfsr, "_char_polys")),
-    # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96
+    # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96, a bound
+    # the orbit walk (56 recurrences) never exceeds
     ("fiber_histogram", lambda: fiber_histogram(F2, 2, 2), 95,
      ScanBoundExceeded, (lfsr, "_char_polys")),
     # 3 invertible classes times 2**4 free C_1 = 48, a bound the orbit

@@ -26,7 +26,7 @@ def oracle(rec):
 
 def check(ctx, m, n, recs):
     for weight, rec in enumerate(recs, 1):
-        got = list(lfsr._char_polys(ctx, m, [(rec.C[0], weight)], [[C] for C in rec.C[1:]]))
+        got = list(lfsr._char_polys(ctx, m, n, [(rec.C, weight)], []))
         assert got == [(oracle(rec), weight)], rec
 
 
@@ -143,17 +143,21 @@ def test_kernel_packs_each_coefficient_matrix_by_identity():
 
 @pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2), (5, 1, 4), (4, 2, 2), (9, 1, 3)])
 def test_kernel_walks_several_heads_and_tails_in_product_order(q, m, n):
-    """Several heads and several matrices per position: the kernel yields
-    one polynomial per tuple, heads outermost and the last position
-    fastest, each with its head's weight."""
+    """Heads with prefixes of every length and several matrices for the
+    free positions: the kernel yields one polynomial per tuple, heads
+    outermost and the last position fastest, each with its head's
+    weight."""
     rng = random.Random(f"char_polys/product/{q},{m},{n}")
     ctx = random_base(q, rng)
-    heads = [(random_matrix(ctx, m, m, rng), rng.randrange(1, 100)) for _ in range(3)]
-    tails = [[random_matrix(ctx, m, m, rng) for _ in range(j + 1)] for j in range(1, n)]
-    got = list(lfsr._char_polys(ctx, m, heads, tails))
+    mats = [random_matrix(ctx, m, m, rng) for _ in range(3)]
+    heads = [
+        (tuple(random_matrix(ctx, m, m, rng) for _ in range(j)), rng.randrange(1, 100))
+        for j in range(1, n + 1)
+    ]
+    got = list(lfsr._char_polys(ctx, m, n, heads, mats))
     want = [
-        (oracle(BlockRecurrence(ctx, m, (C0,) + C)), weight)
-        for C0, weight in heads
-        for C in itertools.product(*tails)
+        (oracle(BlockRecurrence(ctx, m, prefix + C)), weight)
+        for prefix, weight in heads
+        for C in itertools.product(mats, repeat=n - len(prefix))
     ]
     assert got == want

@@ -34,8 +34,9 @@ from splitlab import (
     subspace_from_rows,
     verify,
 )
-from splitlab import linalg
+from splitlab import lfsr, linalg
 from sampling import random_base, random_invertible
+from test_lfsr import HISTOGRAM_SHAPES, per_polynomial_fibers
 
 # (q, m) of the class-count oracles
 COUNT_POINTS = [(q, 1) for q in (2, 3, 4)] + [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [
@@ -233,6 +234,30 @@ def test_orbit_walk_visits_one_tuple_per_orbit(q, m, n, random_modulus):
         assert len(recs) == burnside(ctx, m, n, invertible), invertible
         assert sum(w for _, w in recs) == total, invertible
         assert heads(recs) == first, invertible
+
+
+@pytest.mark.parametrize("q, m, n, random_modulus", WALK_CASES)
+def test_fiber_histogram_computes_one_polynomial_per_orbit(monkeypatch, q, m, n, random_modulus):
+    """The histogram takes whole tuples up to conjugation from the orbit
+    walk: the kernel computes as many polynomials as Burnside's lemma
+    counts orbits, and their weights sum to every tuple."""
+    rng = random.Random(f"walk/{q},{m},{n}")
+    ctx = random_base(q, rng) if random_modulus else field_from_order(q)
+    computed = []
+    kernel = lfsr._char_polys
+    monkeypatch.setattr(
+        lfsr, "_char_polys", lambda *args: (computed.append(out) or out for out in kernel(*args))
+    )
+    hist = fiber_histogram(ctx, m, n)
+    assert len(computed) == burnside(ctx, m, n)
+    assert sum(hist.values()) == q ** (m * m * n)
+
+
+@pytest.mark.parametrize("q, m, n", [shape for shape in HISTOGRAM_SHAPES if shape[0] in (4, 8, 9)])
+def test_fiber_histogram_matches_the_per_polynomial_scan_over_a_random_modulus(q, m, n):
+    """test_lfsr checks the canonical fields."""
+    ctx = random_base(q, random.Random(f"histogram/{q},{m},{n}"))
+    assert fiber_histogram(ctx, m, n) == per_polynomial_fibers(ctx, m, n)
 
 
 @pytest.mark.parametrize(
