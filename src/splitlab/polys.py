@@ -11,12 +11,19 @@ The coefficient context only has to provide raw scalar arithmetic:
 scalars.  splitlab.fields.FieldCtx is the usual choice (raw scalars are
 integer codes in [0, size)), and a TowerCtx works the same way with
 coordinate tuples.
+
+The brute routes of coprime_pair_count and q_totient scan raw
+coefficient lists instead: each builds its lists once per scan, by
+ascending code, and tests every pair once with the Euclid kernel
+_coprime, which reduces remainders in place and builds no Poly.  gcd,
+xgcd, factor and the closed forms keep their Poly code and never call
+the kernel, so a scan and its closed form share no code.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import config, integers
 from .errors import (
@@ -295,13 +302,6 @@ def is_primitive(f: Poly) -> bool:
     return True
 
 
-def polys_of_degree_below(ctx, bound: int) -> Iterator[Poly]:
-    """All q**bound polynomials of degree < bound, by ascending code."""
-    q = ctx.size
-    for code in range(q**bound):
-        yield Poly(ctx, integers.to_digits(code, q, bound))
-
-
 def _irreducibles(ctx, k: int) -> tuple[Poly, ...]:
     """The monic irreducibles of degree k by ascending code.  The bound
     is checked on every call, so a warm cache refuses like a cold one."""
@@ -380,7 +380,9 @@ def q_totient(f: Poly, method: str = "closed") -> int:
     """Number of polynomials of degree < deg(f) coprime to f.
 
     The closed route multiplies q**deg(f) by (1 - q**-deg(g)) over the
-    distinct irreducible factors g of f; the brute route counts directly.
+    distinct irreducible factors g of f.  The brute route tests every
+    nonzero g of degree < deg(f) once, by ascending code, with the Euclid
+    kernel _coprime on raw coefficient lists; it builds no Poly per g.
     """
     if f.is_zero or f.degree < 1:
         raise DegreeZero("totient needs degree >= 1")
@@ -398,13 +400,7 @@ def q_totient(f: Poly, method: str = "closed") -> int:
         return value
     if method == "brute":
         config.check_scan(q**k, "totient census")
-        count = 0
-        for g in polys_of_degree_below(ctx, k):
-            if g.is_zero:
-                continue
-            if gcd(g, f).degree == 0:
-                count += 1
-        return count
+        return sum(_coprime(ctx, g, f.coeffs) for g in _nonzero_codes(ctx, k))
     raise BadArgs(f"unknown method {method!r}")
 
 
@@ -412,7 +408,10 @@ def coprime_pair_count(n1: int, n2: int, ctx, method: str = "closed") -> int:
     """Number of coprime pairs (f1, f2) with f1 nonzero of degree < n1 and
     f2 monic nonzero of degree < n2, for n1 >= n2 >= 1.
 
-    Closed form: q**(n1 + n2 - 1) - 1.  The brute route scans all pairs.
+    Closed form: q**(n1 + n2 - 1) - 1.  The brute route tests every pair
+    once, f1 by ascending code and f2 by degree then code, with the Euclid
+    kernel _coprime on raw coefficient lists built once per scan; it
+    builds no Poly per pair.
     """
     if n2 < 1:
         raise BadArgs("n2 must be >= 1")
@@ -423,17 +422,50 @@ def coprime_pair_count(n1: int, n2: int, ctx, method: str = "closed") -> int:
         return q ** (n1 + n2 - 1) - 1
     if method == "brute":
         config.check_scan(q ** (n1 + n2), "coprime pair census")
-        count = 0
-        monic_parts = [
-            [Poly(ctx, integers.to_digits(code, q, t) + (ctx.one,)) for code in range(q**t)]
+        monics = [
+            list(integers.to_digits(code, q, t)) + [ctx.one]
             for t in range(n2)
+            for code in range(q**t)
         ]
-        for f1 in polys_of_degree_below(ctx, n1):
-            if f1.is_zero:
-                continue
-            for chunk in monic_parts:
-                for f2 in chunk:
-                    if gcd(f1, f2).degree == 0:
-                        count += 1
-        return count
+        return sum(_coprime(ctx, f1, f2) for f1 in _nonzero_codes(ctx, n1) for f2 in monics)
     raise BadArgs(f"unknown method {method!r}")
+
+
+def _nonzero_codes(ctx, k: int) -> list[list]:
+    """The coefficient lists, trailing zeros stripped, of the q**k - 1
+    nonzero polynomials of degree < k, by ascending code."""
+    q, zero = ctx.size, ctx.zero
+    out = []
+    for code in range(1, q**k):
+        digits = list(integers.to_digits(code, q, k))
+        while digits[-1] == zero:
+            digits.pop()
+        out.append(digits)
+    return out
+
+
+def _coprime(ctx, a, b) -> bool:
+    """Whether gcd(a, b) has degree 0, for coefficient lists a and b of
+    raw scalars with no trailing zeros, b nonzero.
+
+    Euclid's algorithm on copies of the lists, each remainder reduced in
+    place; it stops once the divisor is a constant (coprime) or zero (a
+    common factor of degree >= 1), and builds no Poly.  The brute coprime
+    scans are its only callers: gcd and the closed forms never use it.
+    """
+    mul, sub, inv, zero = ctx.mul, ctx.sub, ctx.inv, ctx.zero
+    a, b = list(a), list(b)
+    while len(b) > 1:
+        d = len(b) - 1
+        lead = inv(b[-1])
+        for top in range(len(a) - 1, d - 1, -1):
+            c = a[top]
+            if c != zero:
+                c = mul(c, lead)
+                for i in range(d):
+                    a[top - d + i] = sub(a[top - d + i], mul(c, b[i]))
+        del a[d:]
+        while a and a[-1] == zero:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1

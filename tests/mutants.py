@@ -106,6 +106,22 @@ MUTANTS = [
      + _ids("test_conjugacy.py", "test_fiber_histogram_computes_one_polynomial_per_orbit",
             ("2-2-3-False",))
      + _ids("test_lfsr.py", "test_fiber_histogram_matches_the_per_polynomial_scan", ("2-2-3",))),
+    # the coprime kernel dividing by the divisor's leading coefficient
+    # without inverting it: the same over F_2 and F_3, and the scans'
+    # totals survive it too (they sum over every polynomial), so only
+    # the pairwise oracle over a wider field sees it
+    ("polys", "inv(b[-1])", "b[-1]",
+     _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (4, 5, 7, 8, 9))
+     + _ids("test_polys.py", "test_coprime_kernel_edge_cases", (4, 5, 7, 8, 9))
+     + ["tests/test_polys.py::test_coprime_kernel_with_non_monic_remainders"]),
+    # a zero divisor read as a unit: every pair counted coprime
+    ("polys", "return len(b) == 1", "return len(b) <= 1",
+     ["tests/test_polys.py::test_coprime_pair_count_closed_matches_brute",
+      "tests/test_polys.py::test_q_totient_closed_matches_brute"]
+     + _ids("test_polys.py", "test_coprime_pair_count_closed_matches_brute_over_wide_fields",
+            (4, 9))
+     + _ids("test_polys.py", "test_q_totient_closed_matches_brute_over_wide_fields", (4, 9))
+     + _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (2, 9))),
 ]
 
 

@@ -1,6 +1,7 @@
 """Polynomial layer: gcd, irreducibility, primitivity, totients, censuses."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,9 +19,19 @@ from splitlab import (
     q_totient,
 )
 from splitlab import polys
+from sampling import random_base
 
 F2 = build_field(2)
 F3 = build_field(3)
+# fields where a unit need not be its own inverse, so the Euclid kernel
+# is tested with the leading-coefficient inverse it needs; F_8 and F_9
+# over a random non-canonical modulus (x^2 + x + 1 is the only monic
+# irreducible quadratic over F_2, so F_4 has no other)
+WIDE_QS = (4, 5, 7, 8, 9)
+
+
+def wide_field(q):
+    return random_base(q, random.Random(f"wide/{q}"), other=q != 4)
 
 
 def monic_polys(ctx, degree):
@@ -168,6 +179,14 @@ def test_q_totient_closed_matches_brute():
                 assert q_totient(f, "closed") == q_totient(f, "brute"), f
 
 
+@pytest.mark.parametrize("q", WIDE_QS)
+def test_q_totient_closed_matches_brute_over_wide_fields(q):
+    ctx = wide_field(q)
+    for d in (1, 2):
+        for f in monic_polys(ctx, d):
+            assert q_totient(f, "closed") == q_totient(f, "brute"), f
+
+
 def test_q_totient_brute_respects_scan_bound(monkeypatch):
     monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "4")
     with pytest.raises(ScanBoundExceeded):
@@ -193,6 +212,74 @@ def test_coprime_pair_count_closed_matches_brute():
                 closed = coprime_pair_count(n1, n2, ctx, "closed")
                 brute = coprime_pair_count(n1, n2, ctx, "brute")
                 assert closed == brute, (n1, n2, ctx.size)
+
+
+@pytest.mark.parametrize("q", WIDE_QS)
+def test_coprime_pair_count_closed_matches_brute_over_wide_fields(q):
+    ctx = wide_field(q)
+    for n1, n2 in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+        closed = coprime_pair_count(n1, n2, ctx, "closed")
+        assert coprime_pair_count(n1, n2, ctx, "brute") == closed, (n1, n2, q)
+
+
+def random_poly(ctx, rng, degree):
+    """A random polynomial of the given degree (0 may draw the zero one)."""
+    top = rng.randrange(1, ctx.size) if degree else rng.randrange(ctx.size)
+    return Poly(ctx, [rng.randrange(ctx.size) for _ in range(degree)] + [top])
+
+
+def coprime_oracle(f, g):
+    return gcd(f, g).degree == 0
+
+
+@pytest.mark.parametrize("q", (2, 3) + WIDE_QS)
+def test_coprime_kernel_matches_gcd_on_random_pairs(q):
+    """The scan kernel against Poly's gcd: random pairs, random pairs
+    with a common factor, and pairs in either degree order.  Leading
+    coefficients are drawn at random, so most divisors and remainders
+    are not monic."""
+    ctx = wide_field(q)
+    rng = random.Random(f"coprime/{q}")
+    seen = set()
+    for _ in range(60):
+        f1 = random_poly(ctx, rng, rng.randrange(6))
+        f2 = random_poly(ctx, rng, rng.randrange(1, 6))
+        common = random_poly(ctx, rng, rng.randrange(1, 3))
+        for a, b in ((f1, f2), (f2, f1), (f1 * common, f2 * common)):
+            if b.is_zero:
+                continue
+            expected = coprime_oracle(a, b)
+            assert polys._coprime(ctx, a.coeffs, b.coeffs) == expected, (a, b)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("q", (2, 3) + WIDE_QS)
+def test_coprime_kernel_edge_cases(q):
+    ctx = wide_field(q)
+    rng = random.Random(f"coprime-edges/{q}")
+    one = Poly(ctx, (1,))
+    for _ in range(10):
+        f = random_poly(ctx, rng, rng.randrange(1, 5))
+        g = random_poly(ctx, rng, rng.randrange(f.degree + 1, 7))
+        cases = [(f, g), (f, f), (f, one), (one, f), (Poly(ctx, ()), f), (Poly(ctx, ()), one)]
+        for a, b in cases:
+            assert polys._coprime(ctx, a.coeffs, b.coeffs) == coprime_oracle(a, b), (a, b)
+    assert polys._coprime(ctx, f.coeffs, one.coeffs)
+    assert not polys._coprime(ctx, f.coeffs, f.coeffs)
+
+
+def test_coprime_kernel_with_non_monic_remainders():
+    F5 = build_field(5)
+    x2 = Poly(F5, (1, 0, 1))  # x^2 + 1
+    # x^3 + 3x = x (x^2 + 1) + 2x: remainder 2x, then gcd(x^2 + 1, x) = 1
+    assert polys._coprime(F5, (0, 3, 0, 1), x2.coeffs)
+    # (x + 1)(x + 2) x + 2(x + 1): remainder 2x + 2, gcd x + 1
+    f2 = Poly(F5, (2, 3, 1))
+    f1 = f2 * Poly(F5, (0, 1)) + Poly(F5, (2, 2))
+    assert divmod(f1, f2)[1].coeffs == (2, 2)
+    assert gcd(f1, f2) == Poly(F5, (1, 1))
+    assert not polys._coprime(F5, f1.coeffs, f2.coeffs)
 
 
 def test_coprime_pair_count_recursion_identity():
@@ -244,8 +331,3 @@ def test_factor_roundtrip():
                     for _ in range(mult):
                         prod = prod * g
                 assert prod == f, f
-
-
-def test_polys_of_degree_below_counts():
-    assert sum(1 for _ in polys.polys_of_degree_below(F2, 3)) == 8
-    assert sum(1 for _ in polys.polys_of_degree_below(F3, 2)) == 9
