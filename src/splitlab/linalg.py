@@ -403,7 +403,12 @@ def subspace_from_rows(ctx, ambient: int, rows: Iterable[Sequence]) -> SubspaceB
 
 def enumerate_subspaces(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
     """All dim-dimensional subspaces of ctx^ambient, each exactly once,
-    via reduced echelon bases grouped by pivot profile."""
+    via reduced echelon bases grouped by pivot profile.  Within a
+    profile the rows run in product order with the first row varying
+    fastest: rows[1:] (the tail) in itertools.product order, and under
+    each tail every first row, whose free coordinates run in product
+    order too.  The first row has the most free coordinates, so each
+    tail carries the most candidates."""
     total = gaussian_binomial(ambient, dim, ctx.size)
     config.check_scan(total, "subspace scan")
     if dim == 0:
@@ -426,11 +431,15 @@ def _subspace_gen(ctx, ambient: int, dim: int) -> Iterator[SubspaceBasis]:
             yield tuple(row)
 
     for pivots in itertools.combinations(range(ambient), dim):
-        # the first pivot's rows, the most numerous, are streamed
+        # the first pivot's rows, the most numerous, vary fastest; they
+        # are listed once per profile, or streamed when there is no tail
+        firsts = echelon_rows(pivots[0], pivots)
         rest = [list(echelon_rows(p, pivots)) for p in pivots[1:]]
-        for first in echelon_rows(pivots[0], pivots):
-            for rows in itertools.product((first,), *rest):
-                yield new(SubspaceBasis, (ctx, ambient, rows, pivots))
+        if rest:
+            firsts = list(firsts)
+        for tail in itertools.product(*rest):
+            for first in firsts:
+                yield new(SubspaceBasis, (ctx, ambient, (first, *tail), pivots))
 
 
 def enumerate_matrices(ctx, nrows: int, ncols: int) -> Iterator[Matrix]:

@@ -14,29 +14,30 @@ each.
 
 The scan route is one walk: _verdicts takes the candidates, each a
 tuple of rows, and yields whether each one splits.  The scans yield
-candidates in product order over shared rows, so consecutive candidates
-mostly differ only in their last row: the walk groups them by head, the
-rows before the last, inserts each head's translates once into an
-echelon state (sharing the states of the previous head's row prefixes,
-and rejecting at once every candidate under a dependent head), and
-tests each last row against the head's state with one call that extends
-no state.  Every candidate is still tested, once, and the subspace
-scans pull every one from linalg.enumerate_subspaces.  _steps picks the
-insert and last-row steps once per scan.  Over F_2 they are packed: a
-state is an int echelon basis, and a row's translates are bitmasks, one
-XOR of row images, kept per row value under a nonempty head.  Elsewhere
-a head's rows stack their images under columns of the powers taken once
-per scan for linalg._echelon_insert, the generic elimination the tests
-check the packed one against, and a last row splits exactly when its n
-translates are independent in the quotient F_q^{mn}/U of the head's span
-U, an n x n matrix against columns built once per live head
-(_quotient_columns).  Over fields whose byte lanes cannot carry
-(_lane_last) that matrix is one packed sum of per-head lane tables, and
-it has full rank exactly when its first n - 1 rows are independent and
-one of the reducers of their span (_reducers, normals kept per scan in
-a memo keyed by the rows' bytes wherever such rows can repeat) has a
-nonzero dot with the last row; wider fields and towers eliminate the
-matrix.
+candidates in product order over shared rows with the first row varying
+fastest, so consecutive candidates mostly differ only in their first
+row, the one with the most free coordinates: the walk groups them by
+head, the rows after the first, inserts each head's translates once
+into an echelon state (sharing the states of the previous head's row
+prefixes, and rejecting at once every candidate under a dependent
+head), and tests each first row against the head's state with one call
+that extends no state.  Every candidate is still tested, once, and the
+subspace scans pull every one from linalg.enumerate_subspaces.  _steps
+picks the insert and test steps once per scan.  Over F_2 they are
+packed: a state is an int echelon basis, and a row's translates are
+bitmasks, one XOR of row images, kept per row value under a nonempty
+head.  Elsewhere a head's rows stack their images under columns of the
+powers taken once per scan for linalg._echelon_insert, the generic
+elimination the tests check the packed one against, and a tested row
+splits exactly when its n translates are independent in the quotient
+F_q^{mn}/U of the head's span U, an n x n matrix against columns built
+once per live head (_quotient_columns).  Over fields whose byte lanes
+cannot carry (_lane_last) that matrix is one packed sum of per-head
+lane tables, and it has full rank exactly when its first n - 1 rows are
+independent and one of the reducers of their span (_reducers, normals
+kept per scan in a memo keyed by the rows' bytes wherever such rows can
+repeat) has a nonzero dot with its last row; wider fields and towers
+eliminate the matrix.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
 weak_ssc_check, the product ordered-basis route, the fiber bridge's,
 and the direct ordered-basis route over every tuple all count through
@@ -197,19 +198,22 @@ def _verdicts(ctx, powers, candidates):
     powers = (T^0, ..., T^(n-1)) are independent.  Every candidate is
     tested, once.
 
-    The scans yield candidates in product order over shared rows, so
-    consecutive candidates mostly differ only in their last row.  The
-    walk groups them by head, the rows before the last.  It inserts each
-    head once with the insert step of _steps, keeping the states after
-    each prefix of the previous head (states[k] after prefix[:k], and
-    states one short of prefix when a row of it made the state
-    dependent), so only the rows past the shared prefix are inserted.
-    Under a live head every last row is one call of the test last(state)
-    builds, which extends no state; under a dead head every candidate is
-    rejected without a test."""
+    The scans yield candidates in product order over shared rows with
+    the first row varying fastest, so consecutive candidates mostly
+    differ only in their first row.  The walk groups them by head, the
+    rows after the first, and tests the first row, the widest one.  It
+    inserts each head once with the insert step of _steps, keeping the
+    states after each prefix of the previous head (states[k] after
+    prefix[:k], and states one short of prefix when a row of it made the
+    state dependent), so only the rows past the shared prefix are
+    inserted; consecutive heads share a prefix because among the head's
+    rows the last varies fastest.  Under a live head every first row is
+    one call of the test last(state) builds, which extends no state;
+    under a dead head every candidate is rejected without a test.  Row
+    order never changes a verdict."""
     insert, last, empty = _steps(ctx, powers)
     prefix, states = (), [empty]
-    for head, group in itertools.groupby(candidates, operator.itemgetter(slice(None, -1))):
+    for head, group in itertools.groupby(candidates, operator.itemgetter(slice(1, None))):
         k = 0
         for a, b in zip(head, prefix):
             if a != b:
@@ -225,7 +229,7 @@ def _verdicts(ctx, powers, candidates):
                 states.append(state)
         prefix = head
         if len(states) > len(head):
-            yield from map(last(states[-1]), map(operator.itemgetter(-1), group))
+            yield from map(last(states[-1]), map(operator.itemgetter(0), group))
         else:
             for _ in group:
                 yield False
@@ -238,7 +242,8 @@ def _steps(ctx, powers):
     argument as it is, or None when they make it dependent; empty is the
     state of no rows.  last(state) returns the test row -> bool of
     whether a row's translates are independent of the state, which the
-    test leaves as it is.
+    test leaves as it is; the walk inserts a candidate's rows after the
+    first and tests the first, which varies fastest in a scan.
 
     Over F_2 a state is an int echelon basis, pivots[h] having leading
     bit h - 1.  images[j] stacks e_j T^0, ..., e_j T^(n-1) as bitmasks
@@ -675,7 +680,9 @@ def count_splitting_bases(inst: SplitInstance, method: str) -> int:
         return _count_scan(inst.base, inst.mats, inst.m) * linalg.gl_order(m, q)
     config.check_scan((q ** (m * n)) ** m, "ordered basis scan")
     vecs = [e.raw for e in inst.tower.elements()]
-    return sum(_verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m)))
+    # product varies the last position fastest; the walk tests the first
+    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))
+    return sum(_verdicts(inst.base, inst.mats, tuples))
 
 
 def is_T_splitting(

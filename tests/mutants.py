@@ -64,9 +64,12 @@ MUTANTS = [
     ("splitting",
      '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
      "    vecs = [e.raw for e in inst.tower.elements()]\n"
-     "    return sum(_verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m)))\n",
+     "    # product varies the last position fastest; the walk tests the first\n"
+     "    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))\n"
+     "    return sum(_verdicts(inst.base, inst.mats, tuples))\n",
      "    vecs = [e.raw for e in inst.tower.elements()]\n"
-     "    verdicts = _verdicts(inst.base, inst.mats, itertools.product(vecs, repeat=m))\n"
+     "    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))\n"
+     "    verdicts = _verdicts(inst.base, inst.mats, tuples)\n"
      '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
      "    return sum(verdicts)\n",
      _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
@@ -122,6 +125,33 @@ MUTANTS = [
             (4, 9))
      + _ids("test_polys.py", "test_q_totient_closed_matches_brute_over_wide_fields", (4, 9))
      + _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (2, 9))),
+    # the walk testing the last row under the head rows[1:], which holds
+    # it: every candidate with m >= 2 dependent
+    ("splitting", "map(last(states[-1]), map(operator.itemgetter(0), group))",
+     "map(last(states[-1]), map(operator.itemgetter(-1), group))",
+     ["tests/test_prefix_splitter.py::test_a_full_scan_inserts_each_live_prefix_once",
+      "tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
+     + _ids("test_packed_kernel.py", "test_packed_kernel_matches_generic_on_random_instances",
+            ("2-2", "3-2"))),
+    # the first rows looped outside the tail while the walk keeps the
+    # rows[1:] head: the same subspaces and counts, but every candidate
+    # a head of its own
+    ("linalg",
+     "        for tail in itertools.product(*rest):\n            for first in firsts:\n",
+     "        for first in firsts:\n            for tail in itertools.product(*rest):\n",
+     _ids("test_linalg.py", "test_enumerate_subspaces_matches_the_template_order",
+          ("2-6-3", "3-4-2", "4-4-2"))
+     + ["tests/test_prefix_splitter.py::test_a_full_scan_inserts_each_live_prefix_once",
+        "tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]),
+    # the first rows listed also at dim 1, where no tail shares them
+    ("linalg", "        if rest:\n            firsts = list(firsts)\n",
+     "        firsts = list(firsts)\n",
+     ["tests/test_linalg.py::test_a_line_scan_streams_its_rows"]),
+    # the direct route fed in product order, its last position fastest:
+    # the same count, but a head per tuple
+    ("splitting", "tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))",
+     "tuples = itertools.product(vecs, repeat=m)",
+     ["tests/test_prefix_splitter.py::test_the_direct_route_varies_the_tested_row_fastest"]),
 ]
 
 

@@ -33,11 +33,16 @@ def random_modulus(ctx, d, rng, avoid=None):
 def random_base(q, rng, other=False):
     """F_q = F_p[x]/(f) for a random monic irreducible f of degree e, or
     the prime field when e = 1; with other, f is not the canonical
-    modulus."""
+    modulus, and a field with no other modulus (F_4, whose only one is
+    x**2 + x + 1) raises ValueError."""
     p, e = integers.prime_power_split(q)
     prime = build_field(p)
     if e == 1:
         return prime
+    # F_p has (p**2 - p) / 2 monic irreducible quadratics, one only at
+    # p = 2, and at least two of every degree e > 2
+    if other and q == 4:
+        raise ValueError("F_4 has one monic irreducible quadratic over F_2, no other")
     avoid = field_from_order(q).modulus if other else None
     return fields.FieldCtx(p, e, random_modulus(prime, e, rng, avoid).coeffs)
 

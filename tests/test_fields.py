@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -205,6 +206,28 @@ def test_random_moduli_match_the_poly_route():
         pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(150)]
         singles = [0, 1] + [rng.randrange(ctx.size) for _ in range(20)]
         check_against_poly_route(ctx, pairs, singles)
+
+
+def test_random_base_other_refuses_where_no_other_modulus_exists():
+    """F_4 has one monic irreducible quadratic over F_2, so asking for
+    another raises at once instead of rejecting draws forever; every
+    other field of the suite has a second modulus and returns it.  An
+    interval timer turns a hang into a failure."""
+
+    def hung(signum, frame):
+        raise TimeoutError("random_base did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(ValueError, match="F_4"):
+            random_base(4, random.Random(0), other=True)
+        for q in (8, 9, 16, 25, 27, 49):
+            ctx = random_base(q, random.Random(q), other=True)
+            assert ctx.size == q and ctx.modulus != field_from_order(q).modulus
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_tables_hold_up_to_the_cap_and_the_tower_above_it():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -291,22 +292,52 @@ def test_subspace_basis_is_an_immutable_value():
 
 
 def test_enumerate_subspaces_counts():
-    for q, ctx in ((2, F2), (3, F3)):
-        for ambient in range(5):
+    """[ambient, dim]_q bases, none repeated, each in reduced echelon
+    form: row i is zero before its pivot, and at pivot j holds one if
+    i = j and zero otherwise."""
+    for q, top in ((2, 5), (3, 5), (4, 4), (5, 4), (9, 3)):
+        ctx = field_from_order(q)
+        zero, one = ctx.zero, ctx.one
+        for ambient in range(top + 1):
             for dim in range(ambient + 1):
-                seen = {sb.rows for sb in enumerate_subspaces(ctx, ambient, dim)}
-                assert len(seen) == gaussian_binomial(ambient, dim, q), (q, ambient, dim)
+                subspaces = list(enumerate_subspaces(ctx, ambient, dim))
+                bases = {W.rows for W in subspaces}
+                assert len(subspaces) == len(bases) == gaussian_binomial(ambient, dim, q), (
+                    q, ambient, dim)
+                for W in subspaces:
+                    assert list(W.pivots) == sorted(set(W.pivots)) and len(W.pivots) == dim
+                    for i, row in enumerate(W.rows):
+                        assert row[:W.pivots[i]] == (zero,) * W.pivots[i], (q, W.rows)
+                        for j, pivot in enumerate(W.pivots):
+                            assert row[pivot] == (one if i == j else zero), (q, W.rows)
+
+
+def test_a_line_scan_streams_its_rows():
+    """At dim 1 there is no tail to list the first rows under, so the
+    rows are streamed: the first line of F_2^16 is drawn without
+    building the 2**15 rows of its pivot profile (about 6 MB as
+    tuples)."""
+    tracemalloc.start()
+    try:
+        W = next(enumerate_subspaces(F2, 16, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.rows == ((1,) + (0,) * 15,)
+    assert peak < 1 << 20
 
 
 def template_subspaces(ctx, ambient, dim):
     """(rows, pivots) of every echelon basis, each candidate's rows
     filled into a fresh list-of-lists template, in the order
-    enumerate_subspaces must keep."""
+    enumerate_subspaces must keep: one product over the free entries of
+    rows 1, ..., dim - 1 and then row 0, so the first row varies
+    fastest."""
     zero, one = ctx.zero, ctx.one
     for pivots in itertools.combinations(range(ambient), dim):
         free = [
             (i, j)
-            for i in range(dim)
+            for i in sorted(range(dim), key=lambda i: i == 0)
             for j in range(ambient)
             if j > pivots[i] and j not in pivots
         ]

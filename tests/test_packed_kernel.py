@@ -121,9 +121,9 @@ def test_the_empty_head_keeps_no_translates(monkeypatch):
     assert split == [row, row]
 
     planes = split_instance(2, 2, 3)
-    head, row = next(
+    row, head = next(  # the walk tests rows[0] under the head rows[1:]
         W.rows for W in enumerate_subspaces(F2, 6, 2) if splitting.is_alpha_splitting(planes, W)
     )
     split.clear()
-    assert list(splitting._verdicts(F2, planes.mats, [(head, row), (head, row)])) == [True, True]
+    assert list(splitting._verdicts(F2, planes.mats, [(row, head), (row, head)])) == [True, True]
     assert split == [head, row]

@@ -1,6 +1,6 @@
-"""The splitting walk groups the candidates by head, their rows before
-the last, keeps the echelon states of the previous head's row prefixes
-and tests each last row under a live head with one call.  That shared
+"""The splitting walk groups the candidates by head, their rows after
+the first, keeps the echelon states of the previous head's row prefixes
+and tests each first row under a live head with one call.  That shared
 state changes no answer: in every call order the walk's verdicts agree
 with each candidate walked alone, over F_2 and over q in {3, 4, 5, 9}
 with random moduli, generators and endomorphisms.  And the sharing
@@ -63,21 +63,26 @@ def check_order(base, powers, calls):
 
 
 def dead_prefix_orders(base, candidates, rng):
-    """For each depth j, a candidate whose first j rows are dead (row j
-    - 1 is zero or repeats row 0), then that candidate with its row at
-    each depth replaced in turn."""
+    """For each depth j, a candidate whose first j rows in walk order
+    (rows 1, ..., m - 1, then row 0) are dead (the j-th is zero or
+    repeats the first), then that candidate with its row at each depth
+    replaced in turn, and a candidate sharing its first j - 1."""
     zero = (base.zero,) * len(candidates[0][0])
     m = len(candidates[0])
+    walk = [*range(1, m), 0]
     scalars = linalg.raw_scalars(base)
     for j in range(1, m + 1):
         rows = list(rng.choice(candidates))
-        rows[j - 1] = zero if j == 1 or rng.randrange(2) else rows[0]
+        rows[walk[j - 1]] = zero if j == 1 or rng.randrange(2) else rows[walk[0]]
         calls = [tuple(rows)]
         for depth in range(m):
             changed = list(rows)
             changed[depth] = tuple(rng.choice(scalars) for _ in zero)
             calls += [tuple(changed), tuple(rows)]
-        calls.append(tuple(rows[:j - 1]) + tuple(rng.choice(candidates)[j - 1:]))
+        shared = list(rng.choice(candidates))
+        for i in walk[:j - 1]:
+            shared[i] = rows[i]
+        calls.append(tuple(shared))
         yield calls
 
 
@@ -138,7 +143,7 @@ def test_direct_bases_scan_agrees_with_the_product_route(q, m, n):
 
 
 def walked_rows(monkeypatch, scan):
-    """scan(), the rows the walk inserts into head states and the last
+    """scan(), the rows the walk inserts into head states and the first
     rows it tests while scan runs."""
     steps = splitting._steps
     inserted, tested = [], []
@@ -163,43 +168,53 @@ def walked_rows(monkeypatch, scan):
 
 
 def live_heads(base, powers, m):
-    """(pivot profile, rows[:j]) for every proper row prefix of a
-    candidate whose rows[:j - 1] split, the number of candidates whose
+    """The head prefixes a walk inserts, the number of candidates whose
     head splits, and the row count an elimination from scratch would
-    insert, stopping at each candidate's first dependent row."""
+    insert, stopping at each candidate's first dependent row.
+
+    Each candidate is read in walk order, its head rows[1:] and then
+    rows[0].  A prefix order[:j] of the head is inserted when its rows
+    before the last split and it differs from the same prefix of the
+    previous candidate in scan order, whose state the walk still
+    holds."""
     splits = splitting._splitter(base, powers)
-    prefixes = set()
+    prefixes, previous = [], ()
     under_live = from_scratch = 0
     for W in enumerate_subspaces(base, m * len(powers), m):
-        depth = next((j for j in range(1, m + 1) if not splits(W.rows[:j])), m)
-        prefixes.update((W.pivots, W.rows[:j]) for j in range(1, min(depth, m - 1) + 1))
+        order = W.rows[1:] + W.rows[:1]
+        depth = next((j for j in range(1, m + 1) if not splits(order[:j])), m)
+        prefixes += [order[:j] for j in range(1, min(depth, m - 1) + 1)
+                     if order[:j] != previous[:j]]
+        previous = order
         under_live += depth == m
         from_scratch += depth
     return prefixes, under_live, from_scratch
 
 
 def test_a_full_scan_inserts_each_live_prefix_once(monkeypatch):
-    """SSC (2,2,3): the walk inserts one row per distinct head of a
-    pivot profile and tests each candidate's last row once, not every
-    row of every candidate."""
+    """SSC (2,2,3): the walk inserts one row per head, a run of
+    candidates sharing their second row, and tests each candidate's
+    first row once, not every row of every candidate."""
     inst = split_instance(2, 2, 3)
     report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(2, 2, 3)
     prefixes, under_live, from_scratch = live_heads(inst.base, inst.mats, 2)
     # every nonzero w gives independent w, w alpha, w alpha^2, so every head
-    # is live: one insertion per (pivot profile, first row), which is sum
-    # over p0 of (5 - p0) profiles times 2**(4 - p0) rows = 129, and one
-    # test per candidate, [6, 2]_2 = 651
-    assert len(inserted) == len(prefixes) == 129
+    # is live: one insertion per (pivot profile, second row), which is sum
+    # over p1 of p1 profiles times 2**(5 - p1) rows, less one because the
+    # last two profiles (3, 5) and (4, 5) share the head e_5 back to back;
+    # and one test per candidate, [6, 2]_2 = 651
+    heads = sum(p1 * 2 ** (5 - p1) for p1 in range(1, 6)) - 1
+    assert len(inserted) == len(prefixes) == heads == 56
     assert len(tested) == under_live == 651
     assert from_scratch == 2 * 651
 
 
 def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
     """T two nilpotent Jordan blocks e_0 -> e_1 -> e_2 -> 0 and
-    e_3 -> e_4 -> e_5 -> 0 of F_2^6: a first row w with w_0 = w_3 = 0
-    has w T^2 = 0 and is dead, and every candidate under that head is
-    rejected without a test of its last row."""
+    e_3 -> e_4 -> e_5 -> 0 of F_2^6: a second row w with w_0 = w_3 = 0
+    has w T^2 = 0 and is a dead head, and every candidate under it is
+    rejected without a test of its first row."""
     F2 = build_field(2)
     T = Matrix(F2, [[1 if j == i + 1 and i % 3 < 2 else 0 for j in range(6)]
                     for i in range(6)])
@@ -208,12 +223,25 @@ def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
     candidates = [W.rows for W in enumerate_subspaces(F2, 6, 2)]
     assert count == sum(splitting._splitter(F2, powers)(rows) for rows in candidates)
     prefixes, under_live, from_scratch = live_heads(F2, powers, 2)
-    dead_first = {rows for _, rows in prefixes if not splitting._splitter(F2, powers)(rows)}
-    assert len(dead_first) > 1
+    dead_heads = {rows for rows in prefixes if not splitting._splitter(F2, powers)(rows)}
+    assert len(dead_heads) > 1
     assert count > 0
     assert len(inserted) == len(prefixes)
     assert len(tested) == under_live < len(candidates)
     assert len(inserted) + len(tested) < from_scratch
+
+
+def test_the_direct_route_varies_the_tested_row_fastest(monkeypatch):
+    """count_splitting_bases(..., "direct") at (2,2,2) walks the 16**2
+    ordered pairs with the first row varying fastest, so the head, the
+    second row, changes 16 times: one insertion per value of it, the
+    zero row's dead, and one test per pair under the 15 live heads."""
+    inst = split_instance(2, 2, 2)
+    count, inserted, tested = walked_rows(
+        monkeypatch, lambda: count_splitting_bases(inst, "direct"))
+    assert count == count_splitting_bases(inst, "product")
+    assert len(inserted) == 2 ** 4
+    assert len(tested) == 15 * 2 ** 4
 
 
 # (q, m, n) with m >= 2, so every scan has heads to walk

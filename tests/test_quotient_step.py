@@ -1,6 +1,6 @@
-"""The generic splitting walk tests a call's last row in the quotient of
-its head: once the rows before it have independent translates spanning
-U, the last row w splits exactly when its n translates are independent
+"""The generic splitting walk tests a call's first row in the quotient of
+its head: once the rows after it have independent translates spanning
+U, the first row w splits exactly when its n translates are independent
 modulo U, which under a scan's head, of dimension width - n, is an
 n x n rank test.  Over fields whose byte-lane sums cannot carry the
 quotient matrix is one packed sum and the test one memoized normal of
@@ -11,7 +11,7 @@ elimination.  Checked against elimination from scratch
 check, with random moduli, generators and endomorphisms, for full
 candidates, partial calls, zero and repeated rows and calls with one
 row too many, each walked alone and all in one walk.  And the quotient
-is shared: a full scan builds one per live head, never stacks a last
+is shared: a full scan builds one per live head, never stacks a first
 row and eliminates each distinct first n - 1 rows of a quotient matrix
 once."""
 
@@ -50,13 +50,16 @@ SAMPLE = 120
 
 def calls_around(rows, zero, extra):
     """A candidate, its partial calls, its last row zero or repeating the
-    first, and the candidate with one row too many."""
+    first, its first row, the one the walk tests, zero or repeating the
+    last, and the candidate with one row too many."""
     m = len(rows)
     yield rows
     for j in range(m):
         yield rows[:j]
     yield rows[:-1] + (zero,)
     yield rows[:-1] + (rows[0],)
+    yield (zero,) + rows[1:]
+    yield rows[-1:] + rows[1:]
     yield rows + (extra,)
     yield rows + (zero,)
     yield rows
@@ -118,25 +121,30 @@ def test_seeded_instances_count_the_closed_form(q, m, n):
 
 
 def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
-    """SSC (3,2,2): the first row of each candidate is its head.  Every
-    nonzero w has independent w, w alpha, so every head is live: the scan
-    stacks one 4-wide insertion per distinct (pivot profile, first row)
-    into the empty basis, builds one quotient per head, and tests every
-    candidate's second row in that quotient, never stacking it.  The
-    test eliminates only the first row of each 2 x 2 quotient matrix,
-    once per distinct value over the whole scan: 3**2 of them."""
+    """SSC (3,2,2): the second row of each candidate is its head, and
+    the first row, varying fastest, is tested under it.  Every nonzero w
+    has independent w, w alpha, so every head is live: the scan stacks
+    one 4-wide insertion per head into the empty basis, builds one
+    quotient per head, and tests every candidate's first row in that
+    quotient, never stacking it.  The test eliminates only the first row
+    of each 2 x 2 quotient matrix, once per distinct value over the
+    whole scan: 3**2 of them."""
     inst = split_instance(3, 2, 2)
-    # in scan order; each head's candidates come one after another
-    heads = list(dict.fromkeys((W.pivots, W.rows[0]) for W in enumerate_subspaces(inst.base, 4, 2)))
+    # in scan order, a head per run of candidates sharing their second row
+    heads = [head for head, _ in itertools.groupby(
+        W.rows[1] for W in enumerate_subspaces(inst.base, 4, 2))]
     candidates = sum(1 for _ in enumerate_subspaces(inst.base, 4, 2))
-    # pivot profiles (p0, p1) of F_3^4: the first row has 2 - p0 free
-    # entries and 3 - p0 profiles start at p0, so sum 3**(2 - p0) * (3 - p0)
-    # = 27 + 6 + 1 heads; [4, 2]_3 = 80 * 78 / (8 * 6) candidates
-    assert (len(heads), candidates) == (34, 130)
+    # pivot profiles (p0, p1) of F_3^4: the second row has 3 - p1 free
+    # entries and p1 profiles end at p1, so sum p1 * 3**(3 - p1) = 9 + 6 + 3
+    # (pivot profile, second row) pairs; the last two profiles (1, 3) and
+    # (2, 3) share the head e_3 back to back, so one run fewer.
+    # [4, 2]_3 = 80 * 78 / (8 * 6) candidates
+    runs = sum(p1 * 3 ** (3 - p1) for p1 in range(1, 4)) - 1
+    assert (len(heads), candidates) == (runs, 130) == (17, 130)
 
     eliminations = []  # (rows already in the basis, width of the rows inserted)
     prefixes = []  # the rows of each 2-wide elimination
-    builds = []  # the first row of each head whose quotient is built
+    builds = []  # the row of each head whose quotient is built
     echelon_insert, quotient_columns = linalg._echelon_insert, splitting._quotient_columns
 
     def counting_insert(ctx, echelon, rows):
@@ -154,14 +162,14 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     monkeypatch.setattr(splitting, "_quotient_columns", counting_columns)
     report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(3, 2, 2) == 90
-    assert (len(inserted), len(tested)) == (34, 130)
-    assert eliminations.count((0, 4)) == 34  # each head's translates, into the empty basis
-    # the first row of each last row's quotient matrix, each value once:
+    assert (len(inserted), len(tested)) == (runs, 130)
+    assert eliminations.count((0, 4)) == runs  # each head's translates, into the empty basis
+    # the first row of each tested row's quotient matrix, each value once:
     # the memo's bound q**((n - 1) * d) = 3**2, reached
     assert eliminations.count((0, 2)) == 9
     assert sorted(prefixes) == [[row] for row in itertools.product(range(3), repeat=2)]
-    assert len(eliminations) == 34 + 9  # no 4-wide row is inserted after the head
-    assert builds == [row for _, row in heads]
+    assert len(eliminations) == runs + 9  # no 4-wide row is inserted after the head
+    assert builds == heads
 
 
 @pytest.mark.parametrize("m, n, candidate", [(1, 3, ((1, 2, 0),)), (2, 2, ((1, 0, 0, 0), (0, 1, 2, 0)))])
