@@ -198,3 +198,9 @@ def from_digits(digits, base: int) -> int:
     for d in reversed(digits):
         code = code * base + d
     return code
+
+
+def byte_residues(p: int) -> bytes:
+    """The bytes.translate table that takes every byte to its residue
+    modulo p: the one reduction of the byte-slot kernels over F_p."""
+    return (bytes(range(p)) * (256 // p + 1))[:256]

@@ -229,6 +229,10 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     bits of its code), and v -> vT is F_2-linear on it: row e*i + b of
     the packed T is y**b times row i of T, y the class of the field's
     variable, so products are XORs of rows (linalg._packed_product).
+    Over F_p with mn * (p - 1)**2 < 256 rows are bytes of residues and
+    each product is one big-int multiply in byte slots that cannot carry
+    (linalg._slot_product).  Elsewhere each entry is one ctx.dot
+    (linalg._product).
     """
     ctx = rec.ctx
     mn = rec.m * rec.n
@@ -242,6 +246,10 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
         times = linalg._packed_product
         squares = [[sum(x << e * j for j, x in enumerate(row)) for row in rows]]
         e0 = [1]
+    elif isinstance(ctx, fields.FieldCtx) and ctx.e == 1 and mn * (ctx.p - 1) ** 2 < 256:
+        times = functools.partial(linalg._slot_product, integers.byte_residues(ctx.p))
+        squares = [list(map(bytes, T.rows))]
+        e0 = [bytes([1]) + bytes(mn - 1)]
     else:
         times = functools.partial(linalg._product, ctx, ncols=mn)
         squares = [T.rows]

@@ -2,9 +2,10 @@
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
 mapped to v * M.  Products, vec_mat and char_poly take every entry as
-one ctx.dot; powers square and multiply raw rows.  _packed_product, the
-product over F_2 on rows packed into ints, serves the order test of
-lfsr.is_primitive_recurrence.
+one ctx.dot; powers square and multiply raw rows.  Two products serve
+the order test of lfsr.is_primitive_recurrence: _packed_product over F_2
+on rows packed into ints, and _slot_product over small odd F_p, one
+big-int multiply in byte slots; _product is the oracle of both.
 
 Row reduction has one step, _echelon_insert, which extends an echelon
 basis by more rows without changing it, so the splitting scan can
@@ -238,6 +239,26 @@ def _packed_product(a_rows: list[int], b_rows: list[int]) -> list[int]:
             a ^= low
         out.append(acc)
     return out
+
+
+def _slot_product(mod_p: bytes, a_rows: list[bytes], b_rows: list[bytes]) -> list[bytes]:
+    """A * B over F_p for an n x n B, on rows of residues held as bytes,
+    with n * (p - 1)**2 < 256 and mod_p = integers.byte_residues(p): one
+    big-int product.  With W = (2n - 1) * n, A[i][j] goes at byte
+    i * W + j * n and B[j][k] at (n - 1 - j) * n + k, so every product
+    A[i][j] * B[j][k] lands at byte i * W + (n - 1) * n + k, and the
+    products of other pairs of entries land elsewhere in row i's W bytes.
+    Each byte is a sum of at most n products below (p - 1)**2, so none
+    carries, and one bytes.translate reduces them all: row i of A * B is
+    n bytes from i * W + (n - 1) * n."""
+    n = len(b_rows)
+    W = (2 * n - 1) * n
+    a = bytearray(len(a_rows) * W)
+    for i, row in enumerate(a_rows):
+        a[i * W : i * W + n * n : n] = row
+    b = int.from_bytes(b"".join(reversed(b_rows)), "little")
+    product = (int.from_bytes(a, "little") * b).to_bytes(len(a), "little").translate(mod_p)
+    return [product[s : s + n] for s in range((n - 1) * n, len(a), W)]
 
 
 def rref(mat: Matrix) -> tuple[Matrix, int]:
@@ -501,7 +522,7 @@ def _conjugations(ctx, m: int, group: list) -> list:
                for c in scalars] for a in scalars]
     digits = [b"".join(flat) for flat in itertools.product(code_digits, repeat=m * m)]
     index = {key: x for x, key in enumerate(digits)}
-    mod_p = (bytes(range(p)) * (256 // p + 1))[:256]  # bytes.translate table
+    mod_p = integers.byte_residues(p)
     getitem, size = operator.getitem, e * m * m
 
     def conjugation(P, P_inv):

@@ -12,6 +12,15 @@ scalars.  splitlab.fields.FieldCtx is the usual choice (raw scalars are
 integer codes in [0, size)), and a TowerCtx works the same way with
 coordinate tuples.
 
+is_irreducible (Rabin's test) and is_primitive (the order of x) read
+x**N mod f from one kernel, _x_power: over F_p with deg(f) * (p - 1)**2
+< 256 a residue is one int of byte slots and each step one big-int
+product, and elsewhere (F_{p^e} with e > 1, towers, wider slots) it is
+pow_mod, which also serves TowerCtx reduction and is the kernel's test
+oracle.  The gcd of Rabin's test stays on Poly: factor reaches Rabin's
+test through _irreducibles, so if it called _coprime, the closed route
+of q_totient would run the brute route's kernel.
+
 The brute routes of coprime_pair_count and q_totient scan raw
 coefficient lists instead: each builds its lists once per scan, by
 ascending code, and tests every pair once with the Euclid kernel
@@ -23,9 +32,10 @@ the kernel, so a scan and its closed form share no code.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
-from . import config, integers
+from . import config, fields, integers
 from .errors import (
     BadArgs,
     BothZero,
@@ -242,6 +252,44 @@ def pow_mod(f: Poly, exponent: int, modulus: Poly) -> Poly:
     return result
 
 
+def _x_power(f: Poly):
+    """power(N) -> x**N mod f, for f monic of degree k >= 1.
+
+    Over F_p with k * (p - 1)**2 < 256 a residue is an int with the
+    coefficient of x**i in byte slot i, and each step of the walk down
+    N's bits is one big-int product: a square r * r, each slot a sum of
+    at most k products below (p - 1)**2, and a set bit r << 8.  Neither
+    carries, and one bytes.translate reduces every slot modulo p.  The
+    fold takes the slots i >= k down through x**i mod f, packed once per
+    f: the low slots plus each high slot times its packed power, at
+    most (p - 1) + (k - 1) * (p - 1)**2 <= k * (p - 1)**2 per slot, and
+    a second translate.  Over F_{p^e} with e > 1, over towers and past
+    the bound, power is pow_mod."""
+    ctx, k = f.ctx, f.degree
+    x = Poly.x(ctx)
+    if not (isinstance(ctx, fields.FieldCtx) and ctx.e == 1 and k * (ctx.p - 1) ** 2 < 256):
+        return lambda N: pow_mod(x, N, f)
+    p, mod_p = ctx.p, integers.byte_residues(ctx.p)
+
+    def fold(slots: bytes) -> int:
+        low = int.from_bytes(slots[:k], "little") + sum(map(mul, slots[k:], packed))
+        return int.from_bytes(low.to_bytes(k, "little").translate(mod_p), "little")
+
+    packed = [int.from_bytes(bytes(-c % p for c in f.coeffs[:k]), "little")]  # x**k mod f
+    while len(packed) < k:  # x**(k + i) mod f, each x times the one before
+        packed.append(fold((packed[-1] << 8).to_bytes(k + 1, "little")))
+
+    def power(N: int) -> Poly:
+        r = 1
+        for bit in bin(N)[2:]:
+            r = fold((r * r).to_bytes(2 * k, "little").translate(mod_p))
+            if bit == "1":
+                r = fold((r << 8).to_bytes(k + 1, "little"))
+        return Poly(ctx, r.to_bytes(k, "little"))
+
+    return power
+
+
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: f of degree k is irreducible over F_q iff
     x**(q**k) == x mod f and gcd(x**(q**(k//r)) - x, f) = 1 for every
@@ -255,10 +303,11 @@ def is_irreducible(f: Poly) -> bool:
     ctx = f.ctx
     q = ctx.size
     x = Poly.x(ctx)
-    if pow_mod(x, q**k, f) != x:
+    power = _x_power(f)
+    if power(q**k) != x:
         return False
     for r in _prime_divisors(k):
-        h = pow_mod(x, q ** (k // r), f) - x
+        h = power(q ** (k // r)) - x
         if h.is_zero or gcd(h, f).degree != 0:
             return False
     return True
@@ -293,11 +342,11 @@ def is_primitive(f: Poly) -> bool:
     k = f.degree
     n = ctx.size**k - 1
     one = Poly.one(ctx)
-    x = Poly.x(ctx)
+    power = _x_power(f)
     if n == 1:
-        return pow_mod(x, 1, f) == one
+        return power(1) == one
     for p in integers.factorize(n):
-        if pow_mod(x, n // p, f) == one:
+        if power(n // p) == one:
             return False
     return True
 

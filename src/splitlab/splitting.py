@@ -33,11 +33,12 @@ splits exactly when its n translates are independent in the quotient
 F_q^{mn}/U of the head's span U, an n x n matrix against columns built
 once per live head (_quotient_columns).  Over fields whose byte lanes
 cannot carry (_lane_last) that matrix is one packed sum of per-head
-lane tables, and it has full rank exactly when its first n - 1 rows are
-independent and one of the reducers of their span (_reducers, normals
-kept per scan in a memo keyed by the rows' bytes wherever such rows can
-repeat) has a nonzero dot with its last row; wider fields and towers
-eliminate the matrix.
+lane tables.  Under a nonempty head it has full rank exactly when its
+first n - 1 rows are independent and one of the reducers of their span
+(_reducers, normals kept per scan in a memo keyed by the rows' bytes)
+has a nonzero dot with its last row.  Under the empty head (m = 1),
+where those rows never repeat, and over wider fields and towers the
+matrix is eliminated whole.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
 weak_ssc_check, the product ordered-basis route, the fiber bridge's,
 and the direct ordered-basis route over every tuple all count through
@@ -263,10 +264,11 @@ def _steps(ctx, powers):
     quotient F_q^width / U are, the n x d matrix of entries
     ctx.dot(w, col), one row per translate, d = width - dim U.  Under a
     scan's head d = n.  Over a field whose lane sums cannot carry,
-    _lane_last computes that matrix as one packed sum and tests it
-    against the reducers of its first n - 1 rows, memoized under a
-    nonempty head; over other fields and over towers each row costs
-    n * d dots and one elimination of the matrix."""
+    _lane_last computes that matrix as one packed sum and, under a
+    nonempty head, tests it against the memoized reducers of its first
+    n - 1 rows; over other fields and over towers each row costs n * d
+    dots, and there and under the empty head one elimination of the
+    matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
@@ -406,13 +408,15 @@ def _lane_last(ctx, powers):
     first n - 1 rows to those reducers, or to none when the rows are
     dependent; it holds at most q^((n - 1) d) entries per d, which share
     one copy of each span's reducers.  Under the empty head (m = 1) the
-    first row is w itself, so within a scan no prefix repeats and none
-    is kept.  A head packs lanes[j][c] on first use, and digits and
-    codes are converted on first use, so no table grows with q up front."""
+    first row is w itself, so within a scan no prefix repeats: there the
+    n x n matrix is eliminated whole by linalg.rows_are_independent,
+    which needs no reducers.  A head packs lanes[j][c] on first use, and
+    digits and codes are converted on first use, so no table grows with
+    q up front."""
     p, e, mul, dot = ctx.p, ctx.e, ctx.mul, ctx.dot
     width, n = powers[0].nrows, len(powers)
     getitem = operator.getitem
-    mod_p = (bytes(range(p)) * (256 // p + 1))[:256]  # bytes.translate table
+    mod_p = integers.byte_residues(p)
     digits = _Table(lambda c: bytes(integers.to_digits(c, p, e)))
     code_of = _Table(lambda chunk: integers.from_digits(chunk, p))
 
@@ -425,13 +429,10 @@ def _lane_last(ctx, powers):
         def build(prefix) -> tuple:
             flat = decode(prefix)
             echelon = linalg._echelon_insert(ctx, (), [flat[k * d : k * d + d] for k in range(n - 1)])
-            return () if echelon is None else _reducers(ctx, echelon, d)
-
-        def share(prefix) -> tuple:
-            reducers = build(prefix)
+            reducers = () if echelon is None else _reducers(ctx, echelon, d)
             return spans.setdefault(reducers, reducers)
 
-        return _Table(share), build
+        return _Table(build)
 
     spans: dict = {}  # one copy of the reducers of each span
     memos = _Table(prefix_reducers)
@@ -439,8 +440,7 @@ def _lane_last(ctx, powers):
     def last(echelon):
         d = width - len(echelon)
         size, cut = n * d * e, (n - 1) * d * e
-        memo, build = memos[d]
-        reducers_of = memo.__getitem__ if echelon else build
+        reducers_of = memos[d].__getitem__
         quotient = _quotient_columns(ctx, powers, echelon)
         lanes = []
         for j in range(width):
@@ -450,6 +450,9 @@ def _lane_last(ctx, powers):
 
         def splits(w) -> bool:
             mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
+            if not echelon:
+                flat = decode(mat)
+                return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
             row = decode(mat[cut:])
             for r in reducers_of(mat[:cut]):
                 if dot(row, r):

@@ -74,12 +74,14 @@ MUTANTS = [
      "    return sum(verdicts)\n",
      _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
           ("count_splitting_bases-cold", "count_splitting_bases-warm"))),
-    # the lane test's prefix memo kept under the empty head, and never kept
-    ("splitting", "reducers_of = memo.__getitem__ if echelon else build",
-     "reducers_of = memo.__getitem__",
+    # the lane test's prefix memo kept under the empty head, where the
+    # matrix is eliminated whole, and never kept
+    ("splitting", "            if not echelon:\n", "            if False:\n",
      _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
-          ("1-3-candidate0",))),
-    ("splitting", "reducers_of = memo.__getitem__ if echelon else build", "reducers_of = build",
+          ("1-3-candidate0",))
+     + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test",
+            ("9-1-2", "512-1-2"))),
+    ("splitting", "reducers_of = memos[d].__getitem__", "reducers_of = memos[d].build",
      ["tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
      + _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
             ("2-2-candidate1",))),
@@ -88,7 +90,7 @@ MUTANTS = [
      "if isinstance(ctx, fields.FieldCtx):",
      _ids("test_quotient_step.py", "test_the_quotient_step_agrees_with_elimination_from_scratch",
           ("131-1-2",))
-     + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test", ("131-1-2",))),
+     + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test", ("131-2-1",))),
     # an orbit walk leaf weighted |GL_m| whatever its stabilizer
     ("lfsr", "yield prefix, order // len(stab)", "yield prefix, order",
      _ids("test_conjugacy.py", "test_orbit_walk_visits_one_tuple_per_orbit", ("2-2-3-False",))
@@ -152,6 +154,33 @@ MUTANTS = [
     ("splitting", "tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))",
      "tuples = itertools.product(vecs, repeat=m)",
      ["tests/test_prefix_splitter.py::test_the_direct_route_varies_the_tested_row_fastest"]),
+    # the byte-slot x**N mod f with the fold's second translate dropped,
+    # its slot bound widened to the worst case, which carries, and taken
+    # over GF(p**e), whose scalars are codes
+    ("polys", '.to_bytes(k, "little").translate(mod_p), "little")', '.to_bytes(k, "little"), "little")',
+     _ids("test_polys.py", "test_x_power_matches_pow_mod_on_random_moduli", (2, 3, 5, 7, 11, 13))
+     + _ids("test_polys.py", "test_order_tests_match_rabin_on_pow_mod", ("GF(2)", "GF(3)"))),
+    ("polys", "k * (ctx.p - 1) ** 2 < 256", "k * (ctx.p - 1) ** 2 <= 256",
+     _ids("test_polys.py", "test_x_power_on_the_worst_case_at_its_bound", (64,))),
+    ("polys", "ctx.e == 1 and k * (ctx.p - 1) ** 2", "k * (ctx.p - 1) ** 2",
+     _ids("test_polys.py", "test_only_the_prime_field_takes_the_kernel", (4, 9))),
+    # the slot product of the odd-p order test: each row read n bytes past
+    # the diagonal, the bound widened to 256 (F_17's 1 x 1 square), and
+    # taken over GF(9)
+    ("linalg", "range((n - 1) * n, len(a), W)", "range(n * n, len(a), W)",
+     _ids("test_matrix_kernels.py", "test_the_slot_product_matches_the_generic_product",
+          (3, 5, 7, 11, 13))
+     + _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers",
+            ("3-1-2-False", "5-2-1-False", "7-1-3-False"))),
+    ("lfsr", "mn * (ctx.p - 1) ** 2 < 256", "mn * (ctx.p - 1) ** 2 <= 256",
+     _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers", ("17-1-1-False",))
+     + _ids("test_lfsr.py", "test_the_order_test_squares_in_byte_slots_below_the_bound",
+            ("17-1-1-False",))),
+    ("lfsr", "ctx.e == 1 and mn * (ctx.p - 1) ** 2", "mn * (ctx.p - 1) ** 2",
+     _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers",
+          ("9-1-2-False", "9-1-2-True"))
+     + _ids("test_lfsr.py", "test_the_order_test_squares_in_byte_slots_below_the_bound",
+            ("9-2-2-False",))),
 ]
 
 

@@ -44,7 +44,7 @@ from splitlab import (
     vec_mat,
 )
 from splitlab import fields, integers, linalg, polys
-from sampling import random_base
+from sampling import random_base, random_invertible, random_matrix
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -220,10 +220,13 @@ def primitive_by_matrix_powers(rec):
 
 
 # every shape with q**(m*m*n) <= 4096; F_8 and F_9 also over a random
-# other modulus (x**2 + x + 1 is the only modulus of F_4)
+# other modulus (x**2 + x + 1 is the only modulus of F_4).  Over F_p the
+# order test takes the byte-slot product when mn * (p - 1)**2 < 256:
+# F_7 up to mn = 7, F_11 and F_13 on one side of the bound and the other,
+# and F_17 never, its 1 x 1 square 16 * 16 = 256 at the bound itself.
 ORDER_SHAPES = [
     (q, m, n)
-    for q in (2, 3, 4, 5, 8, 9)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 17)
     for m in (1, 2, 3)
     for n in range(1, 13)
     if q ** (m * m * n) <= 4096
@@ -264,6 +267,25 @@ def test_order_on_one_vector_equals_every_period(q, m, n, random_modulus):
     ctx = order_field(q, m, n, random_modulus)
     for rec in enumerate_recurrences(ctx, m, n):
         assert is_primitive_recurrence(rec) == primitive_by_periods(rec), rec
+
+
+@pytest.mark.parametrize("q, m, n, slots", [
+    (3, 2, 3, True), (7, 1, 7, True), (13, 1, 1, True), (13, 1, 2, False), (17, 1, 1, False),
+    (9, 2, 2, False),
+])
+def test_the_order_test_squares_in_byte_slots_below_the_bound(monkeypatch, q, m, n, slots):
+    """The order test takes linalg._slot_product over F_p exactly when
+    mn * (p - 1)**2 < 256, and never over GF(9), whose scalars are codes;
+    either way it agrees with the matrix powers, on random recurrences
+    with invertible C_0."""
+    calls, product = [], linalg._slot_product
+    monkeypatch.setattr(linalg, "_slot_product", lambda *args: calls.append(args) or product(*args))
+    ctx, rng = field_from_order(q), random.Random(f"order/slots/{q},{m},{n}")
+    for _ in range(3):
+        C = [random_invertible(ctx, m, rng)] + [random_matrix(ctx, m, m, rng) for _ in range(n - 1)]
+        rec = BlockRecurrence(ctx, m, C)
+        assert is_primitive_recurrence(rec) == primitive_by_matrix_powers(rec), rec
+    assert bool(calls) == slots
 
 
 def test_primitive_recurrence_has_maximal_periods():

@@ -18,7 +18,7 @@ from splitlab import (
     companion_matrix,
     vec_mat,
 )
-from splitlab import fields
+from splitlab import fields, integers, linalg
 from sampling import random_invertible, random_matrix
 
 # (p, e): prime fields, p = 2 and odd-p tables, and two fields above
@@ -166,6 +166,37 @@ def test_packed_f2_powers_reach_the_group_order():
     ident = Matrix.identity(F2, 6)
     assert T**63 == ident == oracle_pow(T, 63)
     assert T**21 != ident and T**9 != ident
+
+
+def slot_product(p, a_rows, b_rows):
+    """linalg._slot_product on tuple rows, its rows back as tuples."""
+    rows = linalg._slot_product(integers.byte_residues(p), list(map(bytes, a_rows)),
+                                list(map(bytes, b_rows)))
+    return list(map(tuple, rows))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_slot_product_matches_the_generic_product(p):
+    """Squares and vector products as the odd-p order test takes them,
+    at sizes up to the largest n with n * (p - 1)**2 < 256."""
+    ctx, rng = build_field(p), random.Random(f"slots/{p}")
+    top = 255 // (p - 1) ** 2
+    for n in sorted({1, 2, (top + 1) // 2, top}):
+        b = random_matrix(ctx, n, n, rng).rows
+        for a in (b, random_matrix(ctx, n, n, rng).rows, random_matrix(ctx, 1, n, rng).rows):
+            assert slot_product(p, a, b) == linalg._product(ctx, a, b, n), (n, a, b)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_the_slot_product_on_the_worst_case_at_its_bound(n):
+    """All-2 matrices over F_3: every byte of a product row sums n * 4
+    products, 252 at n = 63, where the slot product is exact, and 256 at
+    n = 64, where a byte carries and the product is wrong, so the bound
+    n * (p - 1)**2 < 256 cannot be widened."""
+    F3 = CTXS[(3, 1)]
+    rows = [(2,) * n] * n
+    for a in (rows, rows[:1]):
+        assert (slot_product(3, a, rows) == linalg._product(F3, a, rows, n)) == (n == 63)
 
 
 @pytest.mark.parametrize("pe", FIELDS, ids=field_id)

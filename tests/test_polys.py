@@ -19,7 +19,7 @@ from splitlab import (
     q_totient,
 )
 from splitlab import polys
-from sampling import random_base
+from sampling import random_base, random_modulus
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -161,6 +161,87 @@ def test_primitive_quartics_over_f2():
     assert prim == {"x^4+x+1", "x^4+x^3+1"}
     assert not is_primitive(Poly(F2, (1, 1, 1, 1, 1)))
     assert is_irreducible(Poly(F2, (1, 1, 1, 1, 1)))
+
+
+# -- the byte-slot kernel for x**N mod f, against pow_mod --------------------
+
+def pow_mod_route(monkeypatch):
+    """Route _x_power through pow_mod, the oracle, until monkeypatch undoes it."""
+    monkeypatch.setattr(polys, "_x_power", lambda f: lambda N: polys.pow_mod(Poly.x(f.ctx), N, f))
+
+
+def counting_pow_mod(monkeypatch) -> list:
+    """The arguments of every pow_mod call from now on."""
+    calls, pow_mod = [], polys.pow_mod
+    monkeypatch.setattr(polys, "pow_mod", lambda *args: calls.append(args) or pow_mod(*args))
+    return calls
+
+
+@pytest.mark.parametrize("k", [63, 64])
+def test_x_power_on_the_worst_case_at_its_bound(monkeypatch, k):
+    """f = 1 + x + ... + x**k over F_3 divides x**(k + 1) - 1, so
+    x**k mod f has every coefficient 2 = p - 1, and x**(2k) squares that
+    residue: its middle slot sums k * 4, 252 at k = 63, where the kernel
+    runs, and 256 at k = 64, where a byte would carry and pow_mod runs."""
+    f = Poly(F3, (1,) * (k + 1))
+    x = Poly.x(F3)
+    assert polys.pow_mod(x, k, f) == Poly(F3, (2,) * k)
+    exponents = (2 * k, 2 * k + 1, k * k + 1, 3**5)
+    calls = counting_pow_mod(monkeypatch)
+    power = polys._x_power(f)
+    got = [power(N) for N in exponents]
+    assert bool(calls) == (k == 64)
+    monkeypatch.undo()
+    assert got == [polys.pow_mod(x, N, f) for N in exponents]
+    assert got[0] == Poly(F3, (0,) * (k - 1) + (1,))  # x**(2k) = x**(k - 1) mod f
+
+
+def oracle_modulus(ctx, k, rng):
+    """random_modulus drawn with Rabin's test on pow_mod, so that a broken
+    kernel cannot stall its rejection loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        pow_mod_route(patch)
+        return random_modulus(ctx, k, rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_x_power_matches_pow_mod_on_random_moduli(p):
+    """Random monic moduli, irreducible (tests/sampling.py) and not, at
+    degrees up to 16 and at the largest degree k with k * (p - 1)**2 <
+    256 where that is smaller, against pow_mod on random exponents."""
+    ctx, rng = build_field(p), random.Random(f"x-power/{p}")
+    x = Poly.x(ctx)
+    top = 255 // (p - 1) ** 2
+    for k in sorted({1, 2, 3, min(top, 8), min(top, 16)}):
+        for f in (oracle_modulus(ctx, k, rng),
+                  Poly(ctx, [rng.randrange(p) for _ in range(k)] + [1])):
+            power = polys._x_power(f)
+            for N in (0, 1, k, p**k, rng.randrange(p ** (2 * k)), rng.randrange(2**64)):
+                assert power(N) == polys.pow_mod(x, N, f), (f, N)
+
+
+@pytest.mark.parametrize("ctx, top", [(F2, 8), (F3, 5)], ids=["GF(2)", "GF(3)"])
+def test_order_tests_match_rabin_on_pow_mod(monkeypatch, ctx, top):
+    """is_irreducible and is_primitive on the kernel against the same
+    tests on pow_mod, for every monic polynomial up to degree top."""
+    every = [f for d in range(1, top + 1) for f in monic_polys(ctx, d)]
+    verdicts = [(is_irreducible(f), is_primitive(f)) for f in every]
+    pow_mod_route(monkeypatch)
+    assert verdicts == [(is_irreducible(f), is_primitive(f)) for f in every]
+    assert sum(irr for irr, _ in verdicts) > sum(prim for _, prim in verdicts) > 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_only_the_prime_field_takes_the_kernel(monkeypatch, q):
+    """Over F_3 the order tests call no pow_mod; over GF(4) and GF(9),
+    whose scalars are codes and not residues, they call nothing else."""
+    ctx = wide_field(q)
+    f = oracle_modulus(ctx, 3, random.Random(f"x-power/route/{q}"))
+    calls = counting_pow_mod(monkeypatch)
+    verdicts = (is_irreducible(f), is_primitive(f))
+    assert bool(calls) == (q != 3)
+    pow_mod_route(monkeypatch)
+    assert verdicts[0] and verdicts == (is_irreducible(f), is_primitive(f))
 
 
 def test_q_totient_fixtures():

@@ -206,16 +206,20 @@ def scan_eliminations(monkeypatch, ctx, powers, m):
     return len(candidates), len(calls)
 
 
-@pytest.mark.parametrize("q, m, n", [(3, 2, 2), (8, 2, 2), (9, 1, 2), (131, 1, 2), (512, 1, 2)])
+@pytest.mark.parametrize("q, m, n", [
+    (3, 2, 2), (8, 2, 2), (9, 1, 2), (131, 1, 2), (131, 2, 1), (512, 1, 2),
+])
 def test_the_lane_check_picks_the_last_row_test(monkeypatch, q, m, n):
     """Where lane sums cannot carry, whatever the field's size (GF(512)
-    included), a scan eliminates no quotient matrix whole.  At F_131 and
-    width 2 they could: there the scan eliminates one matrix per
-    candidate, every head being live at m = 1."""
+    included), a scan eliminates no quotient matrix whole under a
+    nonempty head, and under the empty head (m = 1), whose first n - 1
+    rows never repeat, one per candidate.  At F_131 and width 2 lane sums
+    could carry: there the scan eliminates one matrix per candidate under
+    a nonempty head too (m = 2, n = 1), every head being live."""
     rng = random.Random(f"quotient/lanes/{q},{m},{n}")
     inst = random_instance(random_base(q, rng), m, n, rng)
     candidates, eliminated = scan_eliminations(monkeypatch, inst.base, inst.mats, m)
-    assert eliminated == (candidates if q == 131 else 0)
+    assert eliminated == (candidates if q == 131 or m == 1 else 0)
 
 
 def test_a_matrix_over_a_tower_keeps_the_elimination(monkeypatch):

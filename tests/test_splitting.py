@@ -46,7 +46,7 @@ from splitlab import (
     vec_mat,
     weak_ssc_check,
 )
-from splitlab import lfsr, linalg
+from splitlab import lfsr, linalg, polys
 from sampling import random_modulus
 
 F2 = build_field(2)
@@ -383,14 +383,12 @@ SCAN_ROUTE = {
     "_orbits",
     "conjugacy_classes",
     "_char_polys",
+    "_slot_product",
 }
 
 
-@pytest.mark.parametrize("func", CLOSED_FORMS, ids=lambda f: f.__qualname__)
-def test_closed_forms_never_name_the_scan_route(func):
-    """The two routes of an identity never share code: no closed form
-    names the splitting kernel, the recurrence scans, the class
-    enumerator or the scan primitives beneath them."""
+def named(func) -> set:
+    """Every name and attribute in the source of func."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
     names = set()
     for node in ast.walk(tree):
@@ -399,7 +397,25 @@ def test_closed_forms_never_name_the_scan_route(func):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert names, func
+    return names
+
+
+@pytest.mark.parametrize("func", CLOSED_FORMS, ids=lambda f: f.__qualname__)
+def test_closed_forms_never_name_the_scan_route(func):
+    """The two routes of an identity never share code: no closed form
+    names the splitting kernel, the recurrence scans, the class
+    enumerator or the scan primitives beneath them."""
+    names = named(func)
     assert not names & SCAN_ROUTE, (func.__qualname__, names & SCAN_ROUTE)
+
+
+@pytest.mark.parametrize("func", [polys.is_irreducible, polys.is_primitive, polys._x_power],
+                         ids=lambda f: f.__qualname__)
+def test_the_order_tests_never_name_the_coprime_kernel(func):
+    """q_totient's closed route reaches Rabin's test through factor and
+    _irreducibles, so if the order tests or their kernel called _coprime,
+    the closed form would share the brute route's kernel."""
+    assert "_coprime" not in named(func)
 
 
 def test_T_splitting_for_companion_of_primitive_quartic():
