@@ -17,9 +17,11 @@ x**N mod f from one kernel, _x_power: over F_p with deg(f) * (p - 1)**2
 < 256 a residue is one int of byte slots and each step one big-int
 product, and elsewhere (F_{p^e} with e > 1, towers, wider slots) it is
 pow_mod, which also serves TowerCtx reduction and is the kernel's test
-oracle.  The gcd of Rabin's test stays on Poly: factor reaches Rabin's
-test through _irreducibles, so if it called _coprime, the closed route
-of q_totient would run the brute route's kernel.
+oracle.  is_primitive builds the kernel once and runs Rabin's test
+(_rabin) and its order test on it.  The gcd of Rabin's test stays on
+Poly: factor reaches Rabin's test through _irreducibles, so if it
+called _coprime, the closed route of q_totient would run the brute
+route's kernel.
 
 The brute routes of coprime_pair_count and q_totient scan raw
 coefficient lists instead: each builds its lists once per scan, by
@@ -296,14 +298,17 @@ def is_irreducible(f: Poly) -> bool:
     prime r dividing k."""
     if f.is_zero or f.degree < 1:
         raise DegreeZero("irreducibility needs degree >= 1")
-    k = f.degree
-    if k == 1:
+    if f.degree == 1:
         return True
     f = f.monic()
-    ctx = f.ctx
-    q = ctx.size
-    x = Poly.x(ctx)
-    power = _x_power(f)
+    return _rabin(f, _x_power(f))
+
+
+def _rabin(f: Poly, power) -> bool:
+    """Rabin's test for f monic of degree k >= 2, with power(N) -> x**N
+    mod f (_x_power(f)), which is_primitive builds once for both of its
+    tests."""
+    k, q, x = f.degree, f.ctx.size, Poly.x(f.ctx)
     if power(q**k) != x:
         return False
     for r in _prime_divisors(k):
@@ -334,15 +339,15 @@ def is_primitive(f: Poly) -> bool:
         raise DegreeZero("primitivity needs degree >= 1")
     if not f.is_monic:
         raise NotMonic("primitivity test expects a monic polynomial")
-    if not is_irreducible(f):
+    k = f.degree
+    power = _x_power(f)
+    if k > 1 and not _rabin(f, power):
         return False
     ctx = f.ctx
     if f.coeffs[0] == ctx.zero:
         return False  # f = x: its root 0 is not a unit
-    k = f.degree
     n = ctx.size**k - 1
     one = Poly.one(ctx)
-    power = _x_power(f)
     if n == 1:
         return power(1) == one
     for p in integers.factorize(n):

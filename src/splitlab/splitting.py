@@ -34,11 +34,13 @@ F_q^{mn}/U of the head's span U, an n x n matrix against columns built
 once per live head (_quotient_columns).  Over fields whose byte lanes
 cannot carry (_lane_last) that matrix is one packed sum of per-head
 lane tables.  Under a nonempty head it has full rank exactly when its
-first n - 1 rows are independent and one of the reducers of their span
-(_reducers, normals kept per scan in a memo keyed by the rows' bytes)
-has a nonzero dot with its last row.  Under the empty head (m = 1),
-where those rows never repeat, and over wider fields and towers the
-matrix is eliminated whole.
+first n - 1 rows are independent and its last row lies outside their
+span: one lookup of those rows' bytes in a memo kept per scan, which
+gives the span as a set of digit-byte vectors, or None when the rows
+are dependent, and one membership test of the last row's bytes
+(_span_memos, each span built once, a row at a time).  Under the empty
+head (m = 1), where those rows never repeat, and over wider fields and
+towers the matrix is eliminated whole.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
 weak_ssc_check, the product ordered-basis route, the fiber bridge's,
 and the direct ordered-basis route over every tuple all count through
@@ -265,10 +267,10 @@ def _steps(ctx, powers):
     ctx.dot(w, col), one row per translate, d = width - dim U.  Under a
     scan's head d = n.  Over a field whose lane sums cannot carry,
     _lane_last computes that matrix as one packed sum and, under a
-    nonempty head, tests it against the memoized reducers of its first
-    n - 1 rows; over other fields and over towers each row costs n * d
-    dots, and there and under the empty head one elimination of the
-    matrix."""
+    nonempty head, tests its last row against the memoized span of its
+    first n - 1 rows; over other fields and over towers each row costs
+    n * d dots, and there and under the empty head one elimination of
+    the matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
@@ -402,45 +404,26 @@ def _lane_last(ctx, powers):
     digit sum, at most width * (p - 1) < 256, and one bytes.translate
     reduces them modulo p: that is the matrix, n rows of d entries of e
     bytes.  It has independent rows exactly when its first n - 1 rows
-    are independent and its last row lies outside their span, so some
-    reducer of that span (_reducers) has a nonzero ctx.dot with the
-    last row.  A memo kept for the scan maps d and the bytes of the
-    first n - 1 rows to those reducers, or to none when the rows are
-    dependent; it holds at most q^((n - 1) d) entries per d, which share
-    one copy of each span's reducers.  Under the empty head (m = 1) the
-    first row is w itself, so within a scan no prefix repeats: there the
-    n x n matrix is eliminated whole by linalg.rows_are_independent,
-    which needs no reducers.  A head packs lanes[j][c] on first use, and
-    digits and codes are converted on first use, so no table grows with
-    q up front."""
-    p, e, mul, dot = ctx.p, ctx.e, ctx.mul, ctx.dot
+    are independent and its last row lies outside their span, so under
+    a nonempty head the test is one lookup of the bytes of those rows in
+    the scan's span memo (_span_memos) and one membership test of the
+    last row's bytes in the span it returns.  Under the empty head
+    (m = 1) the first row is w itself, so within a scan no prefix
+    repeats: there the n x n matrix is eliminated whole by
+    linalg.rows_are_independent, which builds no span.  A head packs
+    lanes[j][c] on first use, and digits and codes are converted on
+    first use, so no table grows with q up front."""
+    e, mul = ctx.e, ctx.mul
     width, n = powers[0].nrows, len(powers)
     getitem = operator.getitem
-    mod_p = integers.byte_residues(p)
-    digits = _Table(lambda c: bytes(integers.to_digits(c, p, e)))
-    code_of = _Table(lambda chunk: integers.from_digits(chunk, p))
-
-    def decode(chunk):
-        if e == 1:
-            return chunk
-        return [code_of[chunk[s : s + e]] for s in range(0, len(chunk), e)]
-
-    def prefix_reducers(d):
-        def build(prefix) -> tuple:
-            flat = decode(prefix)
-            echelon = linalg._echelon_insert(ctx, (), [flat[k * d : k * d + d] for k in range(n - 1)])
-            reducers = () if echelon is None else _reducers(ctx, echelon, d)
-            return spans.setdefault(reducers, reducers)
-
-        return _Table(build)
-
-    spans: dict = {}  # one copy of the reducers of each span
-    memos = _Table(prefix_reducers)
+    mod_p = integers.byte_residues(ctx.p)
+    digits, decode = _codec(ctx)
+    memos = _span_memos(ctx, n)
 
     def last(echelon):
         d = width - len(echelon)
         size, cut = n * d * e, (n - 1) * d * e
-        reducers_of = memos[d].__getitem__
+        span_of = memos[d].__getitem__
         quotient = _quotient_columns(ctx, powers, echelon)
         lanes = []
         for j in range(width):
@@ -453,15 +436,84 @@ def _lane_last(ctx, powers):
             if not echelon:
                 flat = decode(mat)
                 return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
-            row = decode(mat[cut:])
-            for r in reducers_of(mat[:cut]):
-                if dot(row, r):
-                    return True
-            return False
+            span = span_of(mat[:cut])
+            return span is not None and mat[cut:] not in span
 
         return splits
 
     return last
+
+
+def _codec(ctx):
+    """(digits, decode) for a FieldCtx F_{p^e}: digits[c] is the bytes
+    of the e base-p digits of code c, lowest first, and decode(chunk)
+    the codes of a string of such digit bytes, e per code.  Each code
+    and chunk is converted on first use."""
+    p, e = ctx.p, ctx.e
+    digits = _Table(lambda c: bytes(integers.to_digits(c, p, e)))
+    code_of = _Table(lambda chunk: integers.from_digits(chunk, p))
+
+    def decode(chunk):
+        if e == 1:
+            return chunk
+        return [code_of[chunk[s : s + e]] for s in range(0, len(chunk), e)]
+
+    return digits, decode
+
+
+def _span_memos(ctx, n):
+    """memos[d][prefix], built once per scan, for the n x d quotient
+    matrices of _lane_last in digit bytes (_codec), prefix the bytes of
+    a matrix's first n - 1 rows: their span, a frozenset of the digit
+    bytes of its vectors, or None when those rows are dependent.  The
+    matrix has independent rows exactly when the span is not None and
+    the bytes of its last row are not in it.
+
+    A miss builds its span one row at a time (_span) from the zero span
+    through a table kept for the scan, extensions[span, row]: None when
+    the row lies in the span, and otherwise the span with c * row added
+    to each vector for every nonzero scalar c, digit sums reduced by one
+    bytes.translate, as one shared copy of each distinct span.  So a
+    scan builds at most sum_k [d, k]_q * q^d extensions per d, and the
+    memo, at most q^((n - 1) d) entries per d, shares their spans."""
+    e, q, mul = ctx.e, ctx.size, ctx.mul
+    mod_p = integers.byte_residues(ctx.p)
+    digits, decode = _codec(ctx)
+    spans: dict = {}  # one copy of each span
+
+    def extend(key):
+        span, row = key
+        if row in span:
+            return None
+        size, codes = len(row), decode(row)
+        vectors = [int.from_bytes(v, "little") for v in span]
+        out = set(span)
+        for c in range(1, q):
+            t = int.from_bytes(b"".join([digits[mul(c, x)] for x in codes]), "little")
+            out.update([(v + t).to_bytes(size, "little").translate(mod_p) for v in vectors])
+        out = frozenset(out)
+        return spans.setdefault(out, out)
+
+    extensions = _Table(extend)
+
+    def memo(d):
+        w = d * e
+        zero = frozenset([bytes(w)])
+        return _Table(lambda prefix: _span(
+            extensions, zero, [prefix[k * w : k * w + w] for k in range(n - 1)]))
+
+    return _Table(memo)
+
+
+def _span(extensions, span, rows):
+    """The span of span and rows, each row added through
+    extensions[span, row] (_span_memos), or None when a row lies in the
+    span of span and the rows before it."""
+    for row in rows:
+        span = extensions[span, row]
+        if span is None:
+            break
+    return span
 
 
 def _splitting_scan(ctx, powers, m: int):

@@ -81,7 +81,7 @@ MUTANTS = [
           ("1-3-candidate0",))
      + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test",
             ("9-1-2", "512-1-2"))),
-    ("splitting", "reducers_of = memos[d].__getitem__", "reducers_of = memos[d].build",
+    ("splitting", "span_of = memos[d].__getitem__", "span_of = memos[d].build",
      ["tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
      + _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
             ("2-2-candidate1",))),
@@ -181,6 +181,20 @@ MUTANTS = [
           ("9-1-2-False", "9-1-2-True"))
      + _ids("test_lfsr.py", "test_the_order_test_squares_in_byte_slots_below_the_bound",
             ("9-2-2-False",))),
+    # a span extended without the row itself (c = 1), and a row that
+    # lies in the span extending it instead of making the rows dependent
+    ("splitting", "for c in range(1, q):", "for c in range(2, q):",
+     ["tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
+     + _ids("test_quotient_step.py", "test_the_span_memo_agrees_with_elimination_on_random_matrices",
+            (3, 4, 5, 7, 8, 9))
+     + _ids("test_quotient_step.py", "test_the_quotient_step_agrees_with_elimination_from_scratch",
+            ("3-2-2", "4-2-2", "9-2-2"))),
+    ("splitting", "        if row in span:\n            return None\n", "",
+     ["tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
+     + _ids("test_quotient_step.py", "test_the_span_memo_agrees_with_elimination_on_random_matrices",
+            (3, 4, 5, 7, 8, 9))
+     + _ids("test_quotient_step.py", "test_the_quotient_step_agrees_with_elimination_from_scratch",
+            ("3-2-3", "5-2-2", "8-2-2"))),
 ]
 
 

@@ -244,6 +244,23 @@ def test_only_the_prime_field_takes_the_kernel(monkeypatch, q):
     assert verdicts[0] and verdicts == (is_irreducible(f), is_primitive(f))
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_is_primitive_builds_one_kernel_per_call(monkeypatch, q):
+    """is_primitive runs Rabin's test and the order test on one
+    _x_power(f): one build per call, for f of degree 1, reducible,
+    irreducible and primitive, over F_3 (the byte-slot kernel) and GF(4)
+    (pow_mod)."""
+    ctx = wide_field(q)
+    every = [f for d in range(1, 4) for f in monic_polys(ctx, d)]
+    irreducible = [is_irreducible(f) for f in every]
+    built, x_power = [], polys._x_power
+    monkeypatch.setattr(polys, "_x_power", lambda f: built.append(f) or x_power(f))
+    primitive = [is_primitive(f) for f in every]
+    assert built == every
+    assert any(irr and not prim for irr, prim in zip(irreducible, primitive))
+    assert any(primitive) and not all(irreducible)
+
+
 def test_q_totient_fixtures():
     assert q_totient(Poly(F2, (0, 1))) == 1
     assert q_totient(Poly(F3, (0, 1))) == 2

@@ -3,17 +3,20 @@ its head: once the rows after it have independent translates spanning
 U, the first row w splits exactly when its n translates are independent
 modulo U, which under a scan's head, of dimension width - n, is an
 n x n rank test.  Over fields whose byte-lane sums cannot carry the
-quotient matrix is one packed sum and the test one memoized normal of
-its first n - 1 rows; over wider fields it is n * d dots and one
+quotient matrix is one packed sum, and under a nonempty head the test
+is one lookup in a span memo: the span of the matrix's first n - 1
+rows, a set of digit-byte vectors or None, and whether the last row's
+bytes lie outside it.  Over wider fields it is n * d dots and one
 elimination.  Checked against elimination from scratch
 (rows_are_independent on every stacked translate) over q in
 {3, 4, 5, 7, 8, 9} and q = 131, one field on each side of the lane
 check, with random moduli, generators and endomorphisms, for full
 candidates, partial calls, zero and repeated rows and calls with one
-row too many, each walked alone and all in one walk.  And the quotient
-is shared: a full scan builds one per live head, never stacks a first
-row and eliminates each distinct first n - 1 rows of a quotient matrix
-once."""
+row too many, each walked alone and all in one walk; and the span
+memo alone against rows_are_independent on random matrices.  And the
+quotient is shared: a full scan builds one per live head, never stacks
+a first row, builds the span of each distinct first n - 1 rows of a
+quotient matrix once and each span extension once."""
 
 import itertools
 import random
@@ -29,7 +32,7 @@ from splitlab import (
     split_instance,
     ssc_formula,
 )
-from splitlab import linalg, splitting
+from splitlab import integers, linalg, splitting
 from sampling import random_base, random_instance, splits_by_stacking
 from test_prefix_splitter import operator_powers, walked_rows
 
@@ -120,15 +123,26 @@ def test_seeded_instances_count_the_closed_form(q, m, n):
     assert count_splitting(inst).brute == ssc_formula(q, m, n)
 
 
+def counting_spans(monkeypatch) -> list:
+    """The extension table of every span build (splitting._span, one
+    per miss of a span memo) from now on."""
+    tables, span = [], splitting._span
+    monkeypatch.setattr(splitting, "_span", lambda extensions, zero, rows:
+                        tables.append(extensions) or span(extensions, zero, rows))
+    return tables
+
+
 def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     """SSC (3,2,2): the second row of each candidate is its head, and
     the first row, varying fastest, is tested under it.  Every nonzero w
     has independent w, w alpha, so every head is live: the scan stacks
     one 4-wide insertion per head into the empty basis, builds one
     quotient per head, and tests every candidate's first row in that
-    quotient, never stacking it.  The test eliminates only the first row
-    of each 2 x 2 quotient matrix, once per distinct value over the
-    whole scan: 3**2 of them."""
+    quotient, never stacking it.  The test looks up the span of the
+    first row of each 2 x 2 quotient matrix, built once per distinct
+    value over the whole scan: 3**2 builds, each one extension of the
+    zero span.  The zero row gives None and the 8 others the [2, 1]_3 = 4
+    lines, one shared copy each; nothing is eliminated 2 wide."""
     inst = split_instance(3, 2, 2)
     # in scan order, a head per run of candidates sharing their second row
     heads = [head for head, _ in itertools.groupby(
@@ -143,15 +157,12 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     assert (len(heads), candidates) == (runs, 130) == (17, 130)
 
     eliminations = []  # (rows already in the basis, width of the rows inserted)
-    prefixes = []  # the rows of each 2-wide elimination
     builds = []  # the row of each head whose quotient is built
     echelon_insert, quotient_columns = linalg._echelon_insert, splitting._quotient_columns
 
     def counting_insert(ctx, echelon, rows):
         rows = [tuple(r) for r in rows]
         eliminations.append((len(echelon), len(rows[0])))
-        if len(rows[0]) == 2:
-            prefixes.append(rows)
         return echelon_insert(ctx, echelon, rows)
 
     def counting_columns(ctx, powers, echelon):
@@ -160,15 +171,24 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
     monkeypatch.setattr(splitting, "_quotient_columns", counting_columns)
+    tables = counting_spans(monkeypatch)
     report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(3, 2, 2) == 90
     assert (len(inserted), len(tested)) == (runs, 130)
-    assert eliminations.count((0, 4)) == runs  # each head's translates, into the empty basis
-    # the first row of each tested row's quotient matrix, each value once:
-    # the memo's bound q**((n - 1) * d) = 3**2, reached
-    assert eliminations.count((0, 2)) == 9
-    assert sorted(prefixes) == [[row] for row in itertools.product(range(3), repeat=2)]
-    assert len(eliminations) == runs + 9  # no 4-wide row is inserted after the head
+    # each head's translates, into the empty basis, and nothing else
+    assert eliminations == [(0, 4)] * runs
+    # one span build per value of a quotient matrix's first row: the
+    # memo's bound q**((n - 1) * d) = 3**2, reached, on one table
+    assert len(tables) == 9 and all(table is tables[0] for table in tables)
+    extensions = tables[0]
+    zero = frozenset([bytes(2)])
+    assert sorted(extensions) == [(zero, bytes(row)) for row in itertools.product(range(3), repeat=2)]
+    lines = [span for span in extensions.values() if span is not None]
+    assert extensions[zero, bytes(2)] is None and len(lines) == 8
+    assert len(set(lines)) == len(set(map(id, lines))) == linalg.gaussian_binomial(2, 1, 3) == 4
+    for (_, row), line in extensions.items():
+        if line is not None:
+            assert line == {bytes(c * x % 3 for x in row) for c in range(3)}
     assert builds == heads
 
 
@@ -177,7 +197,8 @@ def test_only_a_nonempty_head_keeps_its_prefixes(monkeypatch, m, n, candidate):
     """The memo pays only where the first n - 1 rows of quotient matrices
     repeat.  Under the empty head (m = 1) they hold the row itself, so no
     scan meets them twice and the walk keeps none: a candidate walked
-    twice is eliminated twice.  Under a live head it is eliminated once."""
+    twice is eliminated twice, n wide, and builds no span.  Under a live
+    head its span is built once and nothing is eliminated n wide."""
     inst = split_instance(3, m, n)
     expected = splits_by_stacking(inst.base, inst.mats, candidate)
     widths = []  # the width of the rows of each elimination
@@ -189,8 +210,56 @@ def test_only_a_nonempty_head_keeps_its_prefixes(monkeypatch, m, n, candidate):
         return echelon_insert(ctx, echelon, rows)
 
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
+    tables = counting_spans(monkeypatch)
     assert list(splitting._verdicts(inst.base, inst.mats, [candidate] * 2)) == [expected] * 2
-    assert widths.count(n) == (2 if m == 1 else 1)
+    assert (widths.count(n), len(tables)) == ((2, 0) if m == 1 else (0, 1))
+
+
+def digit_bytes(ctx, rows) -> bytes:
+    """The rows of a matrix of codes as _lane_last's digit bytes: e
+    base-p digits per entry, lowest first, row after row."""
+    return bytes(digit for row in rows for c in row
+                 for digit in integers.to_digits(c, ctx.p, ctx.e))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_the_span_memo_agrees_with_elimination_on_random_matrices(monkeypatch, q):
+    """Random n x d matrices over F_q with a random modulus, some with a
+    zero row or a row repeating another, n = 1 and d = 0 included: the
+    memo's verdict, the span of the first n - 1 rows not None and the
+    last row not in it, is rows_are_independent's.  Each distinct span
+    is one shared copy, at most sum_k [d, k]_q of them and q^d
+    extensions of each per d."""
+    rng = random.Random(f"quotient/spans/{q}")
+    ctx = random_base(q, rng)
+    tables = counting_spans(monkeypatch)
+    seen = set()
+    for n in (1, 2, 3):
+        memos, first = splitting._span_memos(ctx, n), len(tables)
+        for d in range(4):
+            for _ in range(SAMPLE // 2):
+                rows = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(n)]
+                if rng.random() < 0.3:
+                    rows[rng.randrange(n)] = rng.choice([(0,) * d, rows[rng.randrange(n)]])
+                mat, cut = digit_bytes(ctx, rows), (n - 1) * d * ctx.e
+                span = memos[d][mat[:cut]]
+                expect = linalg.rows_are_independent(ctx, rows)
+                assert (span is not None and mat[cut:] not in span) == expect, rows
+                seen.add((n, d, expect))
+        extensions = tables[first]
+        assert all(table is extensions for table in tables[first:])
+        for d in range(4):
+            size = d * ctx.e
+            keys = [key for key in extensions if len(key[1]) == size]
+            spans = [span for span in map(extensions.get, keys) if span is not None]
+            assert len(set(spans)) == len(set(map(id, spans)))
+            bound = sum(linalg.gaussian_binomial(d, k, q) for k in range(d + 1))
+            assert len(set(spans)) <= bound and len(keys) <= bound * q**d
+            assert {len(span) for span in spans} <= {q**k for k in range(1, d + 1)}
+    # n = 1 at d = 0 has one empty row, dependent; d >= n answers both ways
+    assert (1, 0, False) in seen and (1, 0, True) not in seen
+    assert {(n, d, v) for n in (1, 2, 3) for d in range(n, 4) for v in (True, False)} <= seen
+
 
 def scan_eliminations(monkeypatch, ctx, powers, m):
     """Walk every candidate of a full scan, check the count against the

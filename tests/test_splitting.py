@@ -374,6 +374,9 @@ SCAN_ROUTE = {
     "_quotient_columns",
     "_reducers",
     "_lane_last",
+    "_codec",
+    "_span_memos",
+    "_span",
     "_Table",
     "vec_mat",
     "enumerate_recurrences",
@@ -409,7 +412,8 @@ def test_closed_forms_never_name_the_scan_route(func):
     assert not names & SCAN_ROUTE, (func.__qualname__, names & SCAN_ROUTE)
 
 
-@pytest.mark.parametrize("func", [polys.is_irreducible, polys.is_primitive, polys._x_power],
+@pytest.mark.parametrize("func", [polys.is_irreducible, polys._rabin, polys.is_primitive,
+                                  polys._x_power],
                          ids=lambda f: f.__qualname__)
 def test_the_order_tests_never_name_the_coprime_kernel(func):
     """q_totient's closed route reaches Rabin's test through factor and
