@@ -204,13 +204,13 @@ def _cmd_fiber_census(args: argparse.Namespace) -> int:
     base = _parse_field(args.q)
     q = base.size
     mn = args.m * args.n
+    per_fiber = lfsr.nofiber_formula(args.m, args.n, q)
     if args.poly:
         members = [_parse_poly(base, args.poly)]
     elif args.all_primitive:
         members = polys.find_irreducibles(base, mn, "primitive_only")
     else:
         members = polys.find_irreducibles(base, mn, "all")
-    per_fiber = lfsr.nofiber_formula(args.m, args.n, q)
     total = 0
     any_mismatch = False
     for f, scan, bridge in fiber_rows(base, members, args.m, args.n):

@@ -17,21 +17,22 @@ tuple of rows, and yields whether each one splits.  The scans yield
 candidates in product order over shared rows with the first row varying
 fastest, so consecutive candidates mostly differ only in their first
 row, the one with the most free coordinates: the walk groups them by
-head, the rows after the first, inserts each head's translates once
-into an echelon state (sharing the states of the previous head's row
-prefixes, and rejecting at once every candidate under a dependent
-head), and tests each first row against the head's state with one call
-that extends no state.  Every candidate is still tested, once, and the
-subspace scans pull every one from linalg.enumerate_subspaces.  _steps
-picks the insert and test steps once per scan.  Over F_2 they are
-packed: a state is an int echelon basis, and a row's translates are
+head, the rows after the first, builds one state per head in one call
+from the translates of all its rows (rejecting at once every candidate
+under a dependent head), and tests each first row against that state
+with one call that leaves it as it is.  Every candidate is still
+tested, once, and the subspace scans pull every one from
+linalg.enumerate_subspaces.  _steps picks the head and test steps once
+per scan.  Over F_2 they are packed: a state is an int echelon basis,
+one reduction loop builds and tests, and a row's translates are
 bitmasks, one XOR of row images, kept per row value under a nonempty
 head.  Elsewhere a head's rows stack their images under columns of the
-powers taken once per scan for linalg._echelon_insert, the generic
-elimination the tests check the packed one against, and a tested row
-splits exactly when its n translates are independent in the quotient
-F_q^{mn}/U of the head's span U, an n x n matrix against columns built
-once per live head (_quotient_columns).  Over fields whose byte lanes
+powers taken once per scan, once per row value, into one
+linalg._echelon_insert, the generic elimination the tests check the
+packed one against, and the head's state is the columns of the
+quotient F_q^{mn}/U of its span U (_quotient_columns), built once per
+live head: a tested row splits exactly when its n translates are
+independent in that quotient, an n x n matrix against those columns.  Over fields whose byte lanes
 cannot carry (_lane_last) that matrix is one packed sum of per-head
 lane tables.  Under a nonempty head it has full rank exactly when its
 first n - 1 rows are independent and its last row lies outside their
@@ -204,96 +205,78 @@ def _verdicts(ctx, powers, candidates):
     The scans yield candidates in product order over shared rows with
     the first row varying fastest, so consecutive candidates mostly
     differ only in their first row.  The walk groups them by head, the
-    rows after the first, and tests the first row, the widest one.  It
-    inserts each head once with the insert step of _steps, keeping the
-    states after each prefix of the previous head (states[k] after
-    prefix[:k], and states one short of prefix when a row of it made the
-    state dependent), so only the rows past the shared prefix are
-    inserted; consecutive heads share a prefix because among the head's
-    rows the last varies fastest.  Under a live head every first row is
-    one call of the test last(state) builds, which extends no state;
-    under a dead head every candidate is rejected without a test.  Row
-    order never changes a verdict."""
-    insert, last, empty = _steps(ctx, powers)
-    prefix, states = (), [empty]
+    rows after the first, and builds each head's state once with
+    head_state of _steps, from the translates of all its rows.  Under a
+    live head every first row, the widest one, is one call of the test
+    last(state) builds, which leaves the state as it is; under a dead
+    head, whose state is None, every candidate is rejected without a
+    test.  Row order never changes a verdict."""
+    head_state, last = _steps(ctx, powers)
     for head, group in itertools.groupby(candidates, operator.itemgetter(slice(1, None))):
-        k = 0
-        for a, b in zip(head, prefix):
-            if a != b:
-                break
-            k += 1
-        if k < len(states):
-            del states[k + 1 :]
-            state = states[k]
-            for row in head[k:]:
-                state = insert(state, row)
-                if state is None:
-                    break
-                states.append(state)
-        prefix = head
-        if len(states) > len(head):
-            yield from map(last(states[-1]), map(operator.itemgetter(0), group))
-        else:
+        state = head_state(head)
+        if state is None:
             for _ in group:
                 yield False
+        else:
+            yield from map(last(state), map(operator.itemgetter(0), group))
 
 
 def _steps(ctx, powers):
-    """(insert, last, empty) for _verdicts, built once per scan: the one
-    place the scan route stacks translates.  insert(state, row) returns
-    the echelon state extended by the row's n translates, leaving its
-    argument as it is, or None when they make it dependent; empty is the
-    state of no rows.  last(state) returns the test row -> bool of
-    whether a row's translates are independent of the state, which the
-    test leaves as it is; the walk inserts a candidate's rows after the
-    first and tests the first, which varies fastest in a scan.
+    """(head_state, last) for _verdicts, built once per scan: the one
+    place the scan route stacks translates.  head_state(head) returns
+    the state of a head's rows, built in one call from the n translates
+    of each, or None when they are dependent.  last(state) returns the
+    test row -> bool of whether a row's translates are independent of
+    the head, which the test leaves as it is; the walk builds the state
+    of a candidate's rows after the first and tests the first, which
+    varies fastest in a scan.
 
     Over F_2 a state is an int echelon basis, pivots[h] having leading
     bit h - 1.  images[j] stacks e_j T^0, ..., e_j T^(n-1) as bitmasks
     (e_j T^k from bit k*width), so a row's n translates are one XOR of
     the images at its nonzero coordinates, split once per row value and
     kept for the scan, but not under the empty head (m = 1), whose rows
-    never repeat.  insert and last's test both reduce them into a copy
-    of the basis; the test, the hot loop of a scan, is written out
-    rather than calling insert, and drops its copy.
+    never repeat.  One reduction loop builds and tests: it reduces
+    vectors into a copy of a basis, the empty one for a head and the
+    head's for a tested row.
 
-    Elsewhere a state is an echelon basis as linalg._echelon_insert
-    builds it, the generic elimination the tests check the packed one
-    against.  insert stacks the row's images w * T^k, each entry one
-    ctx.dot of w with a column of T^k taken once per scan.  last(U)
-    builds the columns _quotient_columns gives for the span U: a row's
-    translates are independent of U exactly when their images in the
-    quotient F_q^width / U are, the n x d matrix of entries
-    ctx.dot(w, col), one row per translate, d = width - dim U.  Under a
-    scan's head d = n.  Over a field whose lane sums cannot carry,
-    _lane_last computes that matrix as one packed sum and, under a
-    nonempty head, tests its last row against the memoized span of its
-    first n - 1 rows; over other fields and over towers each row costs
-    n * d dots, and there and under the empty head one elimination of
-    the matrix."""
+    Elsewhere a state is the columns _quotient_columns gives for the
+    head's span U, after one linalg._echelon_insert, the generic
+    elimination the tests check the packed one against, of the head's
+    rows and their images w * T^k, each entry one ctx.dot of w with a
+    column of T^k taken once per scan, stacked once per row value and
+    kept for the scan, as over F_2.  A row's translates are
+    independent of U exactly when their images in the quotient
+    F_q^width / U are, the n x d matrix of entries ctx.dot(w, col), one
+    row per translate, d = width - dim U.  Under a scan's head d = n.
+    Over a field whose lane sums cannot carry, _lane_last computes that
+    matrix as one packed sum and, under a nonempty head, tests its last
+    row against the memoized span of its first n - 1 rows; over other
+    fields and over towers each row costs n * d dots, and there and
+    under the empty head one elimination of the matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
         columns = [tuple(zip(*P.rows)) for P in powers[1:]]
 
-        def insert_generic(echelon, w):
-            stacked = [w]
-            stacked.extend([dot(w, col) for col in cols] for cols in columns)
-            return linalg._echelon_insert(ctx, echelon, stacked)
+        translates = _Table(lambda w: (w, *([dot(w, col) for col in cols] for cols in columns)))
+
+        def head_state(head):
+            stacked = itertools.chain.from_iterable(map(translates.__getitem__, head))
+            echelon = linalg._echelon_insert(ctx, (), stacked)
+            return None if echelon is None else _quotient_columns(ctx, powers, echelon)
 
         if isinstance(ctx, fields.FieldCtx) and width * (ctx.p - 1) < 256:
-            return insert_generic, _lane_last(ctx, powers), ()
+            return head_state, _lane_last(ctx, powers)
 
-        def last_generic(echelon):
-            quotient = _quotient_columns(ctx, powers, echelon)
-
+        def last_generic(quotient):
             def splits(w) -> bool:
                 images = ([dot(w, col) for col in cols] for cols in quotient)
                 return linalg.rows_are_independent(ctx, images)
 
             return splits
 
-        return insert_generic, last_generic, ()
+        return head_state, last_generic
     images = tuple(
         sum(x << (k * width + i) for k, P in enumerate(powers) for i, x in enumerate(P.rows[j]))
         for j in range(width)
@@ -307,40 +290,32 @@ def _steps(ctx, powers):
 
     memo = _Table(split)
 
-    def insert_packed(pivots, row):
-        pivots = pivots[:]
-        for v in memo[row]:
+    def reduced(pivots, vectors):
+        basis = pivots[:]
+        for v in vectors:
             while v:
                 h = v.bit_length()
-                b = pivots[h]
+                b = basis[h]
                 if not b:
-                    pivots[h] = v
+                    basis[h] = v
                     break
                 v ^= b
             else:
                 return None
-        return pivots
+        return basis
 
-    def last_packed(pivots):
-        translates = split if pivots is empty else memo.__getitem__
+    def head_state(head):
+        return reduced(empty, itertools.chain.from_iterable(map(memo.__getitem__, head)))
+
+    def last(pivots):
+        translates = memo.__getitem__ if any(pivots) else split
 
         def splits(row) -> bool:
-            basis = pivots[:]
-            for v in translates(row):
-                while v:
-                    h = v.bit_length()
-                    b = basis[h]
-                    if not b:
-                        basis[h] = v
-                        break
-                    v ^= b
-                else:
-                    return False
-            return True
+            return reduced(pivots, translates(row)) is not None
 
         return splits
 
-    return insert_packed, last_packed, empty
+    return head_state, last
 
 
 def _quotient_columns(ctx, powers, echelon):
@@ -392,16 +367,16 @@ class _Table(dict):
 
 
 def _lane_last(ctx, powers):
-    """last(U) for the generic walk over a FieldCtx F_{p^e} with
-    width * (p - 1) < 256, built once per scan.
+    """last(quotient) for the generic walk over a FieldCtx F_{p^e} with
+    width * (p - 1) < 256, built once per scan, quotient a head's state:
+    the columns _quotient_columns gives for its span.
 
     Codes add digit by digit modulo p, and the quotient matrix of a row
-    w, entries ctx.dot(w, col) over the columns of _quotient_columns, is
-    the sum over coordinates j of w[j] times coordinate j of each
-    column.  Per head, lanes[j][c] packs the base-p digits of c times
-    coordinate j of every column into one byte lane each, entry by
-    entry and row by row, so sum(map(getitem, lanes, w)) holds every
-    digit sum, at most width * (p - 1) < 256, and one bytes.translate
+    w, entries ctx.dot(w, col) over those columns, is the sum over
+    coordinates j of w[j] times coordinate j of each column.  Per head,
+    lanes[j][c] packs the base-p digits of c times coordinate j of every
+    column into one byte lane each, entry by entry and row by row, so
+    sum(map(getitem, lanes, w)) holds every digit sum, at most width * (p - 1) < 256, and one bytes.translate
     reduces them modulo p: that is the matrix, n rows of d entries of e
     bytes.  It has independent rows exactly when its first n - 1 rows
     are independent and its last row lies outside their span, so under
@@ -420,11 +395,10 @@ def _lane_last(ctx, powers):
     digits, decode = _codec(ctx)
     memos = _span_memos(ctx, n)
 
-    def last(echelon):
-        d = width - len(echelon)
+    def last(quotient):
+        d = len(quotient[0])
         size, cut = n * d * e, (n - 1) * d * e
         span_of = memos[d].__getitem__
-        quotient = _quotient_columns(ctx, powers, echelon)
         lanes = []
         for j in range(width):
             column = [col[j] for cols in quotient for col in cols]
@@ -433,7 +407,7 @@ def _lane_last(ctx, powers):
 
         def splits(w) -> bool:
             mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
-            if not echelon:
+            if d == width:
                 flat = decode(mat)
                 return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
             span = span_of(mat[:cut])

@@ -220,9 +220,9 @@ def fiber_rows(ctx, members, m: int, n: int):
 
 
 def _fiber_family(q, m, n, *, kind: str):
+    per_fiber = lfsr.nofiber_formula(m, n, q)
     ctx = fields.field_from_order(q)
     members = polys.find_irreducibles(ctx, m * n, kind)
-    per_fiber = lfsr.nofiber_formula(m, n, q)
     all_equal = True
     total = 0
     for _, scan, bridge in fiber_rows(ctx, members, m, n):
@@ -243,6 +243,7 @@ _h_ifc = functools.partial(_fiber_family, kind="all")
 
 
 def _h_chain(q, m, n):
+    closed = lfsr.pvrc_formula(m, n, q)
     ctx = fields.field_from_order(q)
     mn = m * n
     irr = polys.find_irreducibles(ctx, mn, "all")
@@ -260,7 +261,6 @@ def _h_chain(q, m, n):
         ok = False
     if prim_count * mn != integers.euler_phi(q**mn - 1):
         ok = False
-    closed = lfsr.pvrc_formula(m, n, q)
     note = (
         "fibers up to conjugation vs ordered bases per polynomial, "
         "full census vs primitive fibers"

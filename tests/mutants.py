@@ -76,7 +76,7 @@ MUTANTS = [
           ("count_splitting_bases-cold", "count_splitting_bases-warm"))),
     # the lane test's prefix memo kept under the empty head, where the
     # matrix is eliminated whole, and never kept
-    ("splitting", "            if not echelon:\n", "            if False:\n",
+    ("splitting", "            if d == width:\n", "            if False:\n",
      _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
           ("1-3-candidate0",))
      + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test",
@@ -129,8 +129,8 @@ MUTANTS = [
      + _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (2, 9))),
     # the walk testing the last row under the head rows[1:], which holds
     # it: every candidate with m >= 2 dependent
-    ("splitting", "map(last(states[-1]), map(operator.itemgetter(0), group))",
-     "map(last(states[-1]), map(operator.itemgetter(-1), group))",
+    ("splitting", "map(last(state), map(operator.itemgetter(0), group))",
+     "map(last(state), map(operator.itemgetter(-1), group))",
      ["tests/test_prefix_splitter.py::test_a_full_scan_inserts_each_live_prefix_once",
       "tests/test_quotient_step.py::test_a_full_generic_scan_builds_one_quotient_per_live_head"]
      + _ids("test_packed_kernel.py", "test_packed_kernel_matches_generic_on_random_instances",
@@ -195,6 +195,21 @@ MUTANTS = [
             (3, 4, 5, 7, 8, 9))
      + _ids("test_quotient_step.py", "test_the_quotient_step_agrees_with_elimination_from_scratch",
             ("3-2-3", "5-2-2", "8-2-2"))),
+    # the F_2 reduction loop writing into the basis it was given: a
+    # head's state then grows the shared empty basis, and each test the
+    # head's state
+    ("splitting", "basis = pivots[:]", "basis = pivots",
+     ["tests/test_prefix_splitter.py::test_a_full_scan_inserts_each_live_prefix_once"]
+     + _ids("test_packed_kernel.py", "test_packed_kernel_matches_generic_on_random_instances",
+            ("1-3", "2-2", "2-3", "3-2"))
+     + _ids("test_prefix_splitter.py", "test_shared_state_changes_no_answer", ("2-1-3", "2-2-2"))),
+    # conjugation by P taken as X -> P X P instead of P X P**-1
+    ("linalg", "P.inverse().rows", "P.rows",
+     _ids("test_conjugacy.py", "test_union_find_oracle_reproduces_the_classes_at_m_2",
+          (2, 3, 4, 5, 7, 8, 9))
+     + _ids("test_conjugacy.py", "test_union_find_oracle_reproduces_the_classes_at_m_3", (3,))
+     + _ids("test_conjugacy.py",
+            "test_union_find_oracle_reproduces_the_classes_over_a_random_modulus", (4, 8, 9))),
 ]
 
 

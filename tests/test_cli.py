@@ -2,12 +2,13 @@
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitlab import lfsr, splitting
+from splitlab import lfsr, polys, splitting
 from splitlab.cli import main
-from splitlab.verify import statement_ids
+from splitlab.verify import _REGISTRY, statement_ids
 
 
 def run(capsys, *argv):
@@ -367,6 +368,25 @@ def test_bad_inputs_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error:") and "bound is" in err, argv
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (-1, -2)])
+def test_a_bad_shape_is_refused_before_any_irreducible_scan(capsys, monkeypatch, m, n):
+    """Every (q, m, n) statement and fiber-census refuse m < 1 or n < 1
+    with one message, before PFC, IFC, CHAIN or fiber-census scan the
+    irreducibles of degree mn (at m = -1, n = -2 that degree is 2)."""
+    scanned = []
+    monkeypatch.setattr(polys, "_irreducibles", lambda ctx, k: scanned.append(k) or ())
+    statements = [sid for sid in statement_ids() if _REGISTRY[sid][1] == ("q", "m", "n")]
+    assert {"SSC", "PVRC", "BCSCC", "PFC", "IFC", "CHAIN"} <= set(statements)
+    message = f"error: need m >= 1 and n >= 1, got m={m}, n={n}\n"
+    for statement in statements:
+        argv = ("verify", "--statement", statement, "--grid", f"2,{m},{n}")
+        assert run(capsys, *argv) == (3, "", message), argv
+    for flag in ("--all-irreducible", "--all-primitive"):
+        argv = ("fiber-census", "--q", "2", f"--m={m}", f"--n={n}", flag)
+        assert run(capsys, *argv) == (3, "", message), argv
+    assert scanned == []
 
 
 def test_usage_errors_exit_3(capsys):

@@ -1,12 +1,13 @@
 """The splitting walk groups the candidates by head, their rows after
-the first, keeps the echelon states of the previous head's row prefixes
-and tests each first row under a live head with one call.  That shared
-state changes no answer: in every call order the walk's verdicts agree
-with each candidate walked alone, over F_2 and over q in {3, 4, 5, 9}
-with random moduli, generators and endomorphisms.  And the sharing
-happens: a full scan inserts each live head prefix once, tests each
-candidate under a live head once and none under a dead head, and pulls
-every candidate from linalg.enumerate_subspaces."""
+the first, builds one state per head in one call and tests each first
+row under a live head with one call.  That shared state changes no
+answer: in every call order the walk's verdicts agree with each
+candidate walked alone, over F_2 and over q in {3, 4, 5, 9} with random
+moduli, generators and endomorphisms.  And the sharing happens: a full
+scan builds one state per run of candidates sharing their head, at
+m = 2 and at m = 3, where a head has two rows, tests each candidate
+under a live head once and none under a dead head, and pulls every
+candidate from linalg.enumerate_subspaces."""
 
 import itertools
 import random
@@ -26,7 +27,10 @@ from splitlab import (
     ssc_formula,
 )
 from splitlab import linalg, splitting
-from sampling import random_base, random_instance, random_matrix, random_nilpotent, random_singular
+from sampling import (
+    random_base, random_instance, random_matrix, random_nilpotent, random_singular,
+    splits_by_stacking,
+)
 
 # (q, m, n): every q with shapes whose full scan stays small
 POINTS = [
@@ -143,71 +147,70 @@ def test_direct_bases_scan_agrees_with_the_product_route(q, m, n):
 
 
 def walked_rows(monkeypatch, scan):
-    """scan(), the rows the walk inserts into head states and the first
-    rows it tests while scan runs."""
+    """scan(), the heads whose states the walk builds and the first rows
+    it tests while scan runs."""
     steps = splitting._steps
-    inserted, tested = [], []
+    built, tested = [], []
 
     def counting_steps(ctx, powers):
-        insert, last, empty = steps(ctx, powers)
+        head_state, last = steps(ctx, powers)
 
-        def counting_insert(state, row):
-            inserted.append(row)
-            return insert(state, row)
+        def counting_head_state(head):
+            built.append(head)
+            return head_state(head)
 
         def counting_last(state):
             test = last(state)
             return lambda row: tested.append(row) or test(row)
 
-        return counting_insert, counting_last, empty
+        return counting_head_state, counting_last
 
     with monkeypatch.context() as patch:
         patch.setattr(splitting, "_steps", counting_steps)
         result = scan()
-    return result, inserted, tested
+    return result, built, tested
 
 
 def live_heads(base, powers, m):
-    """The head prefixes a walk inserts, the number of candidates whose
-    head splits, and the row count an elimination from scratch would
-    insert, stopping at each candidate's first dependent row.
+    """The heads a walk builds and the first rows it tests in a full
+    scan, in scan order: one head, rows[1:], per run of candidates
+    sharing it, and a candidate's first row when its head's rows have
+    independent translates (the stacking oracle)."""
+    candidates = [W.rows for W in enumerate_subspaces(base, m * len(powers), m)]
+    heads = [head for head, _ in itertools.groupby(rows[1:] for rows in candidates)]
+    live = {head for head in heads if splits_by_stacking(base, powers, head)}
+    return heads, [rows[0] for rows in candidates if rows[1:] in live]
 
-    Each candidate is read in walk order, its head rows[1:] and then
-    rows[0].  A prefix order[:j] of the head is inserted when its rows
-    before the last split and it differs from the same prefix of the
-    previous candidate in scan order, whose state the walk still
-    holds."""
-    splits = splitting._splitter(base, powers)
-    prefixes, previous = [], ()
-    under_live = from_scratch = 0
+
+def from_scratch(base, powers, m):
+    """The row count an elimination from scratch would insert in a full
+    scan, reading each candidate in walk order (rows[1:], then rows[0])
+    and stopping at its first dependent row."""
+    total = 0
     for W in enumerate_subspaces(base, m * len(powers), m):
         order = W.rows[1:] + W.rows[:1]
-        depth = next((j for j in range(1, m + 1) if not splits(order[:j])), m)
-        prefixes += [order[:j] for j in range(1, min(depth, m - 1) + 1)
-                     if order[:j] != previous[:j]]
-        previous = order
-        under_live += depth == m
-        from_scratch += depth
-    return prefixes, under_live, from_scratch
+        total += next((j for j in range(1, m + 1)
+                       if not splits_by_stacking(base, powers, order[:j])), m)
+    return total
 
 
 def test_a_full_scan_inserts_each_live_prefix_once(monkeypatch):
-    """SSC (2,2,3): the walk inserts one row per head, a run of
+    """SSC (2,2,3): the walk builds one state per head, a run of
     candidates sharing their second row, and tests each candidate's
     first row once, not every row of every candidate."""
     inst = split_instance(2, 2, 3)
-    report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
+    report, built, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(2, 2, 3)
-    prefixes, under_live, from_scratch = live_heads(inst.base, inst.mats, 2)
+    heads, under_live = live_heads(inst.base, inst.mats, 2)
     # every nonzero w gives independent w, w alpha, w alpha^2, so every head
-    # is live: one insertion per (pivot profile, second row), which is sum
+    # is live: one build per (pivot profile, second row), which is sum
     # over p1 of p1 profiles times 2**(5 - p1) rows, less one because the
     # last two profiles (3, 5) and (4, 5) share the head e_5 back to back;
     # and one test per candidate, [6, 2]_2 = 651
-    heads = sum(p1 * 2 ** (5 - p1) for p1 in range(1, 6)) - 1
-    assert len(inserted) == len(prefixes) == heads == 56
-    assert len(tested) == under_live == 651
-    assert from_scratch == 2 * 651
+    runs = sum(p1 * 2 ** (5 - p1) for p1 in range(1, 6)) - 1
+    assert built == heads and len(heads) == runs == 56
+    assert tested == under_live and len(tested) == 651
+    assert from_scratch(inst.base, inst.mats, 2) == 2 * 651
 
 
 def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
@@ -219,29 +222,57 @@ def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
     T = Matrix(F2, [[1 if j == i + 1 and i % 3 < 2 else 0 for j in range(6)]
                     for i in range(6)])
     powers = splitting._powers(T, 2, 3)
-    count, inserted, tested = walked_rows(monkeypatch, lambda: count_T_splitting(T, 2, 3))
+    count, built, tested = walked_rows(monkeypatch, lambda: count_T_splitting(T, 2, 3))
     candidates = [W.rows for W in enumerate_subspaces(F2, 6, 2)]
     assert count == sum(splitting._splitter(F2, powers)(rows) for rows in candidates)
-    prefixes, under_live, from_scratch = live_heads(F2, powers, 2)
-    dead_heads = {rows for rows in prefixes if not splitting._splitter(F2, powers)(rows)}
+    heads, under_live = live_heads(F2, powers, 2)
+    dead_heads = {head for head in heads if not splits_by_stacking(F2, powers, head)}
     assert len(dead_heads) > 1
     assert count > 0
-    assert len(inserted) == len(prefixes)
-    assert len(tested) == under_live < len(candidates)
-    assert len(inserted) + len(tested) < from_scratch
+    assert built == heads
+    assert tested == under_live and len(tested) < len(candidates)
+    assert sum(map(len, built)) + len(tested) < from_scratch(F2, powers, 2)
 
 
 def test_the_direct_route_varies_the_tested_row_fastest(monkeypatch):
     """count_splitting_bases(..., "direct") at (2,2,2) walks the 16**2
     ordered pairs with the first row varying fastest, so the head, the
-    second row, changes 16 times: one insertion per value of it, the
-    zero row's dead, and one test per pair under the 15 live heads."""
+    second row, changes 16 times: one build per value of it, the zero
+    row's dead, and one test per pair under the 15 live heads."""
     inst = split_instance(2, 2, 2)
-    count, inserted, tested = walked_rows(
+    count, built, tested = walked_rows(
         monkeypatch, lambda: count_splitting_bases(inst, "direct"))
     assert count == count_splitting_bases(inst, "product")
-    assert len(inserted) == 2 ** 4
+    assert len(built) == 2 ** 4
     assert len(tested) == 15 * 2 ** 4
+
+
+@pytest.mark.parametrize("q, nilpotent", [(2, False), (3, False), (2, True)])
+def test_a_two_row_head_is_built_once_per_run(monkeypatch, q, nilpotent):
+    """At m = 3 a head is two rows, and consecutive heads often share
+    their first: SSC (2,3,2) and (3,3,2) under a random generator, and
+    (2,3,2) under a random nilpotent T, which kills more heads.  The walk
+    builds one state per run of equal rows[1:] in scan order, tests each
+    candidate's first row under a live head once, in scan order, and
+    none under a dead head."""
+    m, n = 3, 2
+    rng = random.Random(f"prefix/heads/{q},{nilpotent}")
+    base = random_base(q, rng)
+    inst = random_instance(base, m, n, rng)
+    T = random_nilpotent(base, m * n, rng) if nilpotent else inst.mats[1]
+    powers = splitting._powers(T, m, n)
+    count, built, tested = walked_rows(monkeypatch, lambda: count_T_splitting(T, m, n))
+    heads, under_live = live_heads(base, powers, m)
+    assert built == heads
+    assert any(a[0] == b[0] for a, b in zip(heads, heads[1:]))
+    assert tested == under_live
+    dead = [head for head in heads if not splits_by_stacking(base, powers, head)]
+    total = linalg.gaussian_binomial(m * n, m, q)
+    assert dead and len(tested) < total
+    candidates = [W.rows for W in enumerate_subspaces(base, m * n, m)]
+    assert count == sum(splits_by_stacking(base, powers, rows) for rows in candidates)
+    if not nilpotent:
+        assert count == ssc_formula(q, m, n)
 
 
 # (q, m, n) with m >= 2, so every scan has heads to walk

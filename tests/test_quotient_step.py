@@ -172,9 +172,9 @@ def test_a_full_generic_scan_builds_one_quotient_per_live_head(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
     monkeypatch.setattr(splitting, "_quotient_columns", counting_columns)
     tables = counting_spans(monkeypatch)
-    report, inserted, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
+    report, built, tested = walked_rows(monkeypatch, lambda: count_splitting(inst))
     assert report.brute == ssc_formula(3, 2, 2) == 90
-    assert (len(inserted), len(tested)) == (runs, 130)
+    assert (len(built), len(tested)) == (runs, 130)
     # each head's translates, into the empty basis, and nothing else
     assert eliminations == [(0, 4)] * runs
     # one span build per value of a quotient matrix's first row: the
@@ -206,7 +206,7 @@ def test_only_a_nonempty_head_keeps_its_prefixes(monkeypatch, m, n, candidate):
 
     def counting_insert(ctx, echelon, rows):
         rows = list(rows)
-        widths.append(len(rows[0]))
+        widths.extend(map(len, rows[:1]))
         return echelon_insert(ctx, echelon, rows)
 
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
