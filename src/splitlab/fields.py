@@ -388,11 +388,18 @@ class TowerCtx:
         self.defining_poly = defining_poly
         self.zero = (base.zero,) * d
         self.one = (base.one,) + (base.zero,) * (d - 1)
-        x = polys.Poly.x(base)
-        self._red = tuple(
-            self._pad(polys.pow_mod(x, d + t, defining_poly).coeffs)
-            for t in range(d - 1)
-        )
+        # x**(d+t) mod f for t < d - 1: x**d is minus f's low
+        # coefficients (f is monic), and each next row is the one before
+        # it times x: shifted up, with its lead, which the shift takes to
+        # x**d, times x**d mod f added back
+        add, mul = base.add, base.mul
+        top = tuple(map(base.neg, defining_poly.coeffs[:d]))
+        red = [top]
+        for _ in range(d - 2):
+            row = red[-1]
+            lead = row[-1]
+            red.append(tuple(add(a, mul(lead, b)) for a, b in zip((base.zero, *row[:-1]), top)))
+        self._red = tuple(red[: d - 1])
         if d == 1:
             self._alpha_raw = (base.neg(defining_poly.coeffs[0]),)
         else:

@@ -492,10 +492,11 @@ def fiber_count(f: polys.Poly, m: int, n: int) -> int:
     """Number of (m, n) block companion matrices whose characteristic
     polynomial is the monic irreducible degree-mn polynomial f, by the
     bridge: the ordered splitting-basis count of the tower defined by f,
-    by the product route (its subspaces scanned, never its tuples), over
-    the number of nonzero tower elements; building that tower rejects a
-    reducible f.  fiber_histogram scans every fiber; nofiber_formula is
-    the closed form for irreducible f."""
+    by the product route (only its subspaces through 1 scanned and
+    rescaled, never its tuples), over the number of nonzero tower
+    elements; building that tower rejects a reducible f.
+    fiber_histogram scans every fiber; nofiber_formula is the closed
+    form for irreducible f."""
     _check_fiber_poly(f, m, n)
     q = f.ctx.size
     tower = fields.build_extension(f.ctx, m * n, f)

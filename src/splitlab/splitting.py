@@ -22,17 +22,23 @@ from the translates of all its rows (rejecting at once every candidate
 under a dependent head), and tests each first row against that state
 with one call that leaves it as it is.  Every candidate is still
 tested, once, and the subspace scans pull every one from
-linalg.enumerate_subspaces.  _steps picks the head and test steps once
-per scan.  Over F_2 they are packed: a state is an int echelon basis,
+linalg.enumerate_subspaces.  Where the instance's T multiplies by a
+generator, a scan can take only the subspaces through 1 = e_0 and
+rescale (_count_through_one): multiplication by a nonzero element
+commutes with T, so every nonzero point lies on as many splitting
+subspaces as 1, and the count is that number times
+(q^mn - 1)/(q^m - 1).  _steps picks the head and test steps once per
+scan.  Over F_2 they are packed: a state is an int echelon basis,
 one reduction loop builds and tests, and a row's translates are
 bitmasks, one XOR of row images, kept per row value under a nonempty
-head.  Elsewhere a head's rows stack their images under columns of the
-powers taken once per scan, once per row value, into one
-linalg._echelon_insert, the generic elimination the tests check the
-packed one against, and the head's state is the columns of the
-quotient F_q^{mn}/U of its span U (_quotient_columns), built once per
-live head: a tested row splits exactly when its n translates are
-independent in that quotient, an n x n matrix against those columns.  Over fields whose byte lanes
+head, unless the scan has one head.  Elsewhere a head's rows stack
+their images under columns of the powers taken once per scan, once
+per row value, into one linalg._echelon_insert, the generic
+elimination the tests check the packed one against, and the head's
+state is the columns of the quotient F_q^{mn}/U of its span U
+(_quotient_columns), built once per live head: a tested row splits
+exactly when its n translates are independent in that quotient, an
+n x n matrix against those columns.  Over fields whose byte lanes
 cannot carry (_lane_last) that matrix is one packed sum of per-head
 lane tables.  Under a nonempty head it has full rank exactly when its
 first n - 1 rows are independent and its last row lies outside their
@@ -40,14 +46,17 @@ span: one lookup of those rows' bytes in a memo kept per scan, which
 gives the span as a set of digit-byte vectors, or None when the rows
 are dependent, and one membership test of the last row's bytes
 (_span_memos, each span built once, a row at a time).  Under the empty
-head (m = 1), where those rows never repeat, and over wider fields and
-towers the matrix is eliminated whole.
+head (m = 1) and under the one head (e_0,) of a scan through 1 at
+m = 2, where those rows never repeat, and over wider fields and towers
+the matrix is eliminated whole, and no memo is kept: the walk keeps a
+memo only where its keys can repeat.
 count_splitting, count_pointed, pointed_consistency, count_T_splitting,
-weak_ssc_check, the product ordered-basis route, the fiber bridge's,
-and the direct ordered-basis route over every tuple all count through
-the walk; is_alpha_splitting and is_T_splitting answer through
-_splitter, the walk of one candidate.  The closed forms never call
-either.
+weak_ssc_check and the direct ordered-basis route over every tuple
+scan every subspace or tuple through the walk; the product
+ordered-basis route, the fiber bridge's, scans the subspaces through 1,
+as verify's SSC, LOWER_BOUND and M2_THEOREM do; is_alpha_splitting and
+is_T_splitting answer through _splitter, the walk of one candidate.
+The closed forms never call either.
 
 Scan results are exact.  The splitting subspace count ssc_formula holds
 for all (q, m, n) (Chen and Tseng, "The splitting subspace conjecture",
@@ -196,7 +205,7 @@ def _splitter(ctx, powers):
     return splits
 
 
-def _verdicts(ctx, powers, candidates):
+def _verdicts(ctx, powers, candidates, one_head=False):
     """Yield, for each candidate in turn (a tuple of rows, each a tuple
     of raw scalars), whether its rows and their translates under
     powers = (T^0, ..., T^(n-1)) are independent.  Every candidate is
@@ -210,8 +219,10 @@ def _verdicts(ctx, powers, candidates):
     live head every first row, the widest one, is one call of the test
     last(state) builds, which leaves the state as it is; under a dead
     head, whose state is None, every candidate is rejected without a
-    test.  Row order never changes a verdict."""
-    head_state, last = _steps(ctx, powers)
+    test.  Row order never changes a verdict.  one_head says that every
+    candidate of the scan shares one head, so that no tested row and no
+    quotient prefix repeats: _steps then keeps no memo of either."""
+    head_state, last = _steps(ctx, powers, one_head)
     for head, group in itertools.groupby(candidates, operator.itemgetter(slice(1, None))):
         state = head_state(head)
         if state is None:
@@ -221,7 +232,7 @@ def _verdicts(ctx, powers, candidates):
             yield from map(last(state), map(operator.itemgetter(0), group))
 
 
-def _steps(ctx, powers):
+def _steps(ctx, powers, one_head):
     """(head_state, last) for _verdicts, built once per scan: the one
     place the scan route stacks translates.  head_state(head) returns
     the state of a head's rows, built in one call from the n translates
@@ -235,10 +246,10 @@ def _steps(ctx, powers):
     bit h - 1.  images[j] stacks e_j T^0, ..., e_j T^(n-1) as bitmasks
     (e_j T^k from bit k*width), so a row's n translates are one XOR of
     the images at its nonzero coordinates, split once per row value and
-    kept for the scan, but not under the empty head (m = 1), whose rows
-    never repeat.  One reduction loop builds and tests: it reduces
-    vectors into a copy of a basis, the empty one for a head and the
-    head's for a tested row.
+    kept for the scan, but not under the empty head (m = 1) nor in a
+    scan with one head, whose tested rows never repeat.  One reduction
+    loop builds and tests: it reduces vectors into a copy of a basis,
+    the empty one for a head and the head's for a tested row.
 
     Elsewhere a state is the columns _quotient_columns gives for the
     head's span U, after one linalg._echelon_insert, the generic
@@ -252,8 +263,9 @@ def _steps(ctx, powers):
     Over a field whose lane sums cannot carry, _lane_last computes that
     matrix as one packed sum and, under a nonempty head, tests its last
     row against the memoized span of its first n - 1 rows; over other
-    fields and over towers each row costs n * d dots, and there and
-    under the empty head one elimination of the matrix."""
+    fields and over towers each row costs n * d dots, and there, under
+    the empty head and in a scan with one head one elimination of the
+    matrix."""
     width, n = powers[0].nrows, len(powers)
     if not (isinstance(ctx, fields.FieldCtx) and ctx.size == 2):
         dot = ctx.dot
@@ -267,7 +279,7 @@ def _steps(ctx, powers):
             return None if echelon is None else _quotient_columns(ctx, powers, echelon)
 
         if isinstance(ctx, fields.FieldCtx) and width * (ctx.p - 1) < 256:
-            return head_state, _lane_last(ctx, powers)
+            return head_state, _lane_last(ctx, powers, one_head)
 
         def last_generic(quotient):
             def splits(w) -> bool:
@@ -288,7 +300,7 @@ def _steps(ctx, powers):
         stack = reduce(xor, compress(images, row), 0)
         return tuple((stack >> (k * width)) & mask for k in range(n))
 
-    memo = _Table(split)
+    memo = split if one_head else _Table(split).__getitem__
 
     def reduced(pivots, vectors):
         basis = pivots[:]
@@ -305,10 +317,10 @@ def _steps(ctx, powers):
         return basis
 
     def head_state(head):
-        return reduced(empty, itertools.chain.from_iterable(map(memo.__getitem__, head)))
+        return reduced(empty, itertools.chain.from_iterable(map(memo, head)))
 
     def last(pivots):
-        translates = memo.__getitem__ if any(pivots) else split
+        translates = memo if any(pivots) else split
 
         def splits(row) -> bool:
             return reduced(pivots, translates(row)) is not None
@@ -366,7 +378,7 @@ class _Table(dict):
         return value
 
 
-def _lane_last(ctx, powers):
+def _lane_last(ctx, powers, one_head):
     """last(quotient) for the generic walk over a FieldCtx F_{p^e} with
     width * (p - 1) < 256, built once per scan, quotient a head's state:
     the columns _quotient_columns gives for its span.
@@ -383,8 +395,9 @@ def _lane_last(ctx, powers):
     a nonempty head the test is one lookup of the bytes of those rows in
     the scan's span memo (_span_memos) and one membership test of the
     last row's bytes in the span it returns.  Under the empty head
-    (m = 1) the first row is w itself, so within a scan no prefix
-    repeats: there the n x n matrix is eliminated whole by
+    (m = 1) the first row is w itself, and in a scan with one head
+    (one_head) every w is another row, so within such a scan no prefix
+    repeats: there the n x d matrix is eliminated whole by
     linalg.rows_are_independent, which builds no span.  A head packs
     lanes[j][c] on first use, and digits and codes are converted on
     first use, so no table grows with q up front."""
@@ -398,6 +411,7 @@ def _lane_last(ctx, powers):
     def last(quotient):
         d = len(quotient[0])
         size, cut = n * d * e, (n - 1) * d * e
+        whole = one_head or d == width
         span_of = memos[d].__getitem__
         lanes = []
         for j in range(width):
@@ -407,7 +421,7 @@ def _lane_last(ctx, powers):
 
         def splits(w) -> bool:
             mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
-            if d == width:
+            if whole:
                 flat = decode(mat)
                 return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
             span = span_of(mat[:cut])
@@ -502,6 +516,33 @@ def _count_scan(ctx, powers, m: int) -> int:
     T, given powers = (T^0, ..., T^(n-1))."""
     candidates = linalg.enumerate_subspaces(ctx, m * len(powers), m)
     return sum(_verdicts(ctx, powers, map(operator.attrgetter("rows"), candidates)))
+
+
+def _count_through_one(ctx, powers, m: int) -> int:
+    """The number of m-dimensional subspaces that split with respect to
+    T, given powers = (T^0, ..., T^(n-1)) for T the matrix of
+    multiplication by a generator alpha of a tower, from a scan of the
+    [mn - 1, m - 1]_q subspaces through 1 = e_0 alone.
+
+    Multiplication by a nonzero beta of the tower commutes with alpha,
+    so it maps the splitting subspaces through x to those through
+    beta x: every nonzero point lies on the same number pi of them, and
+    counting the pairs (nonzero point, splitting subspace) both ways
+    gives pi * (q^mn - 1) / (q^m - 1).  A subspace holds e_0 exactly
+    when it is <e_0> + W' for one (m - 1)-dimensional W' of coordinates
+    1, ..., mn - 1: an echelon basis of linalg.enumerate_subspaces(ctx,
+    mn - 1, m - 1) with a zero coordinate put in front of each row.  The
+    walk takes (W' row 0, e_0, W' rows 1, ...), so e_0 leads every head
+    and W''s widest row is the tested one; at m = 1 the one candidate
+    is (e_0,).  At m = 2 the scan has one head, (e_0,), under which no
+    tested row repeats, so the walk keeps no memo (one_head)."""
+    width, q, zero = m * len(powers), ctx.size, ctx.zero
+    e0 = (ctx.one,) + (zero,) * (width - 1)
+    candidates = linalg.enumerate_subspaces(ctx, width - 1, m - 1)
+    padded = (tuple((zero, *row) for row in W.rows) for W in candidates)
+    through_one = ((*rows[:1], e0, *rows[1:]) for rows in padded)
+    pointed = sum(_verdicts(ctx, powers, through_one, m <= 2))
+    return pointed * (q**width - 1) // (q**m - 1)
 
 
 class SplitInstance:
@@ -698,15 +739,16 @@ def count_splitting_bases(inst: SplitInstance, method: str) -> int:
 
     The direct route scans all q**(m*n*m) tuples, the reference of
     SPLITANDBASES and NOBASES; the product route, the fiber bridge's,
-    multiplies the scanned subspace count by |GL_m| (each splitting
-    subspace contributes one tuple per ordered basis).  The scan bound
-    refuses a route, it never picks one.
+    multiplies the subspace count by |GL_m| (each splitting subspace
+    contributes one tuple per ordered basis), scanning only the
+    subspaces through 1 and rescaling (_count_through_one).  The scan
+    bound refuses a route, it never picks one.
     """
     if method not in {"direct", "product"}:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
     if method == "product":
-        return _count_scan(inst.base, inst.mats, inst.m) * linalg.gl_order(m, q)
+        return _count_through_one(inst.base, inst.mats, m) * linalg.gl_order(m, q)
     config.check_scan((q ** (m * n)) ** m, "ordered basis scan")
     vecs = [e.raw for e in inst.tower.elements()]
     # product varies the last position fastest; the walk tests the first

@@ -54,7 +54,7 @@ MUTANTS = [
      "    candidates = itertools.chain.from_iterable(\n"
      "        map(linalg.enumerate_subspaces, [ctx], [m * len(powers)], [m])\n    )\n",
      _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
-          ("count_splitting-cold", "count_splitting-warm", "fiber_count-cold", "fiber_count-warm"))),
+          ("count_splitting-cold", "count_splitting-warm"))),
     ("splitting", "itertools.tee(linalg.enumerate_subspaces(ctx, m * len(powers), m))",
      "itertools.tee(itertools.chain.from_iterable(\n"
      "        map(linalg.enumerate_subspaces, [ctx], [m * len(powers)], [m])\n    ))",
@@ -76,7 +76,7 @@ MUTANTS = [
           ("count_splitting_bases-cold", "count_splitting_bases-warm"))),
     # the lane test's prefix memo kept under the empty head, where the
     # matrix is eliminated whole, and never kept
-    ("splitting", "            if d == width:\n", "            if False:\n",
+    ("splitting", "        whole = one_head or d == width\n", "        whole = False\n",
      _ids("test_quotient_step.py", "test_only_a_nonempty_head_keeps_its_prefixes",
           ("1-3-candidate0",))
      + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test",
@@ -210,6 +210,46 @@ MUTANTS = [
      + _ids("test_conjugacy.py", "test_union_find_oracle_reproduces_the_classes_at_m_3", (3,))
      + _ids("test_conjugacy.py",
             "test_union_find_oracle_reproduces_the_classes_over_a_random_modulus", (4, 8, 9))),
+    # the count through 1 enumerated lazily: _verdicts entered before
+    # check_scan
+    ("splitting", "    candidates = linalg.enumerate_subspaces(ctx, width - 1, m - 1)\n",
+     "    candidates = itertools.chain.from_iterable(\n"
+     "        map(linalg.enumerate_subspaces, [ctx], [width - 1], [m - 1])\n    )\n",
+     _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
+          ("fiber_count-cold", "fiber_count-warm"))),
+    # the pointed scan's candidates with e_0 after the head rows, the
+    # rescale's q**m taken as q, and the zero coordinate appended to
+    # the rows of W' instead of put in front
+    ("splitting", "(*rows[:1], e0, *rows[1:])", "(*rows, e0)",
+     _ids("test_through_one.py", "test_e0_leads_every_head_and_the_widest_row_is_tested",
+          ("2-3-2", "3-3-2", "4-3-1"))),
+    ("splitting", "pointed * (q**width - 1) // (q**m - 1)", "pointed * (q**width - 1) // (q - 1)",
+     _ids("test_through_one.py", "test_the_count_through_one_is_the_full_count",
+          ("2-2-2", "3-2-2", "2-3-2", "9-2-2"))),
+    # (at m = 2 an appended zero walks each plane through e_0 inside the
+    # hyperplane x_(mn-1) = 0 once per line of it other than <e_0>, q
+    # times, and at (2,2,3) and (3,2,2) that count comes out right)
+    ("splitting", "tuple((zero, *row) for row in W.rows)", "tuple((*row, zero) for row in W.rows)",
+     _ids("test_through_one.py", "test_the_count_through_one_is_the_full_count",
+          ("2-2-4", "2-3-2", "3-3-2", "9-2-2"))
+     + _ids("test_through_one.py", "test_e0_leads_every_head_and_the_widest_row_is_tested",
+            ("2-2-3", "3-2-2"))),
+    # the memos kept under the one head of a pointed m = 2 scan: the
+    # F_2 translates per tested row, and the lane test's span memo
+    ("splitting", "memo = split if one_head else _Table(split).__getitem__",
+     "memo = _Table(split).__getitem__",
+     _ids("test_through_one.py", "test_only_scans_where_rows_repeat_keep_their_memos",
+          ("through_one-2-3-2",))
+     + _ids("test_through_one.py", "test_a_pointed_plane_scan_stays_small", ("2-8",))),
+    ("splitting", "whole = one_head or d == width", "whole = d == width",
+     _ids("test_through_one.py", "test_only_scans_where_rows_repeat_keep_their_memos",
+          ("through_one-2-3-3",))
+     + _ids("test_through_one.py", "test_a_pointed_plane_scan_stays_small", ("3-5",))),
+    # a tower's reduction rows shifted up by x without the lead's
+    # reduction
+    ("fields", "add(a, mul(lead, b))", "a",
+     _ids("test_fields.py", "test_tower_reduction_rows_match_pow_mod_on_random_moduli",
+          (2, 3, 4, 5, 7, 8, 9))),
 ]
 
 

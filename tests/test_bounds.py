@@ -62,8 +62,9 @@ CASES = (
      ScanBoundExceeded, (splitting, "_verdicts")),
     ("count_pointed", lambda: count_pointed(INST, INST.tower.alpha), 34,
      ScanBoundExceeded, (splitting, "_verdicts")),
-    # the bridge scans the 35 subspaces of the tower x**4 + x + 1 defines
-    ("fiber_count", lambda: lfsr.fiber_count(X4, 2, 2), 34,
+    # the bridge scans the [3, 1]_2 = 7 planes through 1 of the tower
+    # x**4 + x + 1 defines
+    ("fiber_count", lambda: lfsr.fiber_count(X4, 2, 2), 6,
      ScanBoundExceeded, (splitting, "_verdicts")),
     ("q_totient", lambda: q_totient(X4, "brute"), 15,
      ScanBoundExceeded, (polys, "gcd")),

@@ -468,9 +468,10 @@ def test_verify_csv_has_no_status_column(capsys):
 def test_verify_text_has_no_status_word(capsys):
     code, out, _ = run(capsys, *_M3_GRID, "--format", "text")
     assert code == 0
+    note = "  [subspaces through 1, scaled by (q^mn - 1)/(q^m - 1)]"
     assert out.splitlines()[1:] == [
-        "  (2,1,2): brute=3 formula=3 match",
-        "  (2,3,2): brute=576 formula=576 match",
+        "  (2,1,2): brute=3 formula=3 match" + note,
+        "  (2,3,2): brute=576 formula=576 match" + note,
     ]
     assert "status" not in out and "proved" not in out
 
@@ -533,8 +534,9 @@ _LITERALS = st.one_of(
     text=_LITERALS,
 )
 def test_literal_parsers_never_raise(capsys, monkeypatch, option, statement, text):
-    # a bound of 1 refuses every scan at once, so only the parsing and the
-    # checks before a scan run
+    # a bound of 1 refuses every scan at once but a pointed m = 1 scan,
+    # whose one candidate is (e_0,), so only the parsing, the checks
+    # before a scan and that one candidate run
     monkeypatch.setenv("SPLITLAB_SCAN_BOUND", "1")
     if option == "--grid":
         argv = ("verify", "--statement", statement, "--no-timing", f"--grid={text}")

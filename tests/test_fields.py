@@ -208,6 +208,26 @@ def test_random_moduli_match_the_poly_route():
         check_against_poly_route(ctx, pairs, singles)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_tower_reduction_rows_match_pow_mod_on_random_moduli(q):
+    """A tower's reduction rows, x**(d+t) mod f for t < d - 1, each taken
+    from the one before it by a shift and one reduction by its lead,
+    equal pow_mod's over random bases and random moduli of every degree
+    d <= 8, and so do products of random elements with their Poly
+    route."""
+    rng = random.Random(f"tower/red/{q}")
+    base = random_base(q, rng)
+    x = Poly.x(base)
+    for d in range(1, 9):
+        tower = random_tower(base, d, rng)
+        f = tower.defining_poly
+        assert tower._red == tuple(
+            tower._pad(polys.pow_mod(x, d + t, f).coeffs) for t in range(d - 1))
+        for _ in range(5):
+            a, b = (tuple(rng.randrange(q) for _ in range(d)) for _ in range(2))
+            assert tower.mul(a, b) == tower._pad(((Poly(base, a) * Poly(base, b)) % f).coeffs)
+
+
 def test_random_base_other_refuses_where_no_other_modulus_exists():
     """F_4 has one monic irreducible quadratic over F_2, so asking for
     another raises at once instead of rejecting draws forever; every

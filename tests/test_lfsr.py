@@ -394,8 +394,9 @@ def test_fiber_count_fixtures():
 
 def test_fiber_count_never_enumerates_tuples(monkeypatch):
     """Whatever the scan bound, the bridge scans subspaces, never the
-    q**(m*mn) ordered tuples of tower elements.  [4, 2]_2 = 35 subspaces
-    is all the bound must allow."""
+    q**(m*mn) ordered tuples of tower elements.  A bound of [4, 2]_2 =
+    35 subspaces is enough: the bridge scans the [3, 1]_2 = 7 through
+    1."""
     def no_tuples(self):
         raise AssertionError("the bridge enumerated tower elements")
 

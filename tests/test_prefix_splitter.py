@@ -152,8 +152,8 @@ def walked_rows(monkeypatch, scan):
     steps = splitting._steps
     built, tested = [], []
 
-    def counting_steps(ctx, powers):
-        head_state, last = steps(ctx, powers)
+    def counting_steps(ctx, powers, *one_head):
+        head_state, last = steps(ctx, powers, *one_head)
 
         def counting_head_state(head):
             built.append(head)
@@ -281,10 +281,11 @@ CONTRACT_POINTS = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 2, 2), (9, 2, 2)]
 
 @pytest.mark.parametrize("q, m, n", CONTRACT_POINTS)
 def test_every_scan_draws_and_tests_every_candidate(monkeypatch, q, m, n):
-    """Each scan pulls all [mn, m]_q candidates from
+    """Each full scan pulls all [mn, m]_q candidates from
     linalg.enumerate_subspaces and the walk gives each one verdict, also
     for the zero endomorphism, under which every head is dead, and a
-    random nilpotent one."""
+    random nilpotent one.  The product route pulls the [mn - 1, m - 1]_q
+    subspaces through 1 and walks each once, for the same count."""
     rng = random.Random(f"contract/{q},{m},{n}")
     base = random_base(q, rng)
     inst = random_instance(base, m, n, rng)
@@ -298,8 +299,8 @@ def test_every_scan_draws_and_tests_every_candidate(monkeypatch, q, m, n):
             drawn.append(W)
             yield W
 
-    def counting_walk(ctx, powers, candidates):
-        for verdict in walk(ctx, powers, candidates):
+    def counting_walk(ctx, powers, candidates, *one_head):
+        for verdict in walk(ctx, powers, candidates, *one_head):
             walked.append(verdict)
             yield verdict
 
@@ -312,13 +313,17 @@ def test_every_scan_draws_and_tests_every_candidate(monkeypatch, q, m, n):
         lambda: count_pointed(inst, inst.tower.alpha),
         lambda: count_T_splitting(zero, m, n),
         lambda: count_T_splitting(nilpotent, m, n),
-        lambda: count_splitting_bases(inst, "product"),
     ]
     for scan in scans:
         del drawn[:], walked[:]
-        result, _, tested = walked_rows(monkeypatch, scan)
+        _, _, tested = walked_rows(monkeypatch, scan)
         assert len(drawn) == len(walked) == total, scan
         assert len(tested) <= total
+    del drawn[:], walked[:]
+    result, _, tested = walked_rows(monkeypatch, lambda: count_splitting_bases(inst, "product"))
+    through_one = linalg.gaussian_binomial(size - 1, m - 1, q)
+    assert len(drawn) == len(walked) == through_one
+    assert len(tested) <= through_one
     assert result == count_splitting(inst).brute * linalg.gl_order(m, q)
     # under T = 0 every translate past the first is zero: no head lives
     _, _, tested = walked_rows(monkeypatch, lambda: count_T_splitting(zero, m, n))

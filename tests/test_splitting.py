@@ -368,6 +368,7 @@ SCAN_ROUTE = {
     "_steps",
     "_splitting_scan",
     "_count_scan",
+    "_count_through_one",
     "enumerate_subspaces",
     "rows_are_independent",
     "_echelon_insert",
