@@ -45,7 +45,6 @@ census_singer keeps only the heads with invertible C_0, one det per C_0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -225,35 +224,17 @@ def is_primitive_recurrence(rec: BlockRecurrence) -> bool:
     period of N puts N distinct nonzero vectors in that span, so the
     span is the whole space and T is invertible.
 
-    Over F_{2**e} a state packs into one int, e bits a coordinate (the
-    bits of its code), and v -> vT is F_2-linear on it: row e*i + b of
-    the packed T is y**b times row i of T, y the class of the field's
-    variable, so products are XORs of rows (linalg._packed_product).
-    Over F_p with mn * (p - 1)**2 < 256 rows are bytes of residues and
-    each product is one big-int multiply in byte slots that cannot carry
-    (linalg._slot_product).  Elsewhere each entry is one ctx.dot
-    (linalg._product).
+    The products are the square kernel's (linalg._square_kernel): XORs
+    of packed rows over F_{2**e}, one big-int multiply in byte slots
+    over F_p with mn * (p - 1)**2 < 256, and ctx.dot per entry
+    elsewhere; e_0 is one packed row.
     """
     ctx = rec.ctx
     mn = rec.m * rec.n
     N = ctx.size**mn - 1
-    T = block_companion(rec)
-    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
-        e, mul = ctx.e, ctx.mul
-        rows = T.rows
-        if e > 1:
-            rows = [tuple(mul(1 << b, x) for x in row) for row in rows for b in range(e)]
-        times = linalg._packed_product
-        squares = [[sum(x << e * j for j, x in enumerate(row)) for row in rows]]
-        e0 = [1]
-    elif isinstance(ctx, fields.FieldCtx) and ctx.e == 1 and mn * (ctx.p - 1) ** 2 < 256:
-        times = functools.partial(linalg._slot_product, integers.byte_residues(ctx.p))
-        squares = [list(map(bytes, T.rows))]
-        e0 = [bytes([1]) + bytes(mn - 1)]
-    else:
-        times = functools.partial(linalg._product, ctx, ncols=mn)
-        squares = [T.rows]
-        e0 = [(ctx.one,) + (ctx.zero,) * (mn - 1)]
+    pack, times = linalg._square_kernel(ctx, mn)
+    squares = [pack(block_companion(rec).rows)]
+    e0 = pack([(ctx.one,) + (ctx.zero,) * (mn - 1)])[:1]
     for _ in range(N.bit_length() - 1):
         squares.append(times(squares[-1], squares[-1]))
 

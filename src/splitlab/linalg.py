@@ -2,10 +2,11 @@
 
 Matrices hold raw context scalars and act on row vectors: a vector v is
 mapped to v * M.  Products, vec_mat and char_poly take every entry as
-one ctx.dot; powers square and multiply raw rows.  Two products serve
-the order test of lfsr.is_primitive_recurrence: _packed_product over F_2
-on rows packed into ints, and _slot_product over small odd F_p, one
-big-int multiply in byte slots; _product is the oracle of both.
+one ctx.dot; powers square and multiply raw rows.  The order test of
+lfsr.is_primitive_recurrence and the nilpotent census take their
+products from one choice, _square_kernel: _packed_product over F_{2^e}
+on rows packed into ints, _slot_product over small odd F_p, one big-int
+multiply in byte slots, and _product elsewhere, the oracle of both.
 
 Row reduction has one step, _echelon_insert, which extends an echelon
 basis by more rows without changing it, so the splitting scan can
@@ -591,8 +592,8 @@ def gl_order(m: int, q: int) -> int:
 def count_nilpotent(m: int, q: int, method: str = "closed") -> int:
     """Number of nilpotent m x m matrices over F_q, q a prime power.
 
-    The closed route is q ** (m * (m - 1)); the brute route scans all
-    q ** (m * m) matrices and tests T ** m == 0.
+    The closed route is q ** (m * (m - 1)); the brute route tests
+    T ** m == 0 on all q ** (m * m) matrices (_nilpotent_verdicts).
     """
     if m < 1:
         raise BadArgs(f"matrix size must be >= 1, got {m}")
@@ -602,9 +603,54 @@ def count_nilpotent(m: int, q: int, method: str = "closed") -> int:
     if method == "brute":
         ctx = fields.build_field(p, e)
         config.check_scan(q ** (m * m), "matrix scan")
-        zero_mat = Matrix.zero(ctx, m, m)
-        return sum(1 for mat in enumerate_matrices(ctx, m, m) if mat**m == zero_mat)
+        return sum(_nilpotent_verdicts(ctx, m))
     raise BadArgs(f"unknown method {method!r}")
+
+
+def _nilpotent_verdicts(ctx, m: int) -> Iterator[bool]:
+    """Whether T ** m == 0, for every m x m matrix T over a FieldCtx in
+    enumerate_matrices order.  Each row is packed once by the square
+    kernel (_square_kernel), each matrix is the list of its packed rows,
+    and its m-th power takes m - 1 products; no Matrix is built."""
+    pack, times = _square_kernel(ctx, m)
+    rows = [pack([row]) for row in itertools.product(raw_scalars(ctx), repeat=m)]
+    zero = pack([(ctx.zero,) * m] * m)
+    for choice in itertools.product(rows, repeat=m):
+        T = [x for row in choice for x in row]
+        power = T
+        for _ in range(m - 1):
+            power = times(power, T)
+        yield power == zero
+
+
+def _square_kernel(ctx, n: int):
+    """(pack, times) for the n x n matrices over a context: pack(rows) is
+    a list of raw rows in the kernel's form, and times(A, B) the packed
+    rows of A * B for packed rows A and a packed n x n matrix B.  Row 0
+    of the packed identity is the packed e_0.
+
+    Over F_{2**e} a vector packs into one int, e bits a coordinate (the
+    bits of its code), and v -> vB is F_2-linear on it: a matrix packs
+    as the en rows y**b times row i of B, at e*i + b, y the class of the
+    field's variable, and products are XORs of rows (_packed_product).
+    Over F_p with n * (p - 1)**2 < 256 rows are bytes of residues and
+    each product is one big-int multiply in byte slots that cannot carry
+    (_slot_product).  Elsewhere rows stay raw and each entry is one
+    ctx.dot (_product).  lfsr.is_primitive_recurrence and the nilpotent
+    census take their products here."""
+    if isinstance(ctx, fields.FieldCtx) and ctx.p == 2:
+        e, mul, lshift, shifts = ctx.e, ctx.mul, operator.lshift, range(0, ctx.e * n, ctx.e)
+
+        def pack(rows):
+            if e > 1:
+                rows = [[mul(1 << b, x) for x in row] for row in rows for b in range(e)]
+            return [sum(map(lshift, row, shifts)) for row in rows]
+
+        return pack, _packed_product
+    if isinstance(ctx, fields.FieldCtx) and ctx.e == 1 and n * (ctx.p - 1) ** 2 < 256:
+        return lambda rows: list(map(bytes, rows)), functools.partial(
+            _slot_product, integers.byte_residues(ctx.p))
+    return lambda rows: list(map(tuple, rows)), functools.partial(_product, ctx, ncols=n)
 
 
 def char_poly(mat: Matrix) -> polys.Poly:

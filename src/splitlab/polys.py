@@ -24,11 +24,14 @@ called _coprime, the closed route of q_totient would run the brute
 route's kernel.
 
 The brute routes of coprime_pair_count and q_totient scan raw
-coefficient lists instead: each builds its lists once per scan, by
-ascending code, and tests every pair once with the Euclid kernel
-_coprime, which reduces remainders in place and builds no Poly.  gcd,
-xgcd, factor and the closed forms keep their Poly code and never call
-the kernel, so a scan and its closed form share no code.
+coefficient lists instead, built by ascending code, with the Euclid
+kernel _coprime, which reduces remainders in place and builds no Poly.
+q_totient tests every g once against f.  coprime_pair_count tests each
+monic f2 once against each nonzero residue class r modulo f2, since
+Euclid's first step takes f1 to f1 mod f2, and weighs a coprime r by the
+number of f1 in its class.  gcd, xgcd, factor and the closed forms keep
+their Poly code and never call the kernel, so a scan and its closed form
+share no code.
 """
 
 from __future__ import annotations
@@ -462,10 +465,16 @@ def coprime_pair_count(n1: int, n2: int, ctx, method: str = "closed") -> int:
     """Number of coprime pairs (f1, f2) with f1 nonzero of degree < n1 and
     f2 monic nonzero of degree < n2, for n1 >= n2 >= 1.
 
-    Closed form: q**(n1 + n2 - 1) - 1.  The brute route tests every pair
-    once, f1 by ascending code and f2 by degree then code, with the Euclid
-    kernel _coprime on raw coefficient lists built once per scan; it
-    builds no Poly per pair.
+    Closed form: q**(n1 + n2 - 1) - 1.  The brute route scans residue
+    classes: Euclid's first step on (f1, f2) is f1 mod f2, so a pair's
+    verdict is that of (f2, r) for its residue r, and each r of degree
+    < t = deg f2 is the residue of q**(n1 - t) polynomials f1 of degree
+    < n1.  f2 = 1 is coprime to all q**n1 - 1 nonzero f1; for every
+    other f2, by degree then code, the Euclid kernel _coprime tests
+    (f2, r) once for each nonzero r by ascending code, on raw
+    coefficient lists built once per degree, and weighs a coprime r by
+    q**(n1 - t).  It visits sum_{t < n2} q**(2t) pairs (f2, r), the zero
+    residues and f2 = 1 counted, and builds no Poly per pair.
     """
     if n2 < 1:
         raise BadArgs("n2 must be >= 1")
@@ -475,13 +484,16 @@ def coprime_pair_count(n1: int, n2: int, ctx, method: str = "closed") -> int:
     if method == "closed":
         return q ** (n1 + n2 - 1) - 1
     if method == "brute":
-        config.check_scan(q ** (n1 + n2), "coprime pair census")
-        monics = [
-            list(integers.to_digits(code, q, t)) + [ctx.one]
-            for t in range(n2)
-            for code in range(q**t)
-        ]
-        return sum(_coprime(ctx, f1, f2) for f1 in _nonzero_codes(ctx, n1) for f2 in monics)
+        config.check_scan((q ** (2 * n2) - 1) // (q * q - 1), "coprime pair census")
+        total = q**n1 - 1  # f2 = 1
+        for t in range(1, n2):
+            residues = _nonzero_codes(ctx, t)
+            coprime = 0
+            for code in range(q**t):
+                f2 = list(integers.to_digits(code, q, t)) + [ctx.one]
+                coprime += sum(_coprime(ctx, f2, r) for r in residues)
+            total += coprime * q ** (n1 - t)
+        return total
     raise BadArgs(f"unknown method {method!r}")
 
 

@@ -704,17 +704,61 @@ class PointedReport:
     verdict: str
 
 
+def _point_keys(ctx, m: int, width: int):
+    """(points, zero) for the tally of pointed_consistency: points(W)
+    gives one key per vector of an m-dimensional subspace W of
+    ctx^width, the zero vector's among them, and zero is that key.
+
+    Over a FieldCtx F_{p^e} with m * (p - 1) < 256 a key is the digit
+    bytes of a vector (_codec).  The span of W's rows r_0, ..., r_(m-1)
+    is one int of q**m slots of width * e bytes, the vector
+    sum_i c_i * r_i in slot sum_i c_i * q**i.  placed[r_i, i] holds
+    c * r_i in slot c * q**i for every nonzero scalar c, built once per
+    row value and position, as _span_memos keeps c * row; others[i] has
+    a 1 in every slot whose digit at i is 0, so their product adds
+    c * r_i to every slot whose digit at i is c.  The span takes m
+    products, each digit is a sum of at most m residues, below 256, and
+    one bytes.translate reduces them all.  Elsewhere a key is a tuple
+    of raw scalars from SubspaceBasis.vectors."""
+    if not (isinstance(ctx, fields.FieldCtx) and m * (ctx.p - 1) < 256):
+        return linalg.SubspaceBasis.vectors, (ctx.zero,) * width
+    q, mul, size = ctx.size, ctx.mul, width * ctx.e
+    bits, total = 8 * size, size * q**m
+    mod_p = integers.byte_residues(ctx.p)
+    digits, _ = _codec(ctx)
+    spread = [sum(1 << bits * c * q**i for c in range(q)) for i in range(m)]
+    others = [reduce(operator.mul, spread[:i] + spread[i + 1 :], 1) for i in range(m)]
+    slots = [slice(s, s + size) for s in range(0, total, size)]
+
+    def place(key):
+        row, i = key
+        return sum(
+            int.from_bytes(b"".join([digits[mul(c, x)] for x in row]), "little") << bits * c * q**i
+            for c in range(1, q)
+        )
+
+    placed = _Table(place)
+
+    def points(W):
+        span = sum(map(operator.mul, map(placed.__getitem__, zip(W.rows, range(m))), others))
+        return map(span.to_bytes(total, "little").translate(mod_p).__getitem__, slots)
+
+    return points, bytes(size)
+
+
 def pointed_consistency(inst: SplitInstance) -> PointedReport:
     """Scan once, tally how many splitting subspaces pass through each
-    nonzero point, and check uniformity against the closed form."""
+    nonzero point (_point_keys), and check uniformity against the closed
+    form."""
     q, m, n = inst.q, inst.m, inst.n
     mn = m * n
+    points, zero = _point_keys(inst.base, m, mn)
     hist: Counter = Counter()
     total = 0
     for W in _splitting_scan(inst.base, inst.mats, m):
         total += 1
-        hist.update(W.vectors())
-    del hist[(inst.base.zero,) * mn]
+        hist.update(points(W))
+    del hist[zero]
     uniform = len(hist) == q**mn - 1 and len(set(hist.values())) == 1
     common = next(iter(hist.values())) if uniform else None
     identity_holds = uniform and total * (q**m - 1) == common * (q**mn - 1)

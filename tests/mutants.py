@@ -119,12 +119,12 @@ MUTANTS = [
      _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (4, 5, 7, 8, 9))
      + _ids("test_polys.py", "test_coprime_kernel_edge_cases", (4, 5, 7, 8, 9))
      + ["tests/test_polys.py::test_coprime_kernel_with_non_monic_remainders"]),
-    # a zero divisor read as a unit: every pair counted coprime
+    # a zero divisor read as a unit: every pair counted coprime (the
+    # residue scan meets one only at n2 >= 3)
     ("polys", "return len(b) == 1", "return len(b) <= 1",
      ["tests/test_polys.py::test_coprime_pair_count_closed_matches_brute",
       "tests/test_polys.py::test_q_totient_closed_matches_brute"]
-     + _ids("test_polys.py", "test_coprime_pair_count_closed_matches_brute_over_wide_fields",
-            (4, 9))
+     + _ids("test_polys.py", "test_the_residue_scan_matches_the_pair_scan", (4, 9))
      + _ids("test_polys.py", "test_q_totient_closed_matches_brute_over_wide_fields", (4, 9))
      + _ids("test_polys.py", "test_coprime_kernel_matches_gcd_on_random_pairs", (2, 9))),
     # the walk testing the last row under the head rows[1:], which holds
@@ -172,15 +172,16 @@ MUTANTS = [
           (3, 5, 7, 11, 13))
      + _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers",
             ("3-1-2-False", "5-2-1-False", "7-1-3-False"))),
-    ("lfsr", "mn * (ctx.p - 1) ** 2 < 256", "mn * (ctx.p - 1) ** 2 <= 256",
+    ("linalg", "n * (ctx.p - 1) ** 2 < 256", "n * (ctx.p - 1) ** 2 <= 256",
      _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers", ("17-1-1-False",))
      + _ids("test_lfsr.py", "test_the_order_test_squares_in_byte_slots_below_the_bound",
             ("17-1-1-False",))),
-    ("lfsr", "ctx.e == 1 and mn * (ctx.p - 1) ** 2", "mn * (ctx.p - 1) ** 2",
+    ("linalg", "ctx.e == 1 and n * (ctx.p - 1) ** 2", "n * (ctx.p - 1) ** 2",
      _ids("test_lfsr.py", "test_order_on_one_vector_equals_matrix_powers",
           ("9-1-2-False", "9-1-2-True"))
      + _ids("test_lfsr.py", "test_the_order_test_squares_in_byte_slots_below_the_bound",
-            ("9-2-2-False",))),
+            ("9-2-2-False",))
+     + _ids("test_linalg.py", "test_the_packed_nilpotent_test_matches_matrix_powers", ("2-9",))),
     # a span extended without the row itself (c = 1), and a row that
     # lies in the span extending it instead of making the rows dependent
     ("splitting", "for c in range(1, q):", "for c in range(2, q):",
@@ -250,6 +251,35 @@ MUTANTS = [
     ("fields", "add(a, mul(lead, b))", "a",
      _ids("test_fields.py", "test_tower_reduction_rows_match_pow_mod_on_random_moduli",
           (2, 3, 4, 5, 7, 8, 9))),
+    # the residue scan run before check_scan, each residue weighed as
+    # q**(n1 - t - 1) polynomials instead of q**(n1 - t), and f2 = 1
+    # left out
+    ("polys",
+     '        config.check_scan((q ** (2 * n2) - 1) // (q * q - 1), "coprime pair census")\n'
+     "        total = q**n1 - 1  # f2 = 1\n",
+     "        total = q**n1 - 1  # f2 = 1\n",
+     _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
+          ("coprime_pair_count-cold", "coprime_pair_count-warm"))),
+    ("polys", "total += coprime * q ** (n1 - t)", "total += coprime * q ** (n1 - t - 1)",
+     _ids("test_polys.py", "test_the_residue_scan_matches_the_pair_scan", (2, 3, 4, 5, 7, 8, 9))
+     + ["tests/test_polys.py::test_coprime_pair_count_closed_matches_brute"]),
+    ("polys", "total = q**n1 - 1  # f2 = 1", "total = 0",
+     _ids("test_polys.py", "test_the_residue_scan_matches_the_pair_scan", (2, 3, 4, 5, 7, 8, 9))
+     + ["tests/test_polys.py::test_coprime_pair_count_closed_matches_brute"]),
+    # T ** (m - 1) taken for T ** m in the nilpotent scan
+    ("linalg", "for _ in range(m - 1):", "for _ in range(m - 2):",
+     _ids("test_linalg.py", "test_the_packed_nilpotent_test_matches_matrix_powers",
+          ("2-2", "2-3", "2-9", "3-3", "2-13"))
+     + ["tests/test_linalg.py::test_count_nilpotent"]),
+    # the zero vector's key left in the point tally, and the digit-byte
+    # keys taken where a digit does not fit a byte
+    ("splitting", "    del hist[zero]\n", "",
+     _ids("test_splitting.py", "test_the_digit_byte_tally_matches_the_vectors",
+          ("2-2-2", "3-2-2", "9-2-1"))
+     + ["tests/test_splitting.py::test_pointed_identity"]),
+    ("splitting", "m * (ctx.p - 1) < 256", "m * (ctx.p - 1) <= 256",
+     _ids("test_splitting.py", "test_the_tally_keeps_digit_bytes_while_their_sums_fit",
+          ("257-1-vectors",))),
 ]
 
 

@@ -51,8 +51,9 @@ CASES = (
     # the degree-1 scan (test_factor_never_starts_the_scan_over_the_bound)
     ("factor", lambda: polys.factor(X4), 3, FactorSearchExceeded,
      (polys, "is_irreducible")),
-    ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 31,
-     ScanBoundExceeded, (polys, "gcd")),
+    # the residue scan visits 1 + 2**2 = 5 pairs (f2, r) at n2 = 2
+    ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 4,
+     ScanBoundExceeded, (polys, "_coprime")),
     ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
      ScanBoundExceeded, (splitting, "_verdicts")),
     # [4, 2]_2 = 35 subspaces
@@ -67,9 +68,10 @@ CASES = (
     ("fiber_count", lambda: lfsr.fiber_count(X4, 2, 2), 6,
      ScanBoundExceeded, (splitting, "_verdicts")),
     ("q_totient", lambda: q_totient(X4, "brute"), 15,
-     ScanBoundExceeded, (polys, "gcd")),
+     ScanBoundExceeded, (polys, "_coprime")),
+    # M_2(F_2) is squared on rows packed into ints
     ("count_nilpotent", lambda: count_nilpotent(2, 2, "brute"), 15,
-     ScanBoundExceeded, (linalg, "enumerate_matrices")),
+     ScanBoundExceeded, (linalg, "_packed_product")),
     ("census_singer", lambda: census_singer(2, 2, 2), 255,
      ScanBoundExceeded, (lfsr, "_char_polys")),
     # 6 conjugacy classes of M_2(F_2) times 2**4 free C_1 = 96, a bound

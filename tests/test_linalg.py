@@ -412,6 +412,44 @@ def test_count_nilpotent(monkeypatch):
         count_nilpotent(3, 2, "brute")
 
 
+# (m, q): the slot product exactly when q is prime and m * (q - 1)**2 < 256,
+# so (2, 11) and (3, 3) take it and (2, 13) and (1, 17) do not; F_4 and
+# F_8 on packed ints, F_9 on ctx.dot
+NILPOTENT_CASES = [(m, q) for q in (2, 3, 4, 5, 7, 8, 9) for m in (1, 2)] + [
+    (3, 2), (3, 3), (2, 11), (1, 13), (2, 13), (1, 17)]
+
+
+@pytest.mark.parametrize("m, q", NILPOTENT_CASES)
+def test_the_packed_nilpotent_test_matches_matrix_powers(monkeypatch, m, q):
+    """The packed T ** m == 0 against Matrix.__pow__ on every m x m
+    matrix, in enumerate_matrices order, over a random modulus, and the
+    kernel it takes for its m - 1 products."""
+    ctx = random_base(q, random.Random(f"nilpotent/{m},{q}"))
+    entered = set()
+    for name in ("_packed_product", "_slot_product", "_product"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, name=name, kernel=kernel, **k:
+                            entered.add(name) or kernel(*a, **k))
+    zero = Matrix.zero(ctx, m, m)
+    verdicts = list(linalg._nilpotent_verdicts(ctx, m))
+    monkeypatch.undo()
+    assert verdicts == [mat**m == zero for mat in enumerate_matrices(ctx, m, m)]
+    assert sum(verdicts) == q ** (m * (m - 1))
+    p = ctx.p
+    kernel = ("_packed_product" if p == 2 else
+              "_slot_product" if ctx.e == 1 and m * (p - 1) ** 2 < 256 else "_product")
+    assert entered == (set() if m == 1 else {kernel})
+
+
+def test_the_nilpotent_scan_builds_no_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a Matrix was built")
+
+    monkeypatch.setattr(linalg, "Matrix", no_matrix)
+    for m, q in ((3, 2), (2, 3), (2, 4), (2, 9)):
+        assert count_nilpotent(m, q, "brute") == q ** (m * (m - 1))
+
+
 def test_char_poly_fixtures():
     m = Matrix(F2, ((0, 1), (1, 1)))
     assert char_poly(m) == Poly(F2, (1, 1, 1))

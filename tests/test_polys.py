@@ -18,7 +18,7 @@ from splitlab import (
     is_primitive,
     q_totient,
 )
-from splitlab import polys
+from splitlab import integers, polys
 from sampling import random_base, random_modulus
 
 F2 = build_field(2)
@@ -318,6 +318,47 @@ def test_coprime_pair_count_closed_matches_brute_over_wide_fields(q):
     for n1, n2 in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         closed = coprime_pair_count(n1, n2, ctx, "closed")
         assert coprime_pair_count(n1, n2, ctx, "brute") == closed, (n1, n2, q)
+
+
+def pair_scan(n1, n2, ctx):
+    """The pair-by-pair scan the residue scan replaced: _coprime on every
+    pair (f1, f2), f1 nonzero of degree < n1 and f2 monic of degree < n2."""
+    q = ctx.size
+    monics = [list(integers.to_digits(code, q, t)) + [ctx.one]
+              for t in range(n2) for code in range(q**t)]
+    return sum(polys._coprime(ctx, f1, f2)
+               for f1 in polys._nonzero_codes(ctx, n1) for f2 in monics)
+
+
+@pytest.mark.parametrize("q", (2, 3) + WIDE_QS)
+def test_the_residue_scan_matches_the_pair_scan(q):
+    """Every (n1, n2) with n2 <= n1 <= 3, n1 > n2 among them, where each
+    residue stands for q**(n1 - t) polynomials f1.  Euclid goes past its
+    first step only at n2 = 3, where a residue of degree 1 can share a
+    factor with f2."""
+    ctx = wide_field(q)
+    for n1 in range(1, 4):
+        for n2 in range(1, n1 + 1):
+            brute = coprime_pair_count(n1, n2, ctx, "brute")
+            assert brute == pair_scan(n1, n2, ctx) == q ** (n1 + n2 - 1) - 1, (n1, n2, q)
+
+
+@pytest.mark.parametrize("q, n1, n2", [(2, 4, 3), (3, 3, 3), (4, 3, 2)])
+def test_the_residue_scan_tests_each_nonzero_residue_once(monkeypatch, q, n1, n2):
+    """One _coprime call per monic f2 of degree t >= 1 and nonzero
+    residue r of degree < t, by degree, then f2's code, then r's code,
+    with f2 as the dividend; f2 = 1 needs no call."""
+    ctx = wide_field(q)
+    calls, kernel = [], polys._coprime
+    monkeypatch.setattr(polys, "_coprime",
+                        lambda ctx, a, b: calls.append((tuple(a), tuple(b))) or kernel(ctx, a, b))
+    coprime_pair_count(n1, n2, ctx, "brute")
+    expected = [
+        (tuple(integers.to_digits(code, q, t)) + (ctx.one,), tuple(r))
+        for t in range(1, n2) for code in range(q**t) for r in polys._nonzero_codes(ctx, t)
+    ]
+    assert calls == expected
+    assert len(calls) == sum(q**t * (q**t - 1) for t in range(1, n2))
 
 
 def random_poly(ctx, rng, degree):

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -46,8 +47,8 @@ from splitlab import (
     vec_mat,
     weak_ssc_check,
 )
-from splitlab import lfsr, linalg, polys
-from sampling import random_modulus
+from splitlab import integers, lfsr, linalg, polys, splitting
+from sampling import random_base, random_instance, random_modulus
 
 F2 = build_field(2)
 
@@ -266,6 +267,48 @@ def test_pointed_identity_larger_field():
     assert rep.identity_holds  # 90 * 8 == 9 * 80
 
 
+def digit_key(ctx, vector):
+    return b"".join(bytes(integers.to_digits(c, ctx.p, ctx.e)) for c in vector)
+
+
+@pytest.mark.parametrize("q, m, n", [
+    (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2), (4, 2, 2), (5, 2, 1),
+    (7, 1, 2), (8, 2, 1), (9, 2, 1)])
+def test_the_digit_byte_tally_matches_the_vectors(q, m, n):
+    """The keys of every accepted subspace against the digit bytes of
+    W.vectors(), and pointed_consistency against a tally of W.vectors(),
+    over random moduli and generators."""
+    rng = random.Random(f"tally/{q},{m},{n}")
+    inst = random_instance(random_base(q, rng), m, n, rng)
+    ctx, mn = inst.base, m * n
+    points, zero = splitting._point_keys(ctx, m, mn)
+    assert zero == digit_key(ctx, (ctx.zero,) * mn)
+    hist, total = Counter(), 0
+    for W in splitting._splitting_scan(ctx, inst.mats, m):
+        keys = list(points(W))
+        assert sorted(keys) == sorted(digit_key(ctx, v) for v in W.vectors()), W
+        hist.update(W.vectors())
+        total += 1
+    del hist[(ctx.zero,) * mn]
+    assert len(hist) == q**mn - 1 and len(set(hist.values())) == 1
+    rep = pointed_consistency(inst)
+    assert (rep.splitting_count, rep.common) == (total, hist[(ctx.one,) + (ctx.zero,) * (mn - 1)])
+    assert rep.verdict == "match"
+
+
+@pytest.mark.parametrize("q, m, tally", [(127, 2, "bytes"), (131, 2, "vectors"), (257, 1, "vectors")])
+def test_the_tally_keeps_digit_bytes_while_their_sums_fit(q, m, tally):
+    """m * (p - 1) < 256 keeps the digit-byte keys: at m = 2 a slot sums
+    to at most 252 over F_127 and to 260 over F_131, which would carry,
+    and at m = 1 over F_257 a digit does not fit a byte, so those two
+    tally W.vectors().  The one subspace at n = 1 holds every point."""
+    ctx = field_from_order(q)
+    points, zero = splitting._point_keys(ctx, m, m)
+    assert (points is linalg.SubspaceBasis.vectors) == (tally == "vectors")
+    rep = pointed_consistency(split_instance(q, m, 1))
+    assert (rep.splitting_count, rep.common, rep.verdict) == (1, 1, "match")
+
+
 def test_count_pointed_validation():
     inst = split_instance(2, 2, 2)
     with pytest.raises(ZeroBasePoint):
@@ -388,6 +431,9 @@ SCAN_ROUTE = {
     "conjugacy_classes",
     "_char_polys",
     "_slot_product",
+    "_square_kernel",
+    "_nilpotent_verdicts",
+    "_point_keys",
 }
 
 
