@@ -17,7 +17,10 @@ taking bare sequences of coordinate tuples so that hot scanning loops
 can avoid Matrix objects, and so does _rref_rows, under rref (which
 gives the rank), Matrix.inverse and subspace_from_rows.  Its last part,
 _reduced_echelon, also serves the splitting scan, which reduces an
-echelon basis it already holds.  Matrix.det and
+echelon basis it already holds.  Over F_p with p * (p - 1) < 256 the
+splitting scan eliminates its whole quotient matrices in byte slots
+instead, next to the slot product (_slot_independent, tested against
+rows_are_independent).  Matrix.det and
 SubspaceBasis.contains keep their own loops, which run faster than the
 insert step would.
 
@@ -260,6 +263,46 @@ def _slot_product(mod_p: bytes, a_rows: list[bytes], b_rows: list[bytes]) -> lis
     b = int.from_bytes(b"".join(reversed(b_rows)), "little")
     product = (int.from_bytes(a, "little") * b).to_bytes(len(a), "little").translate(mod_p)
     return [product[s : s + n] for s in range((n - 1) * n, len(a), W)]
+
+
+@functools.cache
+def _slot_tables(p: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """(mod_p, units) for _slot_independent: integers.byte_residues(p),
+    and units[c] for each nonzero residue c the bytes.translate table
+    that scales residues by c**-1, so that a row leading with c leads
+    with 1 after it."""
+    units = tuple(bytes(x * pow(c, -1, p) % p for x in range(256)) for c in range(1, p))
+    return integers.byte_residues(p), (b"", *units)
+
+
+def _slot_independent(p: int, rows: Iterable[bytes]) -> bool:
+    """Whether rows of residues modulo p, held as bytes of one length,
+    are linearly independent over F_p, for p * (p - 1) < 256; the byte
+    form of rows_are_independent, stopping at the first dependent row.
+
+    A row's lead is its first nonzero byte, found by bytes.lstrip, and a
+    row is kept from its lead on.  pivots[k] is the one kept row k bytes
+    long, scaled to lead 1, as a big-endian int.  A row leading with c
+    under a pivot takes one int add of (p - c) * pivot, whose bytes are
+    at most (p - 1)**2, so that their sums stay below p * (p - 1) < 256
+    and never carry, one to_bytes and one bytes.translate modulo p
+    (integers.byte_residues); its lead byte, c + (p - c) = p, reduces
+    to zero and is dropped."""
+    mod_p, units = _slot_tables(p)
+    pivots: dict = {}
+    for v in rows:
+        v = v.lstrip(b"\0")
+        while v:
+            k = len(v)
+            pivot = pivots.get(k)
+            if pivot is None:
+                pivots[k] = int.from_bytes(v.translate(units[v[0]]), "big")
+                break
+            v = (int.from_bytes(v, "big") + (p - v[0]) * pivot).to_bytes(k, "big")[1:]
+            v = v.translate(mod_p).lstrip(b"\0")
+        else:
+            return False
+    return True
 
 
 def rref(mat: Matrix) -> tuple[Matrix, int]:

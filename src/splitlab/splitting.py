@@ -49,14 +49,17 @@ are dependent, and one membership test of the last row's bytes
 head (m = 1) and under the one head (e_0,) of a scan through 1 at
 m = 2, where those rows never repeat, and over wider fields and towers
 the matrix is eliminated whole, and no memo is kept: the walk keeps a
-memo only where its keys can repeat.
-count_splitting, count_pointed, pointed_consistency, count_T_splitting,
-weak_ssc_check and the direct ordered-basis route over every tuple
-scan every subspace or tuple through the walk; the product
-ordered-basis route, the fiber bridge's, scans the subspaces through 1,
-as verify's SSC, LOWER_BOUND and M2_THEOREM do; is_alpha_splitting and
-is_T_splitting answer through _splitter, the walk of one candidate.
-The closed forms never call either.
+memo only where its keys can repeat.  Over F_p with p * (p - 1) < 256
+that elimination runs on the matrix's bytes (linalg._slot_independent).
+count_splitting, count_pointed, pointed_consistency and
+count_T_splitting scan every subspace through the walk; weak_ssc_check
+and the product ordered-basis route, the fiber bridge's, scan the
+subspaces through 1, as verify's SSC, LOWER_BOUND and M2_THEOREM do,
+and the direct ordered-basis route the tuples whose first vector is 1,
+each scaled by q^mn - 1 (1 is e_0, so at m = 2 it too has the one head
+(e_0,)); is_alpha_splitting and is_T_splitting answer through
+_splitter, the walk of one candidate.  The closed forms never call
+either.
 
 Scan results are exact.  The splitting subspace count ssc_formula holds
 for all (q, m, n) (Chen and Tseng, "The splitting subspace conjecture",
@@ -397,16 +400,29 @@ def _lane_last(ctx, powers, one_head):
     last row's bytes in the span it returns.  Under the empty head
     (m = 1) the first row is w itself, and in a scan with one head
     (one_head) every w is another row, so within such a scan no prefix
-    repeats: there the n x d matrix is eliminated whole by
-    linalg.rows_are_independent, which builds no span.  A head packs
+    repeats: there the n x d matrix is eliminated whole, building no
+    span, over F_p with p * (p - 1) < 256 on its bytes by
+    linalg._slot_independent, and elsewhere by
+    linalg.rows_are_independent on its codes.  The route is picked once
+    per scan from e and p.  A head packs
     lanes[j][c] on first use, and digits and codes are converted on
     first use, so no table grows with q up front."""
-    e, mul = ctx.e, ctx.mul
+    p, e, mul = ctx.p, ctx.e, ctx.mul
     width, n = powers[0].nrows, len(powers)
     getitem = operator.getitem
-    mod_p = integers.byte_residues(ctx.p)
+    mod_p = integers.byte_residues(p)
     digits, decode = _codec(ctx)
     memos = _span_memos(ctx, n)
+    if e == 1 and p * (p - 1) < 256:
+
+        def eliminate(mat, d):
+            return linalg._slot_independent(p, [mat[k * d : k * d + d] for k in range(n)])
+
+    else:
+
+        def eliminate(mat, d):
+            flat = decode(mat)
+            return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
 
     def last(quotient):
         d = len(quotient[0])
@@ -422,8 +438,7 @@ def _lane_last(ctx, powers, one_head):
         def splits(w) -> bool:
             mat = sum(map(getitem, lanes, w)).to_bytes(size, "little").translate(mod_p)
             if whole:
-                flat = decode(mat)
-                return linalg.rows_are_independent(ctx, [flat[k * d : k * d + d] for k in range(n)])
+                return eliminate(mat, d)
             span = span_of(mat[:cut])
             return span is not None and mat[cut:] not in span
 
@@ -781,23 +796,30 @@ def count_splitting_bases(inst: SplitInstance, method: str) -> int:
     """Number of ordered m-tuples (v_1, ..., v_m) of tower elements whose
     stacked power-translates form a basis of the coordinate space.
 
-    The direct route scans all q**(m*n*m) tuples, the reference of
-    SPLITANDBASES and NOBASES; the product route, the fiber bridge's,
+    The direct route, the reference of SPLITANDBASES and NOBASES, scans
+    the (q**(m*n))**(m - 1) tuples with v_1 = 1 and multiplies by
+    q**(m*n) - 1: multiplication by a nonzero beta commutes with alpha,
+    so (beta v_1, ..., beta v_m) splits exactly when (v_1, ..., v_m)
+    does, and v_1 = 0 never splits.  The walk takes (v_2, 1, v_3, ...,
+    v_m) with v_2 varying fastest, so 1 leads every head, and at m <= 2
+    the scan has one head.  The product route, the fiber bridge's,
     multiplies the subspace count by |GL_m| (each splitting subspace
     contributes one tuple per ordered basis), scanning only the
-    subspaces through 1 and rescaling (_count_through_one).  The scan
-    bound refuses a route, it never picks one.
+    subspaces through 1 and rescaling (_count_through_one).  The two
+    share no scan.  The scan bound refuses a route, it never picks one.
     """
     if method not in {"direct", "product"}:
         raise BadArgs(f"unknown method {method!r}")
     q, m, n = inst.q, inst.m, inst.n
     if method == "product":
         return _count_through_one(inst.base, inst.mats, m) * linalg.gl_order(m, q)
-    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")
+    units = q ** (m * n) - 1
+    config.check_scan((units + 1) ** (m - 1), "ordered basis scan")
     vecs = [e.raw for e in inst.tower.elements()]
+    one = inst.tower.one
     # product varies the last position fastest; the walk tests the first
-    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))
-    return sum(_verdicts(inst.base, inst.mats, tuples))
+    tuples = ((*t[-1:], one, *t[:-1]) for t in itertools.product(vecs, repeat=m - 1))
+    return sum(_verdicts(inst.base, inst.mats, tuples, m <= 2)) * units
 
 
 def is_T_splitting(
@@ -850,7 +872,10 @@ def weak_ssc_check(
     r: int,
 ) -> MoebiusReport:
     """Move the generator to beta = (a*alpha^(q^r) + b) / (c*alpha^(q^r) + d)
-    for an invertible coefficient matrix and compare the two counts."""
+    for an invertible coefficient matrix and compare the two counts.
+    A Moebius image of a generator generates the tower too (and
+    SplitInstance refuses any beta that does not), so both counts scan
+    the subspaces through 1 alone and rescale (_count_through_one)."""
     base = inst.base
     q = base.size
     for name, code in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -873,8 +898,8 @@ def weak_ssc_check(
         raise ZeroDenominator("transform denominator vanishes at this generator")
     beta = tower.element_from_raw(tower.div(num, den))
     other = SplitInstance(tower, inst.m, inst.n, beta)
-    left = _count_scan(inst.base, inst.mats, inst.m)
-    right = _count_scan(other.base, other.mats, other.m)
+    left = _count_through_one(inst.base, inst.mats, inst.m)
+    right = _count_through_one(other.base, other.mats, other.m)
     return MoebiusReport(
         q=q,
         m=inst.m,

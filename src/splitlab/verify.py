@@ -107,6 +107,7 @@ class Verdict:
 
 
 _THROUGH_ONE = "subspaces through 1, scaled by (q^mn - 1)/(q^m - 1)"
+_FIRST_ONE = "tuples with v_1 = 1, scaled by q^mn - 1"
 
 
 def _through_one(q, m, n):
@@ -148,13 +149,14 @@ def _h_splitandbases(q, m, n):
     inst = splitting.split_instance(q, m, n)
     direct = splitting.count_splitting_bases(inst, "direct")
     product = splitting.count_splitting_bases(inst, "product")
-    return direct, product, direct == product, "tuple scan vs subspace count times |GL_m|"
+    note = f"{_FIRST_ONE}, vs subspace count times |GL_m|"
+    return direct, product, direct == product, note
 
 
 def _h_nobases(q, n):
     direct = splitting.count_splitting_bases(splitting.split_instance(q, 2, n), "direct")
     closed = splitting.nobases_formula(q, n)
-    return direct, closed, direct == closed, "pair scan at m = 2 vs closed form"
+    return direct, closed, direct == closed, f"{_FIRST_ONE}, vs closed form at m = 2"
 
 
 def _h_genbb(q, n1, n2):

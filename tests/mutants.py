@@ -62,16 +62,18 @@ MUTANTS = [
           ("pointed_consistency-cold", "pointed_consistency-warm",
            "count_pointed-cold", "count_pointed-warm"))),
     ("splitting",
-     '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
+     '    config.check_scan((units + 1) ** (m - 1), "ordered basis scan")\n'
      "    vecs = [e.raw for e in inst.tower.elements()]\n"
+     "    one = inst.tower.one\n"
      "    # product varies the last position fastest; the walk tests the first\n"
-     "    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))\n"
-     "    return sum(_verdicts(inst.base, inst.mats, tuples))\n",
+     "    tuples = ((*t[-1:], one, *t[:-1]) for t in itertools.product(vecs, repeat=m - 1))\n"
+     "    return sum(_verdicts(inst.base, inst.mats, tuples, m <= 2)) * units\n",
      "    vecs = [e.raw for e in inst.tower.elements()]\n"
-     "    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))\n"
-     "    verdicts = _verdicts(inst.base, inst.mats, tuples)\n"
-     '    config.check_scan((q ** (m * n)) ** m, "ordered basis scan")\n'
-     "    return sum(verdicts)\n",
+     "    one = inst.tower.one\n"
+     "    tuples = ((*t[-1:], one, *t[:-1]) for t in itertools.product(vecs, repeat=m - 1))\n"
+     "    verdicts = _verdicts(inst.base, inst.mats, tuples, m <= 2)\n"
+     '    config.check_scan((units + 1) ** (m - 1), "ordered basis scan")\n'
+     "    return sum(verdicts) * units\n",
      _ids("test_bounds.py", "test_scan_refuses_over_the_process_bound",
           ("count_splitting_bases-cold", "count_splitting_bases-warm"))),
     # the lane test's prefix memo kept under the empty head, where the
@@ -149,10 +151,10 @@ MUTANTS = [
     ("linalg", "        if rest:\n            firsts = list(firsts)\n",
      "        firsts = list(firsts)\n",
      ["tests/test_linalg.py::test_a_line_scan_streams_its_rows"]),
-    # the direct route fed in product order, its last position fastest:
-    # the same count, but a head per tuple
-    ("splitting", "tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=m))",
-     "tuples = itertools.product(vecs, repeat=m)",
+    # the direct route testing its fixed 1 under the head of the other
+    # rows: the same count, but a head per tuple
+    ("splitting", "tuples = ((*t[-1:], one, *t[:-1]) for t in itertools.product(vecs, repeat=m - 1))",
+     "tuples = ((one, *t) for t in itertools.product(vecs, repeat=m - 1))",
      ["tests/test_prefix_splitter.py::test_the_direct_route_varies_the_tested_row_fastest"]),
     # the byte-slot x**N mod f with the fold's second translate dropped,
     # its slot bound widened to the worst case, which carries, and taken
@@ -280,6 +282,33 @@ MUTANTS = [
     ("splitting", "m * (ctx.p - 1) < 256", "m * (ctx.p - 1) <= 256",
      _ids("test_splitting.py", "test_the_tally_keeps_digit_bytes_while_their_sums_fit",
           ("257-1-vectors",))),
+    # the direct route's count scaled by q**mn, the zero v_1 counted
+    # as a unit
+    ("splitting", "tuples, m <= 2)) * units", "tuples, m <= 2)) * (units + 1)",
+     _ids("test_through_one.py", "test_the_direct_route_through_one_is_the_count_over_every_tuple",
+          ("2-1-2", "2-2-2", "3-2-1", "7-1-2"))
+     + ["tests/test_splitting.py::test_splitting_bases_routes_agree",
+        "tests/test_splitting.py::test_splitting_bases_m1"]),
+    # the byte-slot elimination with its pivots kept unscaled, reducing
+    # by c * pivot instead of (p - c) * pivot, its bound widened to take
+    # F_17, whose sums carry, and taken over GF(p**e), whose rows are
+    # digits, not residues
+    ("linalg", 'pivots[k] = int.from_bytes(v.translate(units[v[0]]), "big")',
+     'pivots[k] = int.from_bytes(v, "big")',
+     _ids("test_matrix_kernels.py", "test_the_slot_elimination_matches_rows_are_independent",
+          (3, 5, 7, 11, 13))),
+    ("linalg", "(p - v[0]) * pivot", "v[0] * pivot",
+     _ids("test_matrix_kernels.py", "test_the_slot_elimination_matches_rows_are_independent",
+          (3, 5, 7, 11, 13))),
+    ("splitting", "if e == 1 and p * (p - 1) < 256:", "if e == 1 and p * (p - 1) < 273:",
+     _ids("test_quotient_step.py",
+          "test_whole_quotient_matrices_take_byte_slots_over_small_prime_fields",
+          ("17-full-1", "17-through_one-2", "17-direct-2"))),
+    ("splitting", "if e == 1 and p * (p - 1) < 256:", "if p * (p - 1) < 256:",
+     _ids("test_quotient_step.py",
+          "test_whole_quotient_matrices_take_byte_slots_over_small_prime_fields",
+          ("4-full-1", "8-through_one-2", "9-direct-2"))
+     + _ids("test_quotient_step.py", "test_the_lane_check_picks_the_last_row_test", ("9-1-2",))),
 ]
 
 

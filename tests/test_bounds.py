@@ -54,7 +54,8 @@ CASES = (
     # the residue scan visits 1 + 2**2 = 5 pairs (f2, r) at n2 = 2
     ("coprime_pair_count", lambda: coprime_pair_count(3, 2, F2, "brute"), 4,
      ScanBoundExceeded, (polys, "_coprime")),
-    ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 255,
+    # the direct route walks the 2**4 pairs (v_2, 1) of the tower F_16
+    ("count_splitting_bases", lambda: count_splitting_bases(INST, "direct"), 15,
      ScanBoundExceeded, (splitting, "_verdicts")),
     # [4, 2]_2 = 35 subspaces
     ("count_splitting", lambda: count_splitting(INST), 34,

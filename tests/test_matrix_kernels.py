@@ -199,6 +199,39 @@ def test_the_slot_product_on_the_worst_case_at_its_bound(n):
         assert (slot_product(3, a, rows) == linalg._product(F3, a, rows, n)) == (n == 63)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_the_slot_elimination_matches_rows_are_independent(p):
+    """linalg._slot_independent on random n x d matrices over every F_p
+    with p * (p - 1) < 256, n = 1 and d = 0 included, some with a zero
+    row, a row repeating another or a row that is a random combination
+    of the others: its verdict is rows_are_independent's."""
+    ctx, rng = build_field(p), random.Random(f"slot-rows/{p}")
+    seen = set()
+    for n in range(1, 6):
+        for d in range(7):
+            for _ in range(40):
+                rows = [[rng.randrange(p) for _ in range(d)] for _ in range(n)]
+                kind = rng.choice(("random", "zero", "repeat", "combination")[: 4 if n > 1 else 2])
+                i = rng.randrange(n)
+                others = rows[:i] + rows[i + 1 :]
+                if kind == "zero":
+                    rows[i] = [0] * d
+                elif kind == "repeat":
+                    rows[i] = rng.choice(others)[:]
+                elif kind == "combination":
+                    weights = [rng.randrange(p) for _ in others]
+                    rows[i] = [sum(w * row[j] for w, row in zip(weights, others)) % p
+                               for j in range(d)]
+                expect = linalg.rows_are_independent(ctx, rows)
+                assert linalg._slot_independent(p, list(map(bytes, rows))) == expect, rows
+                assert kind == "random" or not expect
+                seen.add((n, d, expect))
+    assert linalg._slot_independent(p, []) is True
+    # one empty row is dependent; d >= n answers both ways
+    assert (1, 0, False) in seen and (1, 0, True) not in seen
+    assert {(n, d, v) for n in range(1, 6) for d in range(n, 7) for v in (True, False)} <= seen
+
+
 @pytest.mark.parametrize("pe", FIELDS, ids=field_id)
 def test_empty_and_one_by_one_matrices(pe):
     ctx = CTXS[pe]

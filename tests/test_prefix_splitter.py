@@ -235,16 +235,17 @@ def test_a_dead_prefix_is_rejected_without_inserting(monkeypatch):
 
 
 def test_the_direct_route_varies_the_tested_row_fastest(monkeypatch):
-    """count_splitting_bases(..., "direct") at (2,2,2) walks the 16**2
-    ordered pairs with the first row varying fastest, so the head, the
-    second row, changes 16 times: one build per value of it, the zero
-    row's dead, and one test per pair under the 15 live heads."""
+    """count_splitting_bases(..., "direct") at (2,2,2) walks the 2**4
+    pairs (v_2, 1) of the tower F_16 with v_2 varying fastest, so it
+    builds the one head (1,) once and tests all 16 rows v_2 under it,
+    zero and 1 included, each once; the count is theirs times 15."""
     inst = split_instance(2, 2, 2)
     count, built, tested = walked_rows(
         monkeypatch, lambda: count_splitting_bases(inst, "direct"))
     assert count == count_splitting_bases(inst, "product")
-    assert len(built) == 2 ** 4
-    assert len(tested) == 15 * 2 ** 4
+    assert built == [(inst.tower.one,)]
+    assert tested == [e.raw for e in inst.tower.elements()]
+    assert count % (2**4 - 1) == 0
 
 
 @pytest.mark.parametrize("q, nilpotent", [(2, False), (3, False), (2, True)])

@@ -16,7 +16,11 @@ row too many, each walked alone and all in one walk; and the span
 memo alone against rows_are_independent on random matrices.  And the
 quotient is shared: a full scan builds one per live head, never stacks
 a first row, builds the span of each distinct first n - 1 rows of a
-quotient matrix once and each span extension once."""
+quotient matrix once and each span extension once.  A matrix eliminated
+whole (m = 1, and the one head of the pointed and direct m = 2 scans)
+goes to the byte-slot elimination over F_p with p <= 13 and to
+rows_are_independent over every other field, scan shape by scan
+shape."""
 
 import itertools
 import random
@@ -28,6 +32,7 @@ from splitlab import (
     build_extension,
     build_field,
     count_splitting,
+    count_splitting_bases,
     enumerate_subspaces,
     split_instance,
     ssc_formula,
@@ -197,22 +202,30 @@ def test_only_a_nonempty_head_keeps_its_prefixes(monkeypatch, m, n, candidate):
     """The memo pays only where the first n - 1 rows of quotient matrices
     repeat.  Under the empty head (m = 1) they hold the row itself, so no
     scan meets them twice and the walk keeps none: a candidate walked
-    twice is eliminated twice, n wide, and builds no span.  Under a live
-    head its span is built once and nothing is eliminated n wide."""
+    twice is eliminated twice, n rows n bytes wide in byte slots over
+    F_3, and builds no span.  Under a live head its span is built once
+    and nothing is eliminated n wide."""
     inst = split_instance(3, m, n)
     expected = splits_by_stacking(inst.base, inst.mats, candidate)
-    widths = []  # the width of the rows of each elimination
-    echelon_insert = linalg._echelon_insert
+    widths = []  # the width of the rows of each generic elimination
+    slotted = []  # the rows of each byte-slot elimination
+    echelon_insert, slot_independent = linalg._echelon_insert, linalg._slot_independent
 
     def counting_insert(ctx, echelon, rows):
         rows = list(rows)
         widths.extend(map(len, rows[:1]))
         return echelon_insert(ctx, echelon, rows)
 
+    def counting_slots(p, rows):
+        slotted.append(list(map(len, rows)))
+        return slot_independent(p, rows)
+
     monkeypatch.setattr(linalg, "_echelon_insert", counting_insert)
+    monkeypatch.setattr(linalg, "_slot_independent", counting_slots)
     tables = counting_spans(monkeypatch)
     assert list(splitting._verdicts(inst.base, inst.mats, [candidate] * 2)) == [expected] * 2
-    assert (widths.count(n), len(tables)) == ((2, 0) if m == 1 else (0, 1))
+    assert widths.count(n) == 0
+    assert (slotted, len(tables)) == (([[n] * n] * 2, 0) if m == 1 else ([], 1))
 
 
 def digit_bytes(ctx, rows) -> bytes:
@@ -261,34 +274,79 @@ def test_the_span_memo_agrees_with_elimination_on_random_matrices(monkeypatch, q
     assert {(n, d, v) for n in (1, 2, 3) for d in range(n, 4) for v in (True, False)} <= seen
 
 
-def scan_eliminations(monkeypatch, ctx, powers, m):
-    """Walk every candidate of a full scan, check the count against the
-    stacking oracle and return (candidates, whole quotient matrices
-    eliminated)."""
-    candidates = [W.rows for W in enumerate_subspaces(ctx, m * len(powers), m)]
-    expected = sum(splits_by_stacking(ctx, powers, rows) for rows in candidates)
-    calls = []
-    independent = linalg.rows_are_independent
+def scan_eliminations(monkeypatch, ctx, powers, m, scan=None):
+    """Walk every candidate of a full scan (or run scan()), check the
+    count against the stacking oracle and return (candidates, quotient
+    matrices eliminated by rows_are_independent, matrices eliminated in
+    byte slots by linalg._slot_independent)."""
+    if scan is None:
+        candidates = [W.rows for W in enumerate_subspaces(ctx, m * len(powers), m)]
+        expected = sum(splits_by_stacking(ctx, powers, rows) for rows in candidates)
+
+        def scan():
+            assert sum(splitting._verdicts(ctx, powers, candidates)) == expected
+            return len(candidates)
+
+    calls, slotted = [], []
+    independent, slot_independent = linalg.rows_are_independent, linalg._slot_independent
     monkeypatch.setattr(linalg, "rows_are_independent",
                         lambda ctx, rows: calls.append(rows) or independent(ctx, rows))
-    assert sum(splitting._verdicts(ctx, powers, candidates)) == expected
-    return len(candidates), len(calls)
+    monkeypatch.setattr(linalg, "_slot_independent",
+                        lambda p, rows: slotted.append(rows) or slot_independent(p, rows))
+    return scan(), len(calls), len(slotted)
 
 
 @pytest.mark.parametrize("q, m, n", [
-    (3, 2, 2), (8, 2, 2), (9, 1, 2), (131, 1, 2), (131, 2, 1), (512, 1, 2),
+    (3, 2, 2), (5, 1, 3), (8, 2, 2), (9, 1, 2), (131, 1, 2), (131, 2, 1), (512, 1, 2),
 ])
 def test_the_lane_check_picks_the_last_row_test(monkeypatch, q, m, n):
     """Where lane sums cannot carry, whatever the field's size (GF(512)
     included), a scan eliminates no quotient matrix whole under a
     nonempty head, and under the empty head (m = 1), whose first n - 1
-    rows never repeat, one per candidate.  At F_131 and width 2 lane sums
-    could carry: there the scan eliminates one matrix per candidate under
-    a nonempty head too (m = 2, n = 1), every head being live."""
+    rows never repeat, one per candidate: in byte slots over F_5, by
+    rows_are_independent over GF(9) and GF(512).  At F_131 and width 2
+    lane sums could carry: there the scan eliminates one matrix per
+    candidate under a nonempty head too (m = 2, n = 1), every head being
+    live."""
     rng = random.Random(f"quotient/lanes/{q},{m},{n}")
     inst = random_instance(random_base(q, rng), m, n, rng)
-    candidates, eliminated = scan_eliminations(monkeypatch, inst.base, inst.mats, m)
-    assert eliminated == (candidates if q == 131 or m == 1 else 0)
+    candidates, eliminated, slotted = scan_eliminations(monkeypatch, inst.base, inst.mats, m)
+    whole = candidates if q == 131 or m == 1 else 0
+    assert (eliminated, slotted) == ((0, whole) if q == 5 else (whole, 0))
+
+
+# every F_p with p * (p - 1) < 256 but F_2, which has its packed walk,
+# then GF(4), GF(8), GF(9) and the primes past that bound
+ROUTE_FIELDS = [3, 5, 7, 11, 13, 4, 8, 9, 17, 131]
+
+
+@pytest.mark.parametrize("scan", ["full-1", "through_one-2", "direct-2", "full-2"])
+@pytest.mark.parametrize("q", ROUTE_FIELDS)
+def test_whole_quotient_matrices_take_byte_slots_over_small_prime_fields(monkeypatch, q, scan):
+    """The scans that eliminate quotient matrices whole, a full scan at
+    m = 1 and the scans through 1 at m = 2 under their one head (the
+    subspaces through 1 and the direct ordered-basis route's pairs
+    (v_2, 1)), eliminate one per tested row: in byte slots over F_p with
+    p <= 13, by rows_are_independent over GF(4), GF(8), GF(9), F_17 and
+    F_131.  A full plane scan eliminates none whole, except over F_131
+    at width 2, which has no lanes and eliminates every tested row."""
+    kind, m = scan.split("-")
+    m, n = int(m), 2 if q < 17 else 1
+    inst = split_instance(q, m, n)
+    runs = {
+        "full": lambda: count_splitting(inst).brute,
+        "through_one": lambda: splitting._count_through_one(inst.base, inst.mats, m),
+        "direct": lambda: count_splitting_bases(inst, "direct") // linalg.gl_order(m, q),
+    }
+    count, eliminated, slotted = scan_eliminations(monkeypatch, inst.base, inst.mats, m, runs[kind])
+    assert count == ssc_formula(q, m, n)
+    tested = {
+        "full-1": linalg.gaussian_binomial(n, 1, q),
+        "through_one-2": linalg.gaussian_binomial(2 * n - 1, 1, q),
+        "direct-2": q ** (2 * n),
+        "full-2": 1 if q == 131 else 0,
+    }[scan]
+    assert (eliminated, slotted) == ((0, tested) if q <= 13 and q not in (4, 8, 9) else (tested, 0))
 
 
 def test_a_matrix_over_a_tower_keeps_the_elimination(monkeypatch):
@@ -298,5 +356,6 @@ def test_a_matrix_over_a_tower_keeps_the_elimination(monkeypatch):
     tower = build_extension(build_field(2), 2)
     T = Matrix(tower, [[tower.element((rng.randrange(2), rng.randrange(2))).raw
                         for _ in range(2)] for _ in range(2)])
-    candidates, eliminated = scan_eliminations(monkeypatch, tower, splitting._powers(T, 1, 2), 1)
-    assert eliminated == candidates == 5
+    candidates, eliminated, slotted = scan_eliminations(
+        monkeypatch, tower, splitting._powers(T, 1, 2), 1)
+    assert eliminated == candidates == 5 and slotted == 0

@@ -431,6 +431,8 @@ SCAN_ROUTE = {
     "conjugacy_classes",
     "_char_polys",
     "_slot_product",
+    "_slot_independent",
+    "_slot_tables",
     "_square_kernel",
     "_nilpotent_verdicts",
     "_point_keys",

@@ -1,6 +1,8 @@
 """The splitting subspaces counted through 1 alone
 (splitting._count_through_one), the scan route of verify's SSC,
-LOWER_BOUND and M2_THEOREM and of the fiber bridge.  Multiplication by a
+LOWER_BOUND, M2_THEOREM and WEAK_SSC and of the fiber bridge, and the
+direct ordered-basis route over the tuples with v_1 = 1, times
+q^mn - 1, checked against every tuple.  Multiplication by a
 nonzero tower element commutes with the generator, so every nonzero
 point lies on the same number of splitting subspaces, and the count
 through e_0 times (q^mn - 1)/(q^m - 1) is the full count.  Checked
@@ -18,14 +20,17 @@ import tracemalloc
 import pytest
 
 from splitlab import (
+    BadArgs,
     ScanBoundExceeded,
     VerificationJob,
     count_splitting,
+    count_splitting_bases,
     enumerate_subspaces,
     gaussian_binomial,
     split_instance,
     ssc_formula,
     verify,
+    weak_ssc_check,
 )
 from splitlab import splitting
 from sampling import random_base, random_instance, splits_by_stacking
@@ -159,6 +164,7 @@ REFUSALS = [
     ("SSC", (2, 2, 3), 2, 2, 3),
     ("LOWER_BOUND", (3, 2, 2), 3, 2, 2),
     ("M2_THEOREM", (2,), 2, 2, 2),
+    ("WEAK_SSC", (2, 2, 3, 1, 1, 0, 1, 0), 2, 2, 3),
 ]
 
 
@@ -181,3 +187,51 @@ def test_verify_answers_where_the_full_scan_refuses(monkeypatch, statement, poin
     skipped = verify(VerificationJob(statement, grid=(point,))).points[0]
     assert skipped.verdict == "skipped"
     assert f"needs {need} candidates" in skipped.note
+
+
+def every_tuple(inst):
+    """The ordered splitting bases counted over every m-tuple of tower
+    elements, zero and repeated rows included, in product order with the
+    first row varying fastest: the direct route before it kept only the
+    tuples with v_1 = 1."""
+    vecs = [e.raw for e in inst.tower.elements()]
+    tuples = ((t[-1], *t[:-1]) for t in itertools.product(vecs, repeat=inst.m))
+    return sum(splitting._verdicts(inst.base, inst.mats, tuples))
+
+
+# every (q, m, n) with q in {2, 3, 4, 5, 7}, m in {1, 2, 3} and at most
+# 4,096 ordered tuples
+TUPLE_POINTS = [
+    (q, m, n)
+    for q in (2, 3, 4, 5, 7)
+    for m in (1, 2, 3)
+    for n in range(1, 13)
+    if q ** (m * m * n) <= 4096
+]
+
+
+@pytest.mark.parametrize("q, m, n", TUPLE_POINTS)
+def test_the_direct_route_through_one_is_the_count_over_every_tuple(q, m, n):
+    """The direct route's tuples with v_1 = 1, times q^mn - 1, against
+    every tuple on random moduli and generators."""
+    rng = random.Random(f"through-one/tuples/{q},{m},{n}")
+    inst = random_instance(random_base(q, rng), m, n, rng)
+    assert count_splitting_bases(inst, "direct") == every_tuple(inst)
+
+
+@pytest.mark.parametrize("q, m, n", [(3, 1, 3), (4, 2, 1), (5, 1, 2), (3, 2, 2)])
+def test_weak_ssc_counts_both_generators_through_one(q, m, n):
+    """weak_ssc_check moves a random generator by x -> 1/x and by
+    x -> x^q + 1, where either is a generator, and counts both through 1:
+    each side is the full scan's count."""
+    rng = random.Random(f"through-one/weak/{q},{m},{n}")
+    inst = random_instance(random_base(q, rng), m, n, rng)
+    full = count_splitting(inst).brute
+    reports = []
+    for move in ((0, 1, 1, 0, 0), (1, 1, 0, 1, 1)):
+        try:
+            reports.append(weak_ssc_check(inst, *move))
+        except BadArgs:  # the image does not generate the tower
+            pass
+    assert reports
+    assert all(rep.left == rep.right == full for rep in reports)
